@@ -2,24 +2,25 @@
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 usage error,
 3 a size guard refused the computation.  Identical (argv, seed) produce
-byte-identical reports apart from the "timings" block.  The KACPAL_THREADS
-environment variable caps worker parallelism; the current engine evaluates
-serially (a parallelism of one, within any cap) and echoes the setting.
+byte-identical reports apart from the "timings" block.  The engine
+evaluates serially; reports record this as "threads": 1 in their config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from itertools import product as iproduct
+from math import factorial
 
 from . import __version__
 from .cocycle import reference_cocycle_table_m3
 from .errors import NotInvertibleError, SizeGuardError
-from .group_ring import GroupAlgebra, canonical_twist
-from .hopf import ALL_PAIRS_GUARD, HopfAlgebra, embedding_check
+from .group_ring import GroupAlgebra, canonical_twist, sigma
+from .hopf import ALL_PAIRS_GUARD, AxiomReport, HopfAlgebra, embedding_check, key_json
+from .linalg import rref
 from .quantum_poly import QuantumPolyAlgebra
 from .reps import (
     RepParams,
@@ -35,11 +36,20 @@ from .twists import search_central_converse, twist_suite
 SCHEMA_VERSION = 1
 
 
-def thread_cap() -> int:
+def _int_at_least(text: str, low: int) -> int | None:
     try:
-        return max(1, int(os.environ.get("KACPAL_THREADS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        return None
+    return value if value >= low else None
+
+
+def _size(text: str) -> int:
+    """n or m: an integer >= 2."""
+    value = _int_at_least(text, 2)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return value
 
 
 def _parse_scope(text: str) -> tuple[str, int]:
@@ -47,11 +57,13 @@ def _parse_scope(text: str) -> tuple[str, int]:
         return "all", 0
     if text == "auto":
         return "auto", 10000
-    if text.startswith("sampled:"):
-        return "sampled", int(text.split(":", 1)[1])
     if text == "sampled":
         return "sampled", 10000
-    raise argparse.ArgumentTypeError("scope must be all, auto, or sampled:K")
+    if text.startswith("sampled:"):
+        size = _int_at_least(text.split(":", 1)[1], 1)
+        if size is not None:
+            return "sampled", size
+    raise argparse.ArgumentTypeError("scope must be all, auto, sampled, or sampled:K with K >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,60 +76,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="Hopf axiom suite for H_{n,m}")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    def command(name: str, help: str, positionals: str = "nm"):
+        """A subcommand taking the given positionals; n and m must be >= 2."""
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg, type=_size if arg in "nm" else int)
+        return p
+
+    p = command("verify", "Hopf axiom suite for H_{n,m}")
     p.add_argument("--scope", type=_parse_scope, default=("auto", 10000))
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("twist-check", help="twist predicates for the canonical J over K[Z_n]")
-    p.add_argument("n", type=int)
+    p = command("twist-check", "twist predicates for the canonical J over K[Z_n]", "n")
     p.add_argument("--max-m", type=int, default=3)
     p.add_argument("--search", type=int, default=0,
                    help="sample K random invertible elements for the open "
                         "twist-vs-strong-twist comparison (no resolution claimed)")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gamma-table", help="the 2-cocycle table of Sigma_m valued in R")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    command("gamma-table", "the 2-cocycle table of Sigma_m valued in R")
+    command("rep-check", "defining relations of V_{a,b}", "nmab")
 
-    p = sub.add_parser("rep-check", help="defining relations of V_{a,b}")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = sub.add_parser("inner-faithful", help="inner-faithfulness of V_{a,b} over the base ring")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = command("inner-faithful", "inner-faithfulness of V_{a,b} over the base ring", "nmab")
     p.add_argument("--bruteforce", action="store_true")
 
-    p = sub.add_parser("invariants", help="truncated invariant ring of A_{a,b}")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = command("invariants", "truncated invariant ring of A_{a,b}", "nmab")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--subalgebra", choices=["full", "cyclic"], default="full")
 
-    p = sub.add_parser("module-algebra-check", help="module algebra axiom for A_{a,b}")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = command("module-algebra-check", "module algebra axiom for A_{a,b}", "nmab")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("export", help="full structure constants of H_{n,m} as JSON")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-    p = sub.add_parser("embed-check", help="verify the embedding H_{n,m} -> H_{n,m+1}")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    command("export", "full structure constants of H_{n,m} as JSON")
+    command("embed-check", "verify the embedding H_{n,m} -> H_{n,m+1}")
     return parser
 
 
@@ -127,7 +119,7 @@ def _report_shell(command: str, config: dict) -> dict:
         "version": __version__,
         "schema": SCHEMA_VERSION,
         "command": command,
-        "config": dict(config, threads=thread_cap()),
+        "config": dict(config, threads=1),
         "checks": [],
         "data": {},
     }
@@ -138,31 +130,26 @@ def _run_verify(args, report):
     report["context"] = hopf.cyc.to_json()
     scope, size = args.scope
     axioms = hopf.verify_axioms(scope=scope, seed=args.seed, sample_size=size or 10000)
-    report["checks"].extend(axioms.checks)
-    integral = hopf.verify_integral()
-    report["checks"].extend(integral.checks)
-    cyclic = hopf.cyclic_subalgebra()
-    report["checks"].extend(cyclic.report.checks)
+    for part in (axioms, hopf.verify_integral(), hopf.cyclic_subalgebra().report):
+        report["checks"].extend(part.checks)
     report["data"]["dim"] = hopf.dim
     report["data"]["scope"] = axioms.scope
     if axioms.seed is not None:
         report["data"]["seed"] = axioms.seed
 
 
+def _checks(report: dict) -> AxiomReport:
+    """An AxiomReport that records straight into the report's check list."""
+    return AxiomReport(instance=report["command"], checks=report["checks"])
+
+
 def _run_twist_check(args, report):
     B = GroupAlgebra(args.n, 1)
     report["context"] = B.cyc.to_json()
     J = canonical_twist(B)
+    checks = _checks(report)
     for res in twist_suite(J, max_m=args.max_m):
-        report["checks"].append(
-            {
-                "name": res.condition,
-                "identity": res.condition,
-                "status": "pass" if res.ok else "fail",
-                "witness": res.witness,
-                "checked": None,
-            }
-        )
+        checks.add(res.condition, res.condition, res.ok, res.witness)
     if args.search:
         report["data"]["converse-search"] = search_central_converse(
             args.n, args.search, args.seed
@@ -170,104 +157,71 @@ def _run_twist_check(args, report):
 
 
 def _run_gamma_table(args, report):
+    cells = factorial(args.m) ** 2
+    if cells > ALL_PAIRS_GUARD:
+        raise SizeGuardError(f"gamma table refused for (m!)^2 = {cells} > {ALL_PAIRS_GUARD}")
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
     perms = hopf.perms
+    gamma = hopf.words.cocycle
     reference = reference_cocycle_table_m3(hopf.ring) if args.m == 3 else None
     entries = []
     mismatches = []
-    for w in perms:
-        for v in perms:
-            g = hopf.words.cocycle(w, v)
-            entry = {
-                "w": list(canonical_word(w)),
-                "v": list(canonical_word(v)),
-                "gamma": g.to_json(),
-            }
-            if reference is not None:
-                match = reference[(w, v)] == g
-                entry["matches_reference"] = match
-                if not match:
-                    mismatches.append(entry)
-            entries.append(entry)
+    for w, v in iproduct(perms, repeat=2):
+        g = gamma(w, v)
+        entry = {"w": list(canonical_word(w)), "v": list(canonical_word(v)), "gamma": g.to_json()}
+        if reference is not None:
+            match = reference[(w, v)] == g
+            entry["matches_reference"] = match
+            if not match:
+                mismatches.append(entry)
+        entries.append(entry)
     report["data"]["entries"] = entries
 
-    ok = True
-    witness = None
-    for w in perms:
-        for v in perms:
-            g = hopf.words.cocycle(w, v)
-            if hopf.counit(hopf.from_ring(g)) != hopf.cyc.one:
-                ok = False
-                witness = {"w": list(canonical_word(w)), "v": list(canonical_word(v))}
-                break
-        if not ok:
-            break
-    report["checks"].append(
-        {"name": "cocycle-counit", "identity": "eps(gamma(w,v)) = 1",
-         "status": "pass" if ok else "fail", "witness": witness, "checked": len(perms) ** 2}
+    def words(perms):
+        return {key: list(canonical_word(p)) for key, p in zip("wvu", perms)}
+
+    def cocycle_fails(wvu):
+        w, v, u = wvu
+        return sigma(w, gamma(v, u)) * gamma(w, v * u) != gamma(w, v) * gamma(w * v, u)
+
+    def associativity_fails(wvu):
+        a, b, c = (hopf.basis_elem(hopf.ring.zero_exp, p) for p in wvu)
+        return hopf.hmul(hopf.hmul(a, b), c) != hopf.hmul(a, hopf.hmul(b, c))
+
+    checks = _checks(report)
+    checks.check(
+        "cocycle-counit",
+        "eps(gamma(w,v)) = 1",
+        iproduct(perms, repeat=2),
+        lambda wv: hopf.counit(hopf.from_ring(gamma(*wv))) != hopf.cyc.one,
+        words,
+        checked=len(perms) ** 2,
     )
-
-    from .group_ring import sigma
-
-    ok = True
-    witness = None
-    for w in perms:
-        for v in perms:
-            for u in perms:
-                lhs = sigma(w, hopf.words.cocycle(v, u)) * hopf.words.cocycle(w, v * u)
-                rhs = hopf.words.cocycle(w, v) * hopf.words.cocycle(w * v, u)
-                if lhs != rhs:
-                    ok = False
-                    witness = {
-                        "w": list(canonical_word(w)),
-                        "v": list(canonical_word(v)),
-                        "u": list(canonical_word(u)),
-                    }
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["checks"].append(
-        {"name": "cocycle-identity",
-         "identity": "sigma_w(gamma(v,u)) gamma(w,vu) = gamma(w,v) gamma(wv,u)",
-         "status": "pass" if ok else "fail", "witness": witness, "checked": len(perms) ** 3}
+    checks.check(
+        "cocycle-identity",
+        "sigma_w(gamma(v,u)) gamma(w,vu) = gamma(w,v) gamma(wv,u)",
+        iproduct(perms, repeat=3),
+        cocycle_fails,
+        words,
+        checked=len(perms) ** 3,
     )
-
     # associativity over basis labels is the ground-truth oracle for the table
-    ok = True
-    witness = None
-    for w in perms:
-        for v in perms:
-            for u in perms:
-                a = hopf.basis_elem(hopf.ring.zero_exp, w)
-                b = hopf.basis_elem(hopf.ring.zero_exp, v)
-                c = hopf.basis_elem(hopf.ring.zero_exp, u)
-                if hopf.hmul(hopf.hmul(a, b), c) != hopf.hmul(a, hopf.hmul(b, c)):
-                    ok = False
-                    witness = {
-                        "w": list(canonical_word(w)),
-                        "v": list(canonical_word(v)),
-                        "u": list(canonical_word(u)),
-                    }
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["checks"].append(
-        {"name": "associativity-oracle", "identity": "(w v) u = w (v u) over basis labels",
-         "status": "pass" if ok else "fail", "witness": witness, "checked": len(perms) ** 3}
+    checks.check(
+        "associativity-oracle",
+        "(w v) u = w (v u) over basis labels",
+        iproduct(perms, repeat=3),
+        associativity_fails,
+        words,
+        checked=len(perms) ** 3,
     )
-
     if reference is not None:
-        report["checks"].append(
-            {"name": "reference-table",
-             "identity": "computed gamma matches the m=3 reference table cell by cell",
-             "status": "pass" if not mismatches else "fail",
-             "witness": {"mismatches": mismatches} if mismatches else None,
-             "checked": len(perms) ** 2}
+        checks.add(
+            "reference-table",
+            "computed gamma matches the m=3 reference table cell by cell",
+            not mismatches,
+            {"mismatches": mismatches} if mismatches else None,
+            checked=len(perms) ** 2,
         )
 
 
@@ -290,12 +244,11 @@ def _run_inner_faithful(args, report):
         report["data"]["bruteforce"] = verdict
         report["data"]["annihilating_subgroups"] = annihilating
         ok = (not crit) or verdict
-        report["checks"].append(
-            {"name": "criterion-implies-oracle",
-             "identity": "gcd(det M, n) = 1 implies the subgroup oracle verdict",
-             "status": "pass" if ok else "fail",
-             "witness": None if ok else {"criterion": crit, "bruteforce": verdict},
-             "checked": None}
+        _checks(report).add(
+            "criterion-implies-oracle",
+            "gcd(det M, n) = 1 implies the subgroup oracle verdict",
+            ok,
+            None if ok else {"criterion": crit, "bruteforce": verdict},
         )
 
 
@@ -309,30 +262,24 @@ def _run_invariants(args, report):
     report["context"] = hopf.cyc.to_json()
     inv = qpa.invariants(subalgebra, degree)
     oracle = qpa.invariants_oracle(subalgebra, degree)
-    per_degree = []
-    ok = True
-    witness = None
-    from .linalg import rref
-
-    for k in range(degree + 1):
-        basis = inv[k]
-        per_degree.append(
-            {"degree": k, "dim": len(basis), "basis": [f.to_json() for f in basis]}
-        )
-        mons = qpa.monomials(k)
-        vecs = [
-            [f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in basis
-        ]
-        red = rref(vecs, qpa.ctx)[0] if vecs else []
-        if red != oracle[k]:
-            ok = False
-            witness = {"degree": k}
-    report["data"]["invariants"] = per_degree
+    report["data"]["invariants"] = [
+        {"degree": k, "dim": len(inv[k]), "basis": [f.to_json() for f in inv[k]]}
+        for k in range(degree + 1)
+    ]
     report["data"]["subalgebra"] = subalgebra
-    report["checks"].append(
-        {"name": "integral-projector-oracle",
-         "identity": "kernel of (g - eps(g)) equals the image of the normalized integral",
-         "status": "pass" if ok else "fail", "witness": witness, "checked": degree + 1}
+
+    def oracle_disagrees(k):
+        mons = qpa.monomials(k)
+        vecs = [[f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in inv[k]]
+        return (rref(vecs, qpa.ctx)[0] if vecs else []) != oracle[k]
+
+    _checks(report).check(
+        "integral-projector-oracle",
+        "kernel of (g - eps(g)) equals the image of the normalized integral",
+        range(degree + 1),
+        oracle_disagrees,
+        lambda k: {"degree": k},
+        checked=degree + 1,
     )
     report["checks"].extend(qpa.containment_check(degree, subalgebra="ring").checks)
 
@@ -353,33 +300,29 @@ def _run_export(args, report):
     report["context"] = hopf.cyc.to_json()
     basis = hopf.basis_keys()
 
-    def key_json(key):
-        e, w = key
-        return {"exponents": list(e), "perm": list(w.one_line()), "word": list(canonical_word(w))}
+    def export_key(key):
+        return dict(key_json(key), word=list(canonical_word(key[1])))
 
     report["data"]["dim"] = hopf.dim
-    report["data"]["basis"] = [key_json(k) for k in basis]
+    report["data"]["basis"] = [export_key(k) for k in basis]
     report["data"]["mul"] = [
         {
-            "left": key_json(ka),
-            "right": key_json(kb),
+            "left": export_key(ka),
+            "right": export_key(kb),
             "result": hopf.hmul(hopf.basis_elem(*ka), hopf.basis_elem(*kb)).to_json(),
         }
         for ka in basis
         for kb in basis
     ]
-    report["data"]["coproduct"] = [
-        {"element": key_json(k), "result": hopf.coproduct(hopf.basis_elem(*k)).to_json()}
-        for k in basis
-    ]
-    report["data"]["counit"] = [
-        {"element": key_json(k), "result": hopf.counit(hopf.basis_elem(*k)).to_json()}
-        for k in basis
-    ]
-    report["data"]["antipode"] = [
-        {"element": key_json(k), "result": hopf.antipode(hopf.basis_elem(*k)).to_json()}
-        for k in basis
-    ]
+    for name, op in (
+        ("coproduct", hopf.coproduct),
+        ("counit", hopf.counit),
+        ("antipode", hopf.antipode),
+    ):
+        report["data"][name] = [
+            {"element": export_key(k), "result": op(hopf.basis_elem(*k)).to_json()}
+            for k in basis
+        ]
 
 
 def _run_embed_check(args, report):

@@ -46,26 +46,28 @@ class WordCalculus:
             coeff = coeff * self.shifted_t(w2, letter)
         return coeff, w2
 
+    def fold(self, w: Perm, letters) -> tuple[RingElem, Perm]:
+        """Multiply w-bar by z_i for each letter i in turn: (coefficient,
+        basis label)."""
+        coeff = self.ring.one
+        for i in letters:
+            coeff, w = self.step(coeff, w, i)
+        return coeff, w
+
     def normalize_word(self, letters) -> tuple[RingElem, Perm]:
         """Rewrite an arbitrary word to (coefficient, basis label)."""
-        coeff = self.ring.one
-        w = Perm.identity(self.m)
+        letters = list(letters)
         for i in letters:
             if not 1 <= i <= self.m - 1:
                 raise ValueError(f"letter {i} out of range")
-            coeff, w = self.step(coeff, w, i)
-        return coeff, w
+        return self.fold(Perm.identity(self.m), letters)
 
     def cocycle(self, w: Perm, v: Perm) -> RingElem:
         """gamma(w, v), the coefficient in w-bar v-bar = gamma(w, v) (wv)-bar."""
         key = (w, v)
         out = self._gamma.get(key)
         if out is None:
-            coeff = self.ring.one
-            u = w
-            for i in canonical_word(v):
-                coeff, u = self.step(coeff, u, i)
-            out = coeff
+            out = self.fold(w, canonical_word(v))[0]
             self._gamma[key] = out
         return out
 

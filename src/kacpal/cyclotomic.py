@@ -33,7 +33,8 @@ def poly_mul_int(a: list[int], b: list[int]) -> list[int]:
 
 def poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Exact long division of integer polynomials; den must be monic."""
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
     num = list(num)
     q = [0] * max(1, len(num) - len(den) + 1)
     for k in range(len(num) - len(den), -1, -1):
@@ -65,7 +66,8 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
         if N % d == 0:
             den = poly_mul_int(den, list(cyclotomic_polynomial(d)))
     q, r = poly_divmod_int(num, den)
-    assert r == [0], "cyclotomic division must be exact"
+    if r != [0]:
+        raise ArithmeticError("cyclotomic division must be exact")
     return tuple(q)
 
 
@@ -87,7 +89,8 @@ class CycContext:
         self.N = 2 * n
         self.phi = cyclotomic_polynomial(self.N)
         self.degree = len(self.phi) - 1
-        assert self.degree == euler_phi(self.N)
+        if self.degree != euler_phi(self.N):
+            raise ArithmeticError(f"Phi_{self.N} has the wrong degree")
         # x^(degree + i) mod Phi_N for the multiplication reduction sweep
         self._red: list[tuple[int, ...]] = []
         prev = [-c for c in self.phi[:-1]]  # x^degree mod Phi (Phi monic)
@@ -264,7 +267,8 @@ class CycScalar:
             s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
         while len(r0) > 1 and r0[-1] == 0:
             r0.pop()
-        assert len(r0) == 1 and r0[0] != 0, "Phi_N is irreducible; gcd must be constant"
+        if len(r0) != 1 or r0[0] == 0:
+            raise ArithmeticError("Phi_N is irreducible; gcd must be constant")
         c = r0[0]
         inv_coeffs = [s / c for s in s0]
         return _from_fractions(self.ctx, inv_coeffs)

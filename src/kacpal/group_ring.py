@@ -22,7 +22,15 @@ from itertools import product as iproduct
 
 from .cyclotomic import CycContext, CycScalar
 from .errors import ContextMismatchError, NotInvertibleError
+from .sparse import SparseElem, accumulate, power_product
 from .symmetric import Perm
+
+
+def slot_vector(m: int, i: int, e: int = 1) -> tuple[int, ...]:
+    """The exponent vector of length m with e in slot i (1-based), 0 elsewhere."""
+    key = [0] * m
+    key[i - 1] = e
+    return tuple(key)
 
 
 class GroupAlgebra:
@@ -52,9 +60,7 @@ class GroupAlgebra:
         """x_i, the generator of the i-th tensor slot (1-based)."""
         if not 1 <= i <= self.m:
             raise ValueError("slot out of range")
-        exps = [0] * self.m
-        exps[i - 1] = 1
-        return self.monomial(exps)
+        return self.monomial(slot_vector(self.m, i))
 
     def from_terms(self, terms: dict) -> "RingElem":
         return RingElem(self, {k: c for k, c in terms.items() if c})
@@ -72,82 +78,42 @@ class GroupAlgebra:
         return f"GroupAlgebra(n={self.n}, m={self.m})"
 
 
-class RingElem:
+class RingElem(SparseElem):
     """Sparse element of R: map from exponent vectors to nonzero scalars."""
 
     __slots__ = ("ring", "terms")
+    _mismatch = "ring elements from different contexts"
 
     def __init__(self, ring: GroupAlgebra, terms: dict):
         self.ring = ring
         self.terms = terms
 
-    def _check(self, other) -> "RingElem":
-        if isinstance(other, (int, CycScalar)):
-            return self.ring.from_terms({self.ring.zero_exp: _as_scalar(self.ring, other)})
-        if not isinstance(other, RingElem):
-            return NotImplemented  # type: ignore[return-value]
-        if other.ring != self.ring:
-            raise ContextMismatchError("ring elements from different contexts")
-        return other
+    def context(self):
+        return self.ring
 
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return RingElem(self.ring, out)
+    def _new(self, terms: dict) -> "RingElem":
+        return RingElem(self.ring, terms)
 
-    __radd__ = __add__
+    def _field(self):
+        return self.ring.cyc
 
-    def __neg__(self):
-        return RingElem(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._check(other) - self
+    def _lift(self, c):
+        if isinstance(c, (int, CycScalar)):
+            return self.ring.monomial(self.ring.zero_exp, c)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, CycScalar)):
             return self.scale(other)
-        other = self._check(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n = self.ring.n
         out: dict = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                k = tuple((a + b) % n for a, b in zip(ka, kb))
-                c = ca * cb
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                accumulate(out, tuple((a + b) % n for a, b in zip(ka, kb)), ca * cb)
         return RingElem(self.ring, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, CycScalar)):
-            return self.scale(other)
-        return self._check(other) * self
-
-    def scale(self, c) -> "RingElem":
-        c = _as_scalar(self.ring, c)
-        if not c:
-            return self.ring.zero
-        return RingElem(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -157,36 +123,8 @@ class RingElem:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, (int, CycScalar)):
-            other = self._check(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring.n, self.ring.m, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def to_json(self) -> list:
-        return [{"exponents": list(k), "coeff": c.to_json()} for k, c in self.sorted_terms()]
-
-    def __repr__(self):
-        def mono(k):
-            parts = [f"x{i+1}^{e}" if e != 1 else f"x{i+1}" for i, e in enumerate(k) if e]
-            return "*".join(parts) if parts else "1"
-
-        body = " + ".join(f"({c})*{mono(k)}" for k, c in self.sorted_terms())
-        return body if body else "0"
-
-
-def _as_scalar(ring: GroupAlgebra, c) -> CycScalar:
-    return ring.cyc.scalar(c) if isinstance(c, int) else c
+    def _monomial_repr(self, key) -> str:
+        return "*".join(power_product("x", key)) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +132,7 @@ def _as_scalar(ring: GroupAlgebra, c) -> CycScalar:
 
 
 def eps_ring(a: RingElem) -> CycScalar:
-    out = a.ring.cyc.zero
-    for c in a.terms.values():
-        out = out + c
-    return out
+    return sum(a.terms.values(), a.ring.cyc.zero)
 
 
 def delta_ring(a: RingElem) -> "KTensor":
@@ -215,12 +150,10 @@ def sigma(w: Perm, a: RingElem) -> RingElem:
     if w.size != a.ring.m:
         raise ContextMismatchError("permutation degree does not match tensor length")
     img = w.images
-    out = {}
+    out: dict = {}
     for k, c in a.terms.items():
-        nk = tuple(k[img[i]] for i in range(len(k)))
-        s = out.get(nk)
-        out[nk] = c if s is None else s + c
-    return a.ring.from_terms(out)
+        accumulate(out, tuple(k[img[i]] for i in range(len(k))), c)
+    return RingElem(a.ring, out)
 
 
 def idempotent(B: GroupAlgebra, k: int) -> RingElem:
@@ -239,53 +172,38 @@ def embed(R: GroupAlgebra, i: int, b: RingElem) -> RingElem:
         raise ContextMismatchError("embed expects a one-slot element over the same n")
     if not 1 <= i <= R.m:
         raise ValueError("slot out of range")
-    out = {}
-    for (e,), c in b.terms.items():
-        key = [0] * R.m
-        key[i - 1] = e
-        out[tuple(key)] = c
-    return R.from_terms(out)
+    return R.from_terms({slot_vector(R.m, i, e): c for (e,), c in b.terms.items()})
 
 
 # ---------------------------------------------------------------------------
 # tensor powers
 
 
-class KTensor:
+class KTensor(SparseElem):
     """Sparse element of R^(tensor k): map from k-tuples of exponent vectors
     to scalars.  Componentwise convolution product."""
 
     __slots__ = ("ring", "arity", "terms")
+    _mismatch = "tensor elements from different contexts"
 
     def __init__(self, ring: GroupAlgebra, arity: int, terms: dict):
         self.ring = ring
         self.arity = arity
         self.terms = terms
 
-    def _check(self, other: "KTensor"):
-        if other.ring != self.ring or other.arity != self.arity:
-            raise ContextMismatchError("tensor elements from different contexts")
+    def context(self):
+        return (self.ring, self.arity)
 
-    def __add__(self, other: "KTensor"):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return KTensor(self.ring, self.arity, out)
+    def _new(self, terms: dict) -> "KTensor":
+        return KTensor(self.ring, self.arity, terms)
 
-    def __neg__(self):
-        return KTensor(self.ring, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _field(self):
+        return self.ring.cyc
 
     def __mul__(self, other: "KTensor"):
-        self._check(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         n = self.ring.n
         out: dict = {}
         for ka, ca in self.terms.items():
@@ -293,85 +211,43 @@ class KTensor:
                 k = tuple(
                     tuple((a + b) % n for a, b in zip(la, lb)) for la, lb in zip(ka, kb)
                 )
-                c = ca * cb
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                accumulate(out, k, ca * cb)
         return KTensor(self.ring, self.arity, out)
 
-    def scale(self, c) -> "KTensor":
-        c = _as_scalar(self.ring, c)
-        if not c:
-            return KTensor(self.ring, self.arity, {})
-        return KTensor(self.ring, self.arity, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, KTensor):
-            return NotImplemented
-        return (
-            self.ring == other.ring and self.arity == other.arity and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring.n, self.ring.m, self.arity, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     # -- structure maps -------------------------------------------------------
+
+    def _relabel(self, key_map, arity: int) -> "KTensor":
+        """The tensor of the given arity with every key k replaced by
+        key_map(k); key_map must be injective."""
+        return KTensor(self.ring, arity, {key_map(k): c for k, c in self.terms.items()})
 
     def comultiply_leg(self, leg: int) -> "KTensor":
         """Apply Delta_R to one leg; monomials are group-like, so the leg
         is duplicated in place."""
-        out = {}
-        for k, c in self.terms.items():
-            nk = k[: leg + 1] + (k[leg],) + k[leg + 1 :]
-            out[nk] = c
-        return KTensor(self.ring, self.arity + 1, out)
+        return self._relabel(lambda k: k[: leg + 1] + (k[leg],) + k[leg + 1 :], self.arity + 1)
 
     def counit_leg(self, leg: int) -> "KTensor":
         """Apply eps_R to one leg (eps of every monomial is 1)."""
         out: dict = {}
         for k, c in self.terms.items():
-            nk = k[:leg] + k[leg + 1 :]
-            s = out.get(nk)
-            s = c if s is None else s + c
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
+            accumulate(out, k[:leg] + k[leg + 1 :], c)
         return KTensor(self.ring, self.arity - 1, out)
 
     def antipode_leg(self, leg: int) -> "KTensor":
         n = self.ring.n
-        out = {}
-        for k, c in self.terms.items():
-            nk = k[:leg] + (tuple((-e) % n for e in k[leg]),) + k[leg + 1 :]
-            out[nk] = c
-        return KTensor(self.ring, self.arity, out)
+        return self._relabel(
+            lambda k: k[:leg] + (tuple((-e) % n for e in k[leg]),) + k[leg + 1 :], self.arity
+        )
 
     def unit_leg(self, position: int) -> "KTensor":
         """Insert a trivial leg (tensor with 1) at the given position."""
         z = self.ring.zero_exp
-        out = {}
-        for k, c in self.terms.items():
-            out[k[:position] + (z,) + k[position:]] = c
-        return KTensor(self.ring, self.arity + 1, out)
+        return self._relabel(lambda k: k[:position] + (z,) + k[position:], self.arity + 1)
 
     def sigma_all(self, w: Perm) -> "KTensor":
         """(sigma_w (x) ... (x) sigma_w) applied to every leg."""
         img = w.images
-        out = {}
-        for k, c in self.terms.items():
-            nk = tuple(tuple(leg[img[i]] for i in range(len(leg))) for leg in k)
-            out[nk] = c
-        return KTensor(self.ring, self.arity, out)
+        return self._relabel(lambda k: tuple(tuple(leg[i] for i in img) for leg in k), self.arity)
 
     def tensor(self, other: "KTensor") -> "KTensor":
         if other.ring != self.ring:
@@ -387,13 +263,7 @@ class KTensor:
         n = self.ring.n
         out: dict = {}
         for k, c in self.terms.items():
-            key = tuple(sum(leg[i] for leg in k) % n for i in range(self.ring.m))
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, tuple(sum(leg[i] for leg in k) % n for i in range(self.ring.m)), c)
         return RingElem(self.ring, out)
 
     def to_json(self) -> list:
@@ -436,14 +306,11 @@ def embed_pair(J: KTensor, i: int, j: int, R: GroupAlgebra) -> KTensor:
         raise ContextMismatchError("embed_pair expects an arity-2 tensor over B")
     if not (1 <= i <= R.m and 1 <= j <= R.m and i != j):
         raise ValueError("slots out of range")
-    out = {}
-    for ((a,), (b,)), c in J.terms.items():
-        left = [0] * R.m
-        right = [0] * R.m
-        left[i - 1] = a
-        right[j - 1] = b
-        out[(tuple(left), tuple(right))] = c
-    return KTensor(R, 2, out)
+    return KTensor(
+        R,
+        2,
+        {(slot_vector(R.m, i, a), slot_vector(R.m, j, b)): c for ((a,), (b,)), c in J.terms.items()},
+    )
 
 
 def twist_Js(R: GroupAlgebra, k: int) -> KTensor:
@@ -471,36 +338,40 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
             key = [0] * R.m
             key[k - 1] = i
             key[k] = (-j) % n
-            key = tuple(key)
-            c = R.cyc.q_pow(-i * j) * inv_n
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-    return R.from_terms(out)
+            accumulate(out, tuple(key), R.cyc.q_pow(-i * j) * inv_n)
+    return RingElem(R, out)
 
 
 # ---------------------------------------------------------------------------
 # inversion in R and its tensor powers via the character basis
 
 
-def _fourier_inverse_terms(ring: GroupAlgebra, terms: dict, width: int) -> dict:
-    """Invert an element of the group algebra of Z_n^width given sparse terms
-    keyed by flat exponent tuples of that length."""
-    n = ring.n
+def _unit_eigenvalues(ring: GroupAlgebra, terms: dict, width: int):
+    """Yield (chi, chi(a)) for every character chi of Z_n^width, where a has
+    the given sparse terms keyed by flat exponent tuples of that length.
+    Raises NotInvertibleError at the first zero value, so a scan for
+    non-units stops there."""
     cyc = ring.cyc
-    chars = list(iproduct(range(n), repeat=width))
-    eigen = []
-    for chi in chars:
+    items = list(terms.items())
+    for chi in iproduct(range(ring.n), repeat=width):
         v = cyc.zero
-        for key, c in terms.items():
+        for key, c in items:
             v = v + c * cyc.q_pow(sum(x * y for x, y in zip(chi, key)))
         if v.is_zero():
             raise NotInvertibleError("element is not a unit of the group algebra")
-        eigen.append(v.inv())
-    inv_size = cyc.scalar(1) / cyc.scalar(n**width)
+        yield chi, v
+
+
+def _fourier_inverse_terms(ring: GroupAlgebra, terms: dict, width: int) -> dict:
+    """Invert an element of the group algebra of Z_n^width given sparse terms
+    keyed by flat exponent tuples of that length."""
+    cyc = ring.cyc
+    eigen = [(chi, v.inv()) for chi, v in _unit_eigenvalues(ring, terms, width)]
+    inv_size = cyc.scalar(1) / cyc.scalar(ring.n**width)
     out = {}
-    for beta in chars:
+    for beta, _ in eigen:
         v = cyc.zero
-        for chi, ev in zip(chars, eigen):
+        for chi, ev in eigen:
             v = v + ev * cyc.q_pow(-sum(x * y for x, y in zip(chi, beta)))
         v = v * inv_size
         if v:
@@ -508,37 +379,30 @@ def _fourier_inverse_terms(ring: GroupAlgebra, terms: dict, width: int) -> dict:
     return out
 
 
+def _flat_terms(J: KTensor) -> dict:
+    return {tuple(e for leg in k for e in leg): c for k, c in J.terms.items()}
+
+
 def ring_inverse(a: RingElem) -> RingElem:
     """Exact inverse of a unit of R.  Raises NotInvertibleError otherwise."""
-    flat = _fourier_inverse_terms(a.ring, a.terms, a.ring.m)
-    return RingElem(a.ring, flat)
+    return RingElem(a.ring, _fourier_inverse_terms(a.ring, a.terms, a.ring.m))
 
 
 def tensor_inverse(J: KTensor) -> KTensor:
     """Exact inverse of a unit of R^(tensor k)."""
     m = J.ring.m
-    flat_terms = {tuple(e for leg in k for e in leg): c for k, c in J.terms.items()}
-    inv_flat = _fourier_inverse_terms(J.ring, flat_terms, m * J.arity)
+    inv_flat = _fourier_inverse_terms(J.ring, _flat_terms(J), m * J.arity)
     out = {}
     for key, c in inv_flat.items():
-        legs = tuple(key[i * m : (i + 1) * m] for i in range(J.arity))
-        out[legs] = c
+        out[tuple(key[i * m : (i + 1) * m] for i in range(J.arity))] = c
     return KTensor(J.ring, J.arity, out)
 
 
 def check_tensor_invertible(J: KTensor) -> None:
     """Raise NotInvertibleError unless J is a unit: scan the character
-    eigenvalues without reconstructing the inverse."""
-    ring = J.ring
-    cyc = ring.cyc
-    n = ring.n
-    items = [(tuple(e for leg in k for e in leg), c) for k, c in J.terms.items()]
-    for chi in iproduct(range(n), repeat=ring.m * J.arity):
-        v = cyc.zero
-        for key, c in items:
-            v = v + c * cyc.q_pow(sum(x * y for x, y in zip(chi, key)))
-        if v.is_zero():
-            raise NotInvertibleError("element is not a unit of the group algebra")
+    values without reconstructing the inverse."""
+    for _ in _unit_eigenvalues(J.ring, _flat_terms(J), J.ring.m * J.arity):
+        pass
 
 
 def tensor_is_invertible(J: KTensor) -> bool:

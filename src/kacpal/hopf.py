@@ -20,20 +20,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import factorial
 
 from .cocycle import WordCalculus
 from .cyclotomic import CycScalar
-from .errors import ContextMismatchError, SizeGuardError
+from .errors import ContextMismatchError, NotInvertibleError, SizeGuardError
 from .group_ring import (
     GroupAlgebra,
     KTensor,
     RingElem,
     delta_ring,
     ring_inverse,
+    slot_vector,
     tensor_from_pair,
     twist_Js,
 )
-from .symmetric import Perm, all_perms, canonical_word, cycle_perm
+from .sparse import SparseElem, accumulate, power_product
+from .symmetric import Perm, all_perms, canonical_word, cycle_perm, cycle_powers
 
 ALL_PAIRS_GUARD = 5000
 
@@ -50,7 +53,7 @@ class HopfAlgebra:
         self.cyc = self.ring.cyc
         self.words = WordCalculus(self.ring)
         self.perms = all_perms(m)
-        self.dim = n**m * _factorial(m)
+        self.dim = n**m * factorial(m)
         self._j_cache: dict[Perm, KTensor] = {}
         self._sproduct: dict[tuple[Perm, Perm], tuple[Perm, list]] = {}
         self._antipode_word: dict[Perm, "HopfElem"] = {}
@@ -75,9 +78,7 @@ class HopfAlgebra:
 
     def x(self, i: int) -> "HopfElem":
         """The group-like generator x_i (1-based slot)."""
-        exps = [0] * self.m
-        exps[i - 1] = 1
-        return self.basis_elem(exps, Perm.identity(self.m))
+        return self.basis_elem(slot_vector(self.m, i), Perm.identity(self.m))
 
     def z(self, k: int) -> "HopfElem":
         """The generator z_k = s_k-bar."""
@@ -125,13 +126,7 @@ class HopfAlgebra:
                 shifted = tuple((ea[i] + eb[img[i]]) % n for i in rng)
                 wv, gamma_terms = self._single_product(wa, wb)
                 for dg, cg in gamma_terms:
-                    key = (tuple((shifted[i] + dg[i]) % n for i in rng), wv)
-                    s = out.get(key)
-                    s = c * cg if s is None else s + c * cg
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    accumulate(out, (tuple((shifted[i] + dg[i]) % n for i in rng), wv), c * cg)
         return HopfElem(self, out)
 
     def j_of_word(self, w: Perm) -> KTensor:
@@ -160,19 +155,11 @@ class HopfAlgebra:
                     (tuple((e[i] + d1[i]) % n for i in range(self.m)), w),
                     (tuple((e[i] + d2[i]) % n for i in range(self.m)), w),
                 )
-                s = out.get(key)
-                s = c * cj if s is None else s + c * cj
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, c * cj)
         return HTensor(self, out)
 
     def counit(self, h: "HopfElem"):
-        out = self.cyc.zero
-        for c in h.terms.values():
-            out = out + c
-        return out
+        return sum(h.terms.values(), self.cyc.zero)
 
     def antipode_word(self, w: Perm) -> "HopfElem":
         """S(w-bar): the product of generators of the reversed canonical word."""
@@ -200,34 +187,34 @@ class HopfAlgebra:
 
     # -- integral ----------------------------------------------------------------
 
-    def integral(self) -> "HopfElem":
-        """Lambda = (int_B)^(x m) sum_w w-bar, with int_B = (1/n) sum_i x^i."""
+    def integral(self, labels=None) -> "HopfElem":
+        """Lambda = (int_B)^(x m) sum_w w-bar, with int_B = (1/n) sum_i x^i.
+        Summed over the given permutation labels of a Hopf subalgebra
+        R #_gamma G instead, it is the integral of that subalgebra."""
         inv = self.cyc.scalar(1) / self.cyc.scalar(self.n**self.m)
-        terms = {}
-        for exps in self.ring.exponent_vectors():
-            for w in self.perms:
-                terms[(exps, w)] = inv
-        return HopfElem(self, terms)
+        labels = self.perms if labels is None else labels
+        return HopfElem(
+            self, {(exps, w): inv for exps in self.ring.exponent_vectors() for w in labels}
+        )
 
     def verify_integral(self) -> "AxiomReport":
         report = AxiomReport(instance=f"H({self.n},{self.m})")
         lam = self.integral()
         eps_lam = self.counit(lam)
-        report.add(
-            "integral-counit",
-            "eps(Lambda) = m!",
-            eps_lam == self.cyc.scalar(_factorial(self.m)),
-            None if eps_lam == self.cyc.scalar(_factorial(self.m)) else {"eps": eps_lam.to_json()},
-        )
-        witness = None
-        ok = True
-        for key in self.basis_keys():
+        ok = eps_lam == self.cyc.scalar(factorial(self.m))
+        report.add("integral-counit", "eps(Lambda) = m!", ok, None if ok else {"eps": eps_lam.to_json()})
+
+        def invariance_fails(key):
             h = self.basis_elem(*key)
-            if self.hmul(h, lam) != lam or self.hmul(lam, h) != lam:
-                ok = False
-                witness = {"basis": _key_json(key)}
-                break
-        report.add("integral-invariance", "h Lambda = eps(h) Lambda = Lambda h", ok, witness)
+            return self.hmul(h, lam) != lam or self.hmul(lam, h) != lam
+
+        report.check(
+            "integral-invariance",
+            "h Lambda = eps(h) Lambda = Lambda h",
+            self.basis_keys(),
+            invariance_fails,
+            _basis_witness,
+        )
         return report
 
     # -- axiom verification --------------------------------------------------------
@@ -263,21 +250,14 @@ class HopfAlgebra:
             # translation by a group-like is a key bijection: translates agree
             return True
         n = self.n
-        t_l = {
-            (
-                tuple((k[0][i] + delta[i]) % n for i in range(self.m)),
-                tuple((k[1][i] + delta[i]) % n for i in range(self.m)),
-            ): c
-            for k, c in lhs.terms.items()
-        }
-        t_r = {
-            (
-                tuple((k[0][i] + delta[i]) % n for i in range(self.m)),
-                tuple((k[1][i] + delta[i]) % n for i in range(self.m)),
-            ): c
-            for k, c in rhs.terms.items()
-        }
-        return t_l == t_r
+
+        def translate(t: KTensor) -> dict:
+            return {
+                tuple(tuple((leg[i] + delta[i]) % n for i in range(self.m)) for leg in k): c
+                for k, c in t.terms.items()
+            }
+
+        return translate(lhs) == translate(rhs)
 
     def verify_axioms(self, scope: str = "auto", seed: int = 0, sample_size: int = 10000) -> "AxiomReport":
         """Exact verification of the Hopf axioms.
@@ -318,118 +298,83 @@ class HopfAlgebra:
             n_triples = sample_size
             n_pairs = len(pairs)
 
-        ok = True
-        witness = None
-        for ka, kb, kc in triples:
-            a, b, c = (self.basis_elem(*k) for k in (ka, kb, kc))
-            if self.hmul(self.hmul(a, b), c) != self.hmul(a, self.hmul(b, c)):
-                ok = False
-                witness = {"triple": [_key_json(k) for k in (ka, kb, kc)]}
-                break
-        report.add("associativity", "(ab)c = a(bc) on basis triples", ok, witness, checked=n_triples)
+        def associativity_fails(keys):
+            a, b, c = (self.basis_elem(*k) for k in keys)
+            return self.hmul(self.hmul(a, b), c) != self.hmul(a, self.hmul(b, c))
 
-        ok = True
-        witness = None
-        for ka, kb in pairs:
-            if not self._delta_mult_pair_ok(ka, kb):
-                ok = False
-                witness = {"pair": [_key_json(ka), _key_json(kb)]}
-                break
-        report.add(
+        report.check(
+            "associativity",
+            "(ab)c = a(bc) on basis triples",
+            triples,
+            associativity_fails,
+            lambda keys: {"triple": [key_json(k) for k in keys]},
+            checked=n_triples,
+        )
+        report.check(
             "comultiplicativity",
             "Delta(ab) = Delta(a)Delta(b) on basis pairs",
-            ok,
-            witness,
+            pairs,
+            lambda keys: not self._delta_mult_pair_ok(*keys),
+            _pair_witness,
             checked=n_pairs,
         )
 
         # direct end-to-end spot check through the public tensor product,
         # one pair per permutation pair
-        ok = True
-        witness = None
-        for w in self.perms:
-            for v in self.perms:
-                a = self.basis_elem(self.ring.zero_exp, w)
-                b = self.basis_elem(self.ring.zero_exp, v)
-                if self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b):
-                    ok = False
-                    witness = {"pair": [list(w.one_line()), list(v.one_line())]}
-                    break
-            if not ok:
-                break
-        report.add(
+        def direct_fails(perms):
+            a, b = (self.basis_elem(self.ring.zero_exp, u) for u in perms)
+            return self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
+
+        report.check(
             "comultiplicativity-direct",
             "Delta(w v) = Delta(w)Delta(v) via the full tensor product",
-            ok,
-            witness,
+            iproduct(self.perms, repeat=2),
+            direct_fails,
+            lambda perms: {"pair": [list(u.one_line()) for u in perms]},
             checked=len(self.perms) ** 2,
         )
 
-        ok = True
-        witness = None
-        for key in basis:
-            d = self.coproduct(self.basis_elem(*key))
+        def coassociativity_fails(key):
             lhs: dict = {}
             rhs: dict = {}
-            for (k1, k2), c in d.terms.items():
+            for (k1, k2), c in self.coproduct(self.basis_elem(*key)).terms.items():
                 for (k1a, k1b), c1 in self.coproduct(self.basis_elem(*k1)).terms.items():
-                    kk = (k1a, k1b, k2)
-                    s = lhs.get(kk)
-                    s = c * c1 if s is None else s + c * c1
-                    if s:
-                        lhs[kk] = s
-                    else:
-                        lhs.pop(kk, None)
+                    accumulate(lhs, (k1a, k1b, k2), c * c1)
                 for (k2a, k2b), c2 in self.coproduct(self.basis_elem(*k2)).terms.items():
-                    kk = (k1, k2a, k2b)
-                    s = rhs.get(kk)
-                    s = c * c2 if s is None else s + c * c2
-                    if s:
-                        rhs[kk] = s
-                    else:
-                        rhs.pop(kk, None)
-            if lhs != rhs:
-                ok = False
-                witness = {"basis": _key_json(key)}
-                break
-        report.add(
+                    accumulate(rhs, (k1, k2a, k2b), c * c2)
+            return lhs != rhs
+
+        report.check(
             "coassociativity",
             "(Delta(x)id)Delta = (id(x)Delta)Delta on all basis elements",
-            ok,
-            witness,
+            basis,
+            coassociativity_fails,
+            _basis_witness,
             checked=len(basis),
         )
 
-        ok = True
-        witness = None
-        for key in basis:
+        def counit_fails(key):
             h = self.basis_elem(*key)
-            d = self.coproduct(h)
-            left = self.zero()
-            right = self.zero()
-            for (k1, k2), c in d.terms.items():
-                left = left + self.basis_elem(*k2).scale(c)  # (eps(x)id), eps(basis)=1
-                right = right + self.basis_elem(*k1).scale(c)
-            if left != h or right != h:
-                ok = False
-                witness = {"basis": _key_json(key)}
-                break
-        report.add(
+            left: dict = {}
+            right: dict = {}
+            for (k1, k2), c in self.coproduct(h).terms.items():
+                accumulate(left, k2, c)  # (eps(x)id), eps(basis) = 1
+                accumulate(right, k1, c)
+            return left != h.terms or right != h.terms
+
+        report.check(
             "counit",
             "(eps(x)id)Delta = id = (id(x)eps)Delta",
-            ok,
-            witness,
+            basis,
+            counit_fails,
+            _basis_witness,
             checked=len(basis),
         )
 
-        ok = True
-        witness = None
-        for key in basis:
-            h = self.basis_elem(*key)
-            d = self.coproduct(h)
+        def antipode_fails(key):
             left = self.zero()
             right = self.zero()
-            for ((e1, w1), (e2, w2)), c in d.terms.items():
+            for ((e1, w1), (e2, w2)), c in self.coproduct(self.basis_elem(*key)).terms.items():
                 left = left + self.hmul(
                     self.antipode_basis(e1, w1), self.basis_elem(e2, w2)
                 ).scale(c)
@@ -437,27 +382,29 @@ class HopfAlgebra:
                     self.basis_elem(e1, w1), self.antipode_basis(e2, w2)
                 ).scale(c)
             target = self.unit()  # eps(basis) = 1
-            if left != target or right != target:
-                ok = False
-                witness = {"basis": _key_json(key)}
-                break
-        report.add(
+            return left != target or right != target
+
+        report.check(
             "antipode",
             "mu(S(x)id)Delta = eta eps = mu(id(x)S)Delta",
-            ok,
-            witness,
+            basis,
+            antipode_fails,
+            _basis_witness,
             checked=len(basis),
         )
 
-        ok = True
-        witness = None
-        for key in basis:
+        def involution_fails(key):
             h = self.basis_elem(*key)
-            if self.antipode(self.antipode(h)) != h:
-                ok = False
-                witness = {"basis": _key_json(key)}
-                break
-        report.add("involution", "S^2 = id on the basis", ok, witness, checked=len(basis))
+            return self.antipode(self.antipode(h)) != h
+
+        report.check(
+            "involution",
+            "S^2 = id on the basis",
+            basis,
+            involution_fails,
+            _basis_witness,
+            checked=len(basis),
+        )
         return report
 
     # -- the cyclic Hopf subalgebra R #_gamma <s> -----------------------------------
@@ -472,21 +419,20 @@ class HopfAlgebra:
             powers.append(self.hmul(powers[-1], theta))
 
         # theta^k = (prod_{i<k} gamma(s^i, s)) # (s^k)-bar
-        ok = True
-        witness = None
+        expected = [None]
         coeff = self.ring.one
         sk = Perm.identity(self.m)
-        for k in range(1, self.m + 1):
+        for _ in range(self.m):
             coeff = coeff * self.words.cocycle(sk, s)
             sk = sk * s
-            expected = self.from_ring(coeff) if sk.is_identity() else HopfElem(
-                self, {(key, sk): c for key, c in coeff.terms.items()}
-            )
-            if powers[k] != expected:
-                ok = False
-                witness = {"k": k}
-                break
-        report.add("theta-powers", "theta^k = prod gamma(s^i, s) (s^k)-bar", ok, witness)
+            expected.append(HopfElem(self, {(key, sk): c for key, c in coeff.terms.items()}))
+        report.check(
+            "theta-powers",
+            "theta^k = prod gamma(s^i, s) (s^k)-bar",
+            range(1, self.m + 1),
+            lambda k: powers[k] != expected[k],
+            lambda k: {"k": k},
+        )
 
         t = self.ring.one
         sk = s
@@ -498,14 +444,13 @@ class HopfAlgebra:
 
         try:
             t_inv = ring_inverse(t)
-            invertible = True
-        except Exception:
+        except NotInvertibleError:
             t_inv = None
-            invertible = False
-        report.add("t-invertible", "t is a unit of R", invertible, None)
+        report.add("t-invertible", "t is a unit of R", t_inv is not None, None)
 
-        if invertible:
-            g = self.words.cocycle(_power(s, self.m - 1), s)
+        labels = cycle_powers(self.m)
+        if t_inv is not None:
+            g = self.words.cocycle(labels[-1], s)
             rhs = self.hmul(self.from_ring(t_inv * g), powers[self.m - 1])
             ok = self.antipode(theta) == rhs
             report.add(
@@ -515,22 +460,17 @@ class HopfAlgebra:
                 None,
             )
 
-        s_powers = set()
-        p = Perm.identity(self.m)
-        for _ in range(self.m):
-            s_powers.add(p)
-            p = p * s
-        ok = True
-        witness = None
-        for k in range(self.m):
-            for (k1, k2) in self.coproduct(powers[k]).terms:
-                if k1[1] not in s_powers or k2[1] not in s_powers:
-                    ok = False
-                    witness = {"k": k}
-                    break
-            if not ok:
-                break
-        report.add("hopf-subalgebra", "Delta(theta^k) lies in H'(x)H'", ok, witness)
+        s_powers = set(labels)
+        report.check(
+            "hopf-subalgebra",
+            "Delta(theta^k) lies in H'(x)H'",
+            range(self.m),
+            lambda k: any(
+                k1[1] not in s_powers or k2[1] not in s_powers
+                for k1, k2 in self.coproduct(powers[k]).terms
+            ),
+            lambda k: {"k": k},
+        )
 
         ok = self.coproduct(theta) == HTensor(
             self,
@@ -541,23 +481,16 @@ class HopfAlgebra:
         )
         report.add("coproduct-theta", "Delta(theta) = J(s)(theta(x)theta)", ok, None)
 
-        ok = True
-        witness = None
-        for i in range(1, self.m + 1):
-            j = i % self.m + 1
-            if self.hmul(theta, self.x(i)) != self.hmul(self.x(j), theta):
-                ok = False
-                witness = {"i": i}
-                break
-        report.add("theta-conjugation", "theta x_i = x_{i+1} theta (cyclic)", ok, witness)
+        report.check(
+            "theta-conjugation",
+            "theta x_i = x_{i+1} theta (cyclic)",
+            range(1, self.m + 1),
+            lambda i: self.hmul(theta, self.x(i)) != self.hmul(self.x(i % self.m + 1), theta),
+            lambda i: {"i": i},
+        )
 
         dim = self.m * self.n**self.m
         report.add("subalgebra-dimension", "dim H' = m n^m", len(s_powers) == self.m, None)
-        labels = []
-        p = Perm.identity(self.m)
-        for _ in range(self.m):
-            labels.append(p)
-            p = p * s
         basis_labels = [
             (exps, u) for exps in self.ring.exponent_vectors() for u in labels
         ]
@@ -583,109 +516,56 @@ class HopfAlgebra:
         return f"HopfAlgebra(n={self.n}, m={self.m})"
 
 
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
-
-
-def _power(p: Perm, k: int) -> Perm:
-    out = Perm.identity(p.size)
-    for _ in range(k):
-        out = out * p
-    return out
-
-
-def _key_json(key) -> dict:
+def key_json(key) -> dict:
     exps, w = key
     return {"exponents": list(exps), "perm": list(w.one_line())}
 
 
-class HopfElem:
+def _basis_witness(key) -> dict:
+    return {"basis": key_json(key)}
+
+
+def _pair_witness(keys) -> dict:
+    return {"pair": [key_json(k) for k in keys]}
+
+
+class HopfElem(SparseElem):
     """Sparse element of H: map from (exponent vector, Perm) to scalars."""
 
     __slots__ = ("algebra", "terms")
+    _mismatch = "elements of different Hopf algebras"
 
     def __init__(self, algebra: HopfAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
 
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.algebra.unit().scale(self.algebra.cyc.scalar(other))
-        if not isinstance(other, HopfElem):
-            return NotImplemented
-        if other.algebra != self.algebra:
-            raise ContextMismatchError("elements of different Hopf algebras")
-        return other
+    def context(self):
+        return self.algebra
 
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return HopfElem(self.algebra, out)
+    def _new(self, terms: dict) -> "HopfElem":
+        return HopfElem(self.algebra, terms)
 
-    __radd__ = __add__
+    def _field(self):
+        return self.algebra.cyc
 
-    def __neg__(self):
-        return HopfElem(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    def _lift(self, c):
+        if isinstance(c, int):
+            return self.algebra.unit().scale(c)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, CycScalar)):
             return self.scale(other)
-        other = self._check(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.algebra.hmul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, CycScalar)):
-            return self.scale(other)
-        return self._check(other) * self
-
-    def scale(self, c) -> "HopfElem":
-        if isinstance(c, int):
-            c = self.algebra.cyc.scalar(c)
-        if not c:
-            return HopfElem(self.algebra, {})
-        return HopfElem(self.algebra, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "HopfElem":
         out = self.algebra.unit()
         for _ in range(e):
             out = self.algebra.hmul(out, self)
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._check(other)
-        if not isinstance(other, HopfElem):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.algebra.n, self.algebra.m, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].images))
 
     def to_json(self) -> list:
         return [
@@ -698,41 +578,35 @@ class HopfElem:
             for (e, w), c in self.sorted_terms()
         ]
 
-    def __repr__(self):
-        def mono(e, w):
-            parts = [f"x{i+1}^{v}" if v != 1 else f"x{i+1}" for i, v in enumerate(e) if v]
-            parts += [f"z{i}" for i in canonical_word(w)]
-            return "*".join(parts) if parts else "1"
-
-        body = " + ".join(f"({c})*{mono(e, w)}" for (e, w), c in self.sorted_terms())
-        return body if body else "0"
+    def _monomial_repr(self, key) -> str:
+        e, w = key
+        return "*".join(power_product("x", e) + [f"z{i}" for i in canonical_word(w)]) or "1"
 
 
-class HTensor:
+class HTensor(SparseElem):
     """Sparse element of H (x) H keyed by pairs of basis keys."""
 
     __slots__ = ("algebra", "terms")
+    _mismatch = "tensors over different Hopf algebras"
 
     def __init__(self, algebra: HopfAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
 
-    def __add__(self, other: "HTensor"):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return HTensor(self.algebra, out)
+    def context(self):
+        return self.algebra
 
-    def __sub__(self, other: "HTensor"):
-        return self + HTensor(self.algebra, {k: -c for k, c in other.terms.items()})
+    def _new(self, terms: dict) -> "HTensor":
+        return HTensor(self.algebra, terms)
+
+    def _field(self):
+        return self.algebra.cyc
 
     def __mul__(self, other: "HTensor"):
         """Componentwise product in H (x) H."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         alg = self.algebra
         n, m = alg.n, alg.m
         out: dict = {}
@@ -749,35 +623,18 @@ class HTensor:
                     left_key = (tuple((sl[i] + dgl[i]) % n for i in range(m)), wl)
                     ccl = c * cgl
                     for dgr, cgr in gr:
-                        key = (
-                            left_key,
-                            (tuple((sr[i] + dgr[i]) % n for i in range(m)), wr),
-                        )
-                        s = out.get(key)
-                        s = ccl * cgr if s is None else s + ccl * cgr
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                        right_key = (tuple((sr[i] + dgr[i]) % n for i in range(m)), wr)
+                        accumulate(out, (left_key, right_key), ccl * cgr)
         return HTensor(alg, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, HTensor):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def to_json(self) -> list:
         def kj(k):
             return {"exponents": list(k[0]), "perm": list(k[1].one_line())}
 
-        items = sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0][0], kv[0][0][1].images, kv[0][1][0], kv[0][1][1].images),
-        )
-        return [{"left": kj(k1), "right": kj(k2), "coeff": c.to_json()} for (k1, k2), c in items]
+        return [
+            {"left": kj(k1), "right": kj(k2), "coeff": c.to_json()}
+            for (k1, k2), c in self.sorted_terms()
+        ]
 
 
 @dataclass
@@ -804,25 +661,24 @@ class AxiomReport:
     checks: list = field(default_factory=list)
 
     def add(self, name: str, identity: str, ok: bool, witness, checked: int | None = None):
-        self.checks.append(
-            {
-                "name": name,
-                "identity": identity,
-                "status": "pass" if ok else "fail",
-                "witness": witness,
-                "checked": checked,
-            }
-        )
+        self._record(name, identity, "pass" if ok else "fail", witness, checked)
+
+    def check(self, name: str, identity: str, cases, fails, witness, checked: int | None = None) -> bool:
+        """Record one check: fail with witness(case) at the first case for
+        which fails(case) is true, else pass."""
+        for case in cases:
+            if fails(case):
+                self.add(name, identity, False, witness(case), checked)
+                return False
+        self.add(name, identity, True, None, checked)
+        return True
 
     def add_skipped(self, name: str, identity: str, reason: str):
+        self._record(name, identity, "skipped", {"reason": reason}, None)
+
+    def _record(self, name: str, identity: str, status: str, witness, checked: int | None):
         self.checks.append(
-            {
-                "name": name,
-                "identity": identity,
-                "status": "skipped",
-                "witness": {"reason": reason},
-                "checked": None,
-            }
+            {"name": name, "identity": identity, "status": status, "witness": witness, "checked": checked}
         )
 
     @property
@@ -861,59 +717,42 @@ def embedding_check(n: int, m: int) -> AxiomReport:
     report = AxiomReport(instance=f"H({n},{m}) -> H({n},{m+1})")
     basis = small.basis_keys()
 
-    ok = True
-    witness = None
-    for ka in basis:
-        for kb in basis:
-            a, b = small.basis_elem(*ka), small.basis_elem(*kb)
-            lhs = embedding_map(small.hmul(a, b), big)
-            rhs = big.hmul(embedding_map(a, big), embedding_map(b, big))
-            if lhs != rhs:
-                ok = False
-                witness = {"pair": [_key_json(ka), _key_json(kb)]}
-                break
-        if not ok:
-            break
-    report.add("embedding-product", "phi(ab) = phi(a)phi(b)", ok, witness, checked=len(basis) ** 2)
+    def phi(h):
+        return embedding_map(h, big)
 
-    ok = True
-    witness = None
-    for key in basis:
+    def product_fails(keys):
+        a, b = (small.basis_elem(*k) for k in keys)
+        return phi(small.hmul(a, b)) != big.hmul(phi(a), phi(b))
+
+    def coproduct_fails(key):
         h = small.basis_elem(*key)
-        lhs = {}
+        lhs: dict = {}
         for (k1, k2), c in small.coproduct(h).terms.items():
-            e1 = embedding_map(small.basis_elem(*k1), big)
-            e2 = embedding_map(small.basis_elem(*k2), big)
-            kk = (next(iter(e1.terms)), next(iter(e2.terms)))
-            s = lhs.get(kk)
-            s = c if s is None else s + c
-            if s:
-                lhs[kk] = s
-            else:
-                lhs.pop(kk, None)
-        if HTensor(big, lhs) != big.coproduct(embedding_map(h, big)):
-            ok = False
-            witness = {"basis": _key_json(key)}
-            break
-    report.add("embedding-coproduct", "(phi(x)phi)Delta = Delta phi", ok, witness, checked=len(basis))
+            e1 = phi(small.basis_elem(*k1))
+            e2 = phi(small.basis_elem(*k2))
+            accumulate(lhs, (next(iter(e1.terms)), next(iter(e2.terms))), c)
+        return HTensor(big, lhs) != big.coproduct(phi(h))
 
-    ok = True
-    witness = None
-    for key in basis:
+    def counit_fails(key):
         h = small.basis_elem(*key)
-        if small.counit(h) != big.counit(embedding_map(h, big)):
-            ok = False
-            witness = {"basis": _key_json(key)}
-            break
-    report.add("embedding-counit", "eps phi = eps", ok, witness, checked=len(basis))
+        return small.counit(h) != big.counit(phi(h))
 
-    ok = True
-    witness = None
-    for key in basis:
+    def antipode_fails(key):
         h = small.basis_elem(*key)
-        if embedding_map(small.antipode(h), big) != big.antipode(embedding_map(h, big)):
-            ok = False
-            witness = {"basis": _key_json(key)}
-            break
-    report.add("embedding-antipode", "phi S = S phi", ok, witness, checked=len(basis))
+        return phi(small.antipode(h)) != big.antipode(phi(h))
+
+    report.check(
+        "embedding-product",
+        "phi(ab) = phi(a)phi(b)",
+        iproduct(basis, repeat=2),
+        product_fails,
+        _pair_witness,
+        checked=len(basis) ** 2,
+    )
+    for name, identity, fails in (
+        ("embedding-coproduct", "(phi(x)phi)Delta = Delta phi", coproduct_fails),
+        ("embedding-counit", "eps phi = eps", counit_fails),
+        ("embedding-antipode", "phi S = S phi", antipode_fails),
+    ):
+        report.check(name, identity, basis, fails, _basis_witness, checked=len(basis))
     return report

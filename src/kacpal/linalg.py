@@ -19,11 +19,7 @@ def rref(rows: list[list[CycScalar]], ctx: CycContext) -> tuple[list[list[CycSca
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = _pivot(rows, r, c)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -38,6 +34,11 @@ def rref(rows: list[list[CycScalar]], ctx: CycContext) -> tuple[list[list[CycSca
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _pivot(rows, start: int, c: int) -> int | None:
+    """First row index >= start with a nonzero entry in column c."""
+    return next((i for i in range(start, len(rows)) if rows[i][c]), None)
 
 
 def rank(rows: list[list[CycScalar]], ctx: CycContext) -> int:
@@ -59,21 +60,13 @@ def kernel_basis(rows: list[list[CycScalar]], ncols: int, ctx: CycContext) -> li
     return basis
 
 
-def row_space_rref(rows: list[list[CycScalar]], ctx: CycContext) -> list[list[CycScalar]]:
-    return rref(rows, ctx)[0]
-
-
 def determinant(mat: list[list[CycScalar]], ctx: CycContext) -> CycScalar:
     """Exact determinant by Gaussian elimination with division."""
     n = len(mat)
     rows = [list(r) for r in mat]
     det = ctx.one
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = _pivot(rows, c, c)
         if pivot_row is None:
             return ctx.zero
         if pivot_row != c:
@@ -121,7 +114,8 @@ class Mat:
         if isinstance(other, Mat):
             n, k = self.shape
             k2, m = other.shape
-            assert k == k2, "shape mismatch"
+            if k != k2:
+                raise ValueError(f"shape mismatch: {n}x{k} times {k2}x{m}")
             cols = list(zip(*other.rows))
             out = []
             for row in self.rows:
@@ -150,7 +144,8 @@ class Mat:
 
     def __pow__(self, e: int) -> "Mat":
         n, m = self.shape
-        assert n == m
+        if n != m:
+            raise ValueError(f"power of a non-square {n}x{m} matrix")
         out = Mat.identity(self.ctx, n)
         for _ in range(e):
             out = out * self

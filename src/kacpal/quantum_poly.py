@@ -13,15 +13,19 @@ letter, then re-normal-orders.  Iterated coproduct expansions are cached per
 
 from __future__ import annotations
 
+import operator
 import random
 import warnings
+from itertools import combinations
 
 from .cyclotomic import CycScalar
 from .errors import ContextMismatchError
+from .group_ring import slot_vector
 from .hopf import AxiomReport, HopfAlgebra, HopfElem
 from .linalg import Mat, kernel_basis, rref
 from .reps import RepParams, inner_faithful_bruteforce, inner_faithful_criterion
-from .symmetric import Perm, canonical_word, cycle_perm
+from .sparse import SparseElem, accumulate, power_product
+from .symmetric import Perm, canonical_word, cycle_perm, cycle_powers
 
 
 def monomials_of_degree(m: int, k: int) -> list[tuple[int, ...]]:
@@ -72,9 +76,6 @@ class QuantumPolyAlgebra:
     def r(self, i: int, j: int) -> CycScalar:
         return self._r[(i, j)]
 
-    def r_matrix(self) -> list[list[CycScalar]]:
-        return [[self._r[(i, j)] for j in range(1, self.m + 1)] for i in range(1, self.m + 1)]
-
     # -- elements ----------------------------------------------------------------
 
     def zero(self) -> "QpaElem":
@@ -95,9 +96,7 @@ class QuantumPolyAlgebra:
         return QpaElem(self, {exps: c} if c else {})
 
     def u(self, i: int) -> "QpaElem":
-        exps = [0] * self.m
-        exps[i - 1] = 1
-        return self.monomial(exps)
+        return self.monomial(slot_vector(self.m, i))
 
     def normal_order(self, word) -> "QpaElem":
         """Sort a generator word into normal order; each adjacent swap
@@ -198,11 +197,11 @@ class QuantumPolyAlgebra:
         if h.algebra != self.hopf:
             raise ContextMismatchError("acting element from a different algebra")
         n = self.n
-        out = self.zero()
+        out: dict = {}
         for exps_f, c_f in f.terms.items():
             k = sum(exps_f)
             if k == 0:
-                out = out + self.monomial(exps_f, self.hopf.counit(h) * c_f)
+                accumulate(out, exps_f, self.hopf.counit(h) * c_f)
                 continue
             word = [i + 1 for i, e in enumerate(exps_f) for _ in range(e)]
             for (e_h, w), c_h in h.terms.items():
@@ -221,8 +220,9 @@ class QuantumPolyAlgebra:
                             break
                         new_letters.append(j2)
                     if not dead:
-                        out = out + self.normal_order(new_letters).scale(scalar)
-        return out
+                        for e, c in self.normal_order(new_letters).terms.items():
+                            accumulate(out, e, c * scalar)
+        return QpaElem(self, out)
 
     def monomials(self, k: int) -> list[tuple[int, ...]]:
         return monomials_of_degree(self.m, k)
@@ -279,22 +279,20 @@ class QuantumPolyAlgebra:
         report = AxiomReport(
             instance=f"A({self.a},{self.b}) over H({self.n},{self.m})", seed=seed
         )
-        hs = [(f"x{i}", hopf.x(i)) for i in range(1, self.m + 1)]
-        hs += [(f"z{k}", hopf.z(k)) for k in range(1, self.m)]
+        hs = self.subalgebra_generators("full")
         rng = random.Random(seed)
         basis = hopf.basis_keys()
         for idx in range(sample_elements):
             key = rng.choice(basis)
             hs.append((f"basis{idx}:{key[0]}#{key[1].one_line()}", hopf.basis_elem(*key)))
 
-        ok = True
-        witness = None
-        for name, h in hs:
-            if self.act(h, self.one()) != self.one().scale(hopf.counit(h)):
-                ok = False
-                witness = {"element": name}
-                break
-        report.add("unit-action", "h . 1 = eps(h) 1", ok, witness)
+        def unit_fails(item):
+            _, h = item
+            return self.act(h, self.one()) != self.one().scale(hopf.counit(h))
+
+        report.check(
+            "unit-action", "h . 1 = eps(h) 1", hs, unit_fails, lambda item: {"element": item[0]}
+        )
 
         pairs = [
             (mf, mg)
@@ -303,44 +301,45 @@ class QuantumPolyAlgebra:
             for mf in self.monomials(kf)
             for mg in self.monomials(kg)
         ]
-        ok = True
-        witness = None
-        checked = 0
-        for name, h in hs:
-            dterms = [
-                ((hopf.basis_elem(*k1), hopf.basis_elem(*k2)), c)
-                for (k1, k2), c in delta_terms(h)
-            ]
-            for mf, mg in pairs:
-                f = self.monomial(mf)
-                g = self.monomial(mg)
-                fg = f * g
-                ((e_fg, c_fg),) = fg.terms.items()
-                lhs = self.act_monomial_cached(h, e_fg).scale(c_fg)
-                rhs = self.zero()
-                for (h1, h2), c in dterms:
-                    rhs = rhs + (
-                        self.act_monomial_cached(h1, mf) * self.act_monomial_cached(h2, mg)
-                    ).scale(c)
-                checked += 1
-                if lhs != rhs:
-                    ok = False
-                    witness = {
-                        "element": name,
-                        "f": list(mf),
-                        "g": list(mg),
-                        "lhs": lhs.to_json(),
-                        "rhs": rhs.to_json(),
-                    }
-                    break
-            if not ok:
-                break
-        report.add(
+
+        def cases():
+            for name, h in hs:
+                dterms = [
+                    ((hopf.basis_elem(*k1), hopf.basis_elem(*k2)), c)
+                    for (k1, k2), c in delta_terms(h)
+                ]
+                for mf, mg in pairs:
+                    yield name, h, dterms, mf, mg
+
+        def sides(case):
+            _, h, dterms, mf, mg = case
+            fg = self.monomial(mf) * self.monomial(mg)
+            ((e_fg, c_fg),) = fg.terms.items()
+            lhs = self.act_monomial_cached(h, e_fg).scale(c_fg)
+            rhs = self.zero()
+            for (h1, h2), c in dterms:
+                rhs = rhs + (
+                    self.act_monomial_cached(h1, mf) * self.act_monomial_cached(h2, mg)
+                ).scale(c)
+            return lhs, rhs
+
+        def witness(case):
+            lhs, rhs = sides(case)
+            return {
+                "element": case[0],
+                "f": list(case[3]),
+                "g": list(case[4]),
+                "lhs": lhs.to_json(),
+                "rhs": rhs.to_json(),
+            }
+
+        report.check(
             "module-algebra",
             "h.(fg) = sum (h_(1).f)(h_(2).g)",
-            ok,
+            cases(),
+            lambda case: operator.ne(*sides(case)),
             witness,
-            checked=checked,
+            checked=len(hs) * len(pairs),
         )
         return report
 
@@ -360,24 +359,10 @@ class QuantumPolyAlgebra:
     def _subalgebra_integral(self, subalgebra: str) -> HopfElem:
         """Lambda' = int_R sum over the subgroup labels; a two-sided integral
         of the corresponding subalgebra."""
-        hopf = self.hopf
         if subalgebra == "full":
-            return hopf.integral()
-        inv = self.ctx.scalar(1) / self.ctx.scalar(self.n**self.m)
-        if subalgebra == "ring":
-            labels = [Perm.identity(self.m)]
-        else:
-            labels = []
-            s = cycle_perm(self.m)
-            p = Perm.identity(self.m)
-            for _ in range(self.m):
-                labels.append(p)
-                p = p * s
-        terms = {}
-        for exps in hopf.ring.exponent_vectors():
-            for w in labels:
-                terms[(exps, w)] = inv
-        return HopfElem(hopf, terms)
+            return self.hopf.integral()
+        labels = [Perm.identity(self.m)] if subalgebra == "ring" else cycle_powers(self.m)
+        return self.hopf.integral(labels)
 
     def invariants(self, subalgebra: str, degree: int) -> dict[int, list["QpaElem"]]:
         """Exact basis (reduced echelon form) of the invariant space in each
@@ -408,19 +393,19 @@ class QuantumPolyAlgebra:
     def invariants_oracle(self, subalgebra: str, degree: int) -> dict[int, list[list[CycScalar]]]:
         """Independent route: the invariant space is the image of the
         normalized integral projector rho_k(Lambda')/eps(Lambda').  Returns
-        the canonical RREF rows of the column space per degree."""
+        the canonical RREF rows of the column space per degree, or None for
+        a degree whose projector is not idempotent (it certifies nothing)."""
         lam = self._subalgebra_integral(subalgebra)
-        eps_lam = self.hopf.counit(lam)
         out = {}
         for k in range(degree + 1):
-            mat = self.action_matrix(lam, k)
-            cols = [list(col) for col in zip(*mat.rows)]
-            red = rref(cols, self.ctx)[0] if cols else []
-            out[k] = red
-            # the projector must be idempotent after normalization
-            proj = mat.scale(eps_lam.inv())
-            assert proj * proj == proj, "integral projector failed idempotence"
+            proj = self.integral_projector(lam, k)
+            cols = [list(col) for col in zip(*proj.rows)]
+            out[k] = rref(cols, self.ctx)[0] if proj * proj == proj else None
         return out
+
+    def integral_projector(self, lam: HopfElem, k: int) -> Mat:
+        """rho_k(lam)/eps(lam) on the degree-k monomial space."""
+        return self.action_matrix(lam, k).scale(self.hopf.counit(lam).inv())
 
     def containment_check(self, degree: int, subalgebra: str = "ring") -> AxiomReport:
         """Exponent divisibility of computed invariants, and for n even the
@@ -450,31 +435,24 @@ class QuantumPolyAlgebra:
                 {"offending": bad, "criterion": False} if bad else {"criterion": False},
             )
         if self.n % 2 == 0:
-            ok = True
-            witness = None
-            for i in range(1, self.m + 1):
-                for j in range(i + 1, self.m + 1):
-                    if self._r[(j, i)] ** (self.n * self.n) != self.ctx.one:
-                        ok = False
-                        witness = {"i": i, "j": j}
-                        break
-                if not ok:
-                    break
-            report.add("r-power", "r_{ij}^{n^2} = 1 (n even)", ok, witness)
-            if 2 * self.n <= self.degree_bound:
-                ok = True
-                witness = None
-                for i in range(1, self.m + 1):
-                    for j in range(i + 1, self.m + 1):
-                        w1 = [i] * self.n + [j] * self.n
-                        w2 = [j] * self.n + [i] * self.n
-                        if self.normal_order(w1) != self.normal_order(w2):
-                            ok = False
-                            witness = {"i": i, "j": j}
-                            break
-                    if not ok:
-                        break
-                report.add("un-commute", "u_i^n u_j^n = u_j^n u_i^n (n even)", ok, witness)
+            pairs = list(combinations(range(1, self.m + 1), 2))
+            n = self.n
+            report.check(
+                "r-power",
+                "r_{ij}^{n^2} = 1 (n even)",
+                pairs,
+                lambda ij: self._r[(ij[1], ij[0])] ** (n * n) != self.ctx.one,
+                _ij_witness,
+            )
+            if 2 * n <= self.degree_bound:
+                report.check(
+                    "un-commute",
+                    "u_i^n u_j^n = u_j^n u_i^n (n even)",
+                    pairs,
+                    lambda ij: self.normal_order([ij[0]] * n + [ij[1]] * n)
+                    != self.normal_order([ij[1]] * n + [ij[0]] * n),
+                    _ij_witness,
+                )
         else:
             report.add_skipped("r-power", "r_{ij}^{n^2} = 1", "holds only for even n")
             report.add_skipped(
@@ -536,102 +514,49 @@ def _elem_key(h: HopfElem):
     return frozenset(h.terms.items())
 
 
-class QpaElem:
+def _ij_witness(ij) -> dict:
+    return {"i": ij[0], "j": ij[1]}
+
+
+class QpaElem(SparseElem):
     """Normal-ordered element of A_{a,b}: sparse map from exponent vectors
     (non-negative, total degree within the bound) to scalars."""
 
     __slots__ = ("algebra", "terms")
+    _mismatch = "elements of different quantum polynomial algebras"
 
     def __init__(self, algebra: QuantumPolyAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
 
-    def _check(self, other):
-        if not isinstance(other, QpaElem):
-            return NotImplemented
-        if other.algebra is not self.algebra and (
-            other.algebra.hopf != self.algebra.hopf
-            or (other.algebra.a, other.algebra.b) != (self.algebra.a, self.algebra.b)
-        ):
-            raise ContextMismatchError("elements of different quantum polynomial algebras")
-        return other
+    def context(self):
+        alg = self.algebra
+        return (alg.hopf, alg.a, alg.b)
 
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QpaElem(self.algebra, out)
+    def _new(self, terms: dict) -> "QpaElem":
+        return QpaElem(self.algebra, terms)
 
-    def __neg__(self):
-        return QpaElem(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    def _field(self):
+        return self.algebra.ctx
 
     def __mul__(self, other):
         if isinstance(other, (int, CycScalar)):
             return self.scale(other)
-        other = self._check(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         alg = self.algebra
-        out = alg.zero()
+        out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 if sum(exps) > alg.degree_bound:
                     raise ValueError("degree overflow beyond the truncation bound")
-                out = out + alg.monomial(exps, ca * cb * alg._swap_factor(ea, eb))
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, CycScalar)):
-            return self.scale(other)
-        return self._check(other) * self
-
-    def scale(self, c) -> "QpaElem":
-        if isinstance(c, int):
-            c = self.algebra.ctx.scalar(c)
-        if not c:
-            return QpaElem(self.algebra, {})
-        return QpaElem(self.algebra, {k: v * c for k, v in self.terms.items()})
+                accumulate(out, exps, ca * cb * alg._swap_factor(ea, eb))
+        return QpaElem(alg, out)
 
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def to_json(self) -> list:
-        return [{"exponents": list(k), "coeff": c.to_json()} for k, c in self.sorted_terms()]
-
-    def __repr__(self):
-        def mono(k):
-            parts = [f"u{i+1}^{e}" if e != 1 else f"u{i+1}" for i, e in enumerate(k) if e]
-            return "*".join(parts) if parts else "1"
-
-        body = " + ".join(f"({c})*{mono(k)}" for k, c in self.sorted_terms())
-        return body if body else "0"
+    def _monomial_repr(self, key) -> str:
+        return "*".join(power_product("u", key)) or "1"

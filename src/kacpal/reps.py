@@ -127,18 +127,17 @@ def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
     )
     report.add("x-commute", "X_i X_j = X_j X_i", ok, None)
 
-    ok = True
-    witness = None
-    for k in range(1, m):
-        sk = Perm.transposition(m, k)
-        for i in range(1, m + 1):
-            if rep.z(k) * rep.x(i) != rep.x(sk(i)) * rep.z(k):
-                ok = False
-                witness = {"k": k, "i": i}
-                break
-        if not ok:
-            break
-    report.add("conjugation", "Z_k X_i = X_{s_k(i)} Z_k", ok, witness)
+    def conjugation_fails(ki):
+        k, i = ki
+        return rep.z(k) * rep.x(i) != rep.x(Perm.transposition(m, k)(i)) * rep.z(k)
+
+    report.check(
+        "conjugation",
+        "Z_k X_i = X_{s_k(i)} Z_k",
+        iproduct(range(1, m), range(1, m + 1)),
+        conjugation_fails,
+        lambda ki: {"k": ki[0], "i": ki[1]},
+    )
 
     ok = all(
         rep.z(k) * rep.z(k + 1) * rep.z(k) == rep.z(k + 1) * rep.z(k) * rep.z(k + 1)
@@ -154,14 +153,13 @@ def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
     )
     report.add("far-commute", "Z_k Z_l = Z_l Z_k for |k-l| > 1", ok, None)
 
-    ok = True
-    witness = None
-    for k in range(1, m):
-        if rep.z(k) ** 2 != rep.rho_t(k):
-            ok = False
-            witness = {"k": k}
-            break
-    report.add("z-square", "Z_k^2 = rho(t_k)", ok, witness)
+    report.check(
+        "z-square",
+        "Z_k^2 = rho(t_k)",
+        range(1, m),
+        lambda k: rep.z(k) ** 2 != rep.rho_t(k),
+        lambda k: {"k": k},
+    )
     return report
 
 
@@ -291,11 +289,7 @@ def subgroups_of_znm(n: int, m: int) -> list[frozenset]:
     elems = [tuple(v) for v in iproduct(range(n), repeat=m)]
 
     def close(gens) -> frozenset:
-        seen = {(0,) * m}
-        frontier = list(gens)
-        for g in frontier:
-            if g not in seen:
-                seen.add(g)
+        seen = {(0,) * m} | set(gens)
         frontier = list(seen)
         while frontier:
             nxt = []

@@ -130,3 +130,13 @@ def cycle_perm(m: int) -> Perm:
     of the full staircase word [1, 2, ..., m-1].  It is an m-cycle, and
     conjugation by it sends x_i to x_{i+1} (indices mod m)."""
     return eval_word(m, range(1, m))
+
+
+def cycle_powers(m: int) -> list[Perm]:
+    """s^0, ..., s^{m-1} for s = cycle_perm(m): the permutation labels of
+    the cyclic Hopf subalgebra."""
+    s = cycle_perm(m)
+    out = [Perm.identity(m)]
+    for _ in range(m - 1):
+        out.append(out[-1] * s)
+    return out

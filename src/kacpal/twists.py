@@ -31,12 +31,6 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json(self) -> dict:
-        out = {"condition": self.condition, "status": "pass" if self.ok else "fail"}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 def _compare(lhs: KTensor, rhs: KTensor, condition: str) -> CheckResult:
     if lhs == rhs:

@@ -139,10 +139,32 @@ def test_embed_check(capsys):
     assert report["ok"] is True
 
 
-def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "2"])
-    assert exc.value.code == 2
+USAGE_ERRORS = [
+    "verify 2",
+    "verify 1 2",
+    "export 2 1",
+    "gamma-table 2 1",
+    "invariants 2 1 1 0",
+    "embed-check 1 2",
+    "twist-check 1",
+    "rep-check 2 1 0 1",
+    "inner-faithful 2 1 0 1",
+    "verify 2 two",
+    "verify 2 2 --scope sampled:-5",
+    "verify 2 2 --scope sampled:0",
+    "verify 2 2 --scope sampled:1.5",
+    "verify 2 2 --scope sampled:",
+]
+
+
+def test_usage_error_exit_2(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err, argv
+        assert captured.out == "", argv
 
 
 def test_size_guard_exit_3(capsys):
@@ -151,16 +173,35 @@ def test_size_guard_exit_3(capsys):
     assert report["error"]["type"] == "size-guard"
     code, report = _run(capsys, ["export", "4", "4"])
     assert code == 3
+    # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
+    code, report = _run(capsys, ["gamma-table", "2", "5"])
+    assert code == 3
+    assert report["error"]["type"] == "size-guard"
 
 
 def test_thread_cap_echoed(capsys, monkeypatch):
+    # the engine is serial; the environment does not change the report
     monkeypatch.setenv("KACPAL_THREADS", "4")
     code, report = _run(capsys, ["gamma-table", "2", "2"])
     assert code == 0
-    assert report["config"]["threads"] == 4
-    monkeypatch.setenv("KACPAL_THREADS", "bogus")
-    code, report = _run(capsys, ["gamma-table", "2", "2"])
     assert report["config"]["threads"] == 1
+
+
+def test_non_idempotent_projector_fails_oracle_check(capsys, monkeypatch):
+    from kacpal.quantum_poly import QuantumPolyAlgebra
+
+    original = QuantumPolyAlgebra.integral_projector
+
+    def doubled(self, lam, k):
+        # same image, but (2P)^2 = 4P != 2P wherever P != 0
+        return original(self, lam, k).scale(2)
+
+    monkeypatch.setattr(QuantumPolyAlgebra, "integral_projector", doubled)
+    code, report = _run(capsys, ["invariants", "2", "2", "1", "0", "--degree", "2"])
+    assert code == 1
+    check = next(c for c in report["checks"] if c["name"] == "integral-projector-oracle")
+    assert check["status"] == "fail"
+    assert check["witness"] == {"degree": 0}
 
 
 def test_out_file(tmp_path, capsys):
@@ -169,3 +210,18 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(path.read_text())
     assert report["ok"] is True
+
+
+def test_no_assert_statements_in_library():
+    """python -O strips asserts, so no check of the library may rest on one."""
+    import ast
+    from pathlib import Path
+
+    import kacpal
+
+    offenders = []
+    for path in sorted(Path(kacpal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
