@@ -2,7 +2,8 @@
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 usage error,
 3 a size guard refused the computation.  Identical (argv, seed) produce
-byte-identical reports apart from the "timings" block.  The engine
+byte-identical reports apart from the "timings" block, which holds the
+total and, for verify, the seconds spent on each check.  The engine
 evaluates serially; reports record this as "threads": 1 in their config.
 """
 
@@ -44,12 +45,20 @@ def _int_at_least(text: str, low: int) -> int | None:
     return value if value >= low else None
 
 
-def _size(text: str) -> int:
-    """n or m: an integer >= 2."""
-    value = _int_at_least(text, 2)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return value
+def _at_least(low: int):
+    """An argparse type accepting integers >= low."""
+
+    def parse(text: str) -> int:
+        value = _int_at_least(text, low)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_size = _at_least(2)  # n, m and --max-m
+_count = _at_least(0)  # --degree and --search
 
 
 def _parse_scope(text: str) -> tuple[str, int]:
@@ -88,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = command("twist-check", "twist predicates for the canonical J over K[Z_n]", "n")
-    p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--search", type=int, default=0,
+    p.add_argument("--max-m", type=_size, default=3)
+    p.add_argument("--search", type=_count, default=0,
                    help="sample K random invertible elements for the open "
                         "twist-vs-strong-twist comparison (no resolution claimed)")
     p.add_argument("--seed", type=int, default=0)
@@ -101,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bruteforce", action="store_true")
 
     p = command("invariants", "truncated invariant ring of A_{a,b}", "nmab")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_count, default=None)
     p.add_argument("--subalgebra", choices=["full", "cyclic"], default="full")
 
     p = command("module-algebra-check", "module algebra axiom for A_{a,b}", "nmab")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     command("export", "full structure constants of H_{n,m} as JSON")
@@ -130,8 +139,12 @@ def _run_verify(args, report):
     report["context"] = hopf.cyc.to_json()
     scope, size = args.scope
     axioms = hopf.verify_axioms(scope=scope, seed=args.seed, sample_size=size or 10000)
-    for part in (axioms, hopf.verify_integral(), hopf.cyclic_subalgebra().report):
+    parts = (axioms, hopf.verify_integral(), hopf.cyclic_subalgebra().report)
+    for part in parts:
         report["checks"].extend(part.checks)
+    report["timings"] = {
+        "checks": {name: round(s, 6) for part in parts for name, s in part.timings.items()}
+    }
     report["data"]["dim"] = hopf.dim
     report["data"]["scope"] = axioms.scope
     if axioms.seed is not None:
@@ -365,7 +378,7 @@ def main(argv=None) -> int:
         _emit(report, args)
         return 1
     report["ok"] = not any(c["status"] == "fail" for c in report["checks"])
-    report["timings"] = {"total_seconds": round(time.monotonic() - start, 6)}
+    report.setdefault("timings", {})["total_seconds"] = round(time.monotonic() - start, 6)
     _emit(report, args)
     return 0 if report["ok"] else 1
 

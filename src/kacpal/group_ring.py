@@ -28,6 +28,8 @@ from .symmetric import Perm
 
 def slot_vector(m: int, i: int, e: int = 1) -> tuple[int, ...]:
     """The exponent vector of length m with e in slot i (1-based), 0 elsewhere."""
+    if not 1 <= i <= m:
+        raise ValueError("slot out of range")
     key = [0] * m
     key[i - 1] = e
     return tuple(key)
@@ -58,8 +60,6 @@ class GroupAlgebra:
 
     def gen(self, i: int) -> "RingElem":
         """x_i, the generator of the i-th tensor slot (1-based)."""
-        if not 1 <= i <= self.m:
-            raise ValueError("slot out of range")
         return self.monomial(slot_vector(self.m, i))
 
     def from_terms(self, terms: dict) -> "RingElem":

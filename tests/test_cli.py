@@ -22,6 +22,11 @@ def test_verify_h8(capsys):
     assert {"associativity", "coassociativity", "counit", "antipode",
             "integral-invariance", "theta-order"} <= names
     assert all("identity" in c for c in report["checks"])
+    # seconds per check, outside the deterministic part of the report
+    timings = report["timings"]
+    assert set(timings["checks"]) == {c["name"] for c in report["checks"]}
+    assert all(s >= 0 for s in timings["checks"].values())
+    assert timings["total_seconds"] >= 0
 
 
 def test_report_determinism(capsys):
@@ -154,6 +159,11 @@ USAGE_ERRORS = [
     "verify 2 2 --scope sampled:0",
     "verify 2 2 --scope sampled:1.5",
     "verify 2 2 --scope sampled:",
+    "invariants 2 2 1 0 --degree -1",
+    "module-algebra-check 2 2 1 0 --degree -2",
+    "twist-check 2 --search -3",
+    "twist-check 2 --max-m -1",
+    "twist-check 2 --max-m 1",
 ]
 
 

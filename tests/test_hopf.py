@@ -1,4 +1,6 @@
 import random
+from itertools import product as iproduct
+from math import factorial
 
 import pytest
 
@@ -16,7 +18,8 @@ from kacpal import (
 )
 from kacpal.errors import ContextMismatchError
 from kacpal.group_ring import eps_ring
-from kacpal.hopf import HTensor
+from kacpal.hopf import HTensor, key_json
+from kacpal.quantum_poly import QuantumPolyAlgebra
 
 
 def test_kac_paljutkin_relations():
@@ -145,18 +148,96 @@ class _GammaDroppedHopf(HopfAlgebra):
         return wv, terms
 
 
+def _first_nonassociative_triple(H):
+    """The literal sweep: the first basis triple, in iteration order, with
+    (ab)c != a(bc), as its JSON witness (None if there is none)."""
+    for keys in iproduct(H.basis_keys(), repeat=3):
+        a, b, c = (H.basis_elem(*k) for k in keys)
+        if H.hmul(H.hmul(a, b), c) != H.hmul(a, H.hmul(b, c)):
+            return {"triple": [key_json(k) for k in keys]}
+    return None
+
+
+def _associativity_check(report):
+    return next(c for c in report.checks if c["name"] == "associativity")
+
+
 def test_negative_control_gamma_mutation_breaks_associativity():
     H = _GammaDroppedHopf(2, 3)
     a = H.basis_elem((0, 0, 0), eval_word(3, [2, 1]))
     b = H.z(1)
     c = H.z(1)
     assert H.hmul(H.hmul(a, b), c) != H.hmul(a, H.hmul(b, c))
+    assert not H._associative_by_reduction()
     report = H.verify_axioms(scope="all")
     assert not report.ok
     failed = {c["name"] for c in report.checks if c["status"] == "fail"}
     assert "associativity" in failed
-    assoc = next(c for c in report.checks if c["name"] == "associativity")
+    assoc = _associativity_check(report)
     assert assoc["witness"] is not None
+    assert assoc["witness"] == _first_nonassociative_triple(H)
+    assert assoc["checked"] == H.dim**3
+
+
+class _TranslationMutatedHopf(HopfAlgebra):
+    """Negative control: flip the sign of w-bar (x^beta v-bar) whenever
+    w != id and beta_1 = 1.  Every product of permutation labels is
+    untouched, so the cocycle identity alone cannot see the mutation."""
+
+    def hmul(self, a, b):
+        out = super().hmul(a, b)
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            ((ea, w),) = a.terms
+            ((eb, _),) = b.terms
+            if not any(ea) and not w.is_identity() and eb[0] == 1:
+                return -out
+        return out
+
+
+def test_negative_control_translation_mutation_breaks_associativity():
+    H = _TranslationMutatedHopf(2, 2)
+    bar = {w: H.basis_elem(H.ring.zero_exp, w) for w in H.perms}
+    for w, v, u in iproduct(H.perms, repeat=3):
+        assert H.hmul(H.hmul(bar[w], bar[v]), bar[u]) == H.hmul(bar[w], H.hmul(bar[v], bar[u]))
+    assert not H._associative_by_reduction()
+    report = H.verify_axioms(scope="all")
+    assoc = _associativity_check(report)
+    assert assoc["status"] == "fail"
+    assert assoc["witness"] == _first_nonassociative_triple(H)
+
+
+class _LiteralHopf(HopfAlgebra):
+    """The oracle: never take the reduction, so verify_axioms sweeps every
+    basis triple with the literal predicate."""
+
+    def _associative_by_reduction(self):
+        return False
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_reduced_associativity_matches_literal_sweep(n, m):
+    reduced = HopfAlgebra(n, m).verify_axioms(scope="all")
+    literal = _LiteralHopf(n, m).verify_axioms(scope="all")
+    assert reduced.ok
+    assert reduced.to_json() == literal.to_json()
+    assert _associativity_check(reduced)["checked"] == (n**m * factorial(m)) ** 3
+
+
+def test_reduced_report_on_failure_matches_literal_sweep():
+    reduced = _GammaDroppedHopf(2, 3).verify_axioms(scope="all")
+    literal = type("_LiteralGammaDropped", (_LiteralHopf, _GammaDroppedHopf), {})(2, 3)
+    assert _associativity_check(reduced)["status"] == "fail"
+    assert reduced.to_json() == literal.verify_axioms(scope="all").to_json()
+
+
+def test_slot_out_of_range():
+    H = HopfAlgebra(2, 2)
+    qpa = QuantumPolyAlgebra(H, 1, 0, degree_bound=4)
+    for make in (H.x, qpa.u, H.ring.gen):
+        with pytest.raises(ValueError, match="slot out of range"):
+            make(0)
+        with pytest.raises(ValueError, match="slot out of range"):
+            make(H.m + 1)
 
 
 def test_integral_h8():
