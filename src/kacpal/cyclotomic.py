@@ -128,6 +128,20 @@ class CycContext:
         nums = [f.numerator] + [0] * (self.degree - 1)
         return CycScalar(self, tuple(nums), f.denominator)
 
+    def from_cyclic(self, vec, den: int) -> "CycScalar":
+        """(sum_e vec[e] zeta_N^e) / den for an integer vector of length at
+        most N, i.e. an element of Z[x]/(x^N - 1) read at x = zeta_N: folded
+        modulo Phi_N with the rows of zeta_N^e already held for p_pow."""
+        d = self.degree
+        out = list(vec[:d]) + [0] * max(0, d - len(vec))
+        for e in range(d, len(vec)):
+            c = vec[e]
+            if c:
+                row = self._roots[e].nums
+                for j in range(d):
+                    out[j] += c * row[j]
+        return CycScalar(self, tuple(out), den)
+
     def root(self, e: int) -> "CycScalar":
         """p^e = zeta_N^e, reduced modulo Phi_N. root(2) is the canonical q."""
         return self._roots[e % self.N]

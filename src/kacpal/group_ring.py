@@ -18,7 +18,10 @@ makes the crossed product associative; see symmetric.py for the discussion.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
+from operator import add
 
 from .cyclotomic import CycContext, CycScalar
 from .errors import ContextMismatchError, NotInvertibleError
@@ -162,7 +165,7 @@ def idempotent(B: GroupAlgebra, k: int) -> RingElem:
         raise ValueError("idempotents live in the one-slot algebra B")
     if not 0 <= k < B.n:
         raise ValueError("index out of range")
-    inv_n = B.cyc.scalar(1) / B.cyc.scalar(B.n)
+    inv_n = B.cyc.scalar(Fraction(1, B.n))
     return B.from_terms({(i,): B.cyc.q_pow(-i * k) * inv_n for i in range(B.n)})
 
 
@@ -292,7 +295,7 @@ def canonical_twist(B: GroupAlgebra) -> KTensor:
     """J = sum_k e_k (x) x^k = (1/n) sum_{i,j} q^{-ij} x^i (x) x^j in B (x) B."""
     if B.m != 1:
         raise ValueError("the canonical twist lives over the one-slot algebra B")
-    inv_n = B.cyc.scalar(1) / B.cyc.scalar(B.n)
+    inv_n = B.cyc.scalar(Fraction(1, B.n))
     terms = {}
     for i in range(B.n):
         for j in range(B.n):
@@ -331,7 +334,7 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
     if not 1 <= k <= R.m - 1:
         raise ValueError("transposition index out of range")
     n = R.n
-    inv_n = R.cyc.scalar(1) / R.cyc.scalar(n)
+    inv_n = R.cyc.scalar(Fraction(1, n))
     out: dict = {}
     for i in range(n):
         for j in range(n):
@@ -344,38 +347,102 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
 
 # ---------------------------------------------------------------------------
 # inversion in R and its tensor powers via the character basis
+#
+# a = sum_beta c_beta x^beta in K[Z_n^width] is a unit iff no character value
+# chi(a) = sum_beta c_beta q^{chi.beta} is zero, and then
+# a^{-1} = n^{-width} sum_beta (sum_chi chi(a)^{-1} q^{-chi.beta}) x^beta.
+# Both directions run one exact transform, reduced twice:
+#
+# * Live axes.  Only the axes on which some key is nonzero are transformed.
+#   a lies in the subalgebra K[Z_n^live], whose characters give the same set
+#   of values, and its inverse lies there too; the inverse's keys are
+#   re-embedded with 0 on the dead axes, in the same lexicographic order.
+# * A separable integer pass.  Over a common denominator D each coefficient
+#   is an integer vector in Z[x]/(x^N - 1), N = 2n, where multiplying by
+#   q^e = zeta_N^{2e} is a cyclic rotation by 2e.  One n-point pass per live
+#   axis costs O(live * n^(live+1) * N) integer adds in all, and each of the
+#   n^live results is folded modulo Phi_N once (CycContext.from_cyclic).
+#   The inverse runs the same pass with sign -1 over the values chi(a)^{-1},
+#   with denominator lcm(their denominators) * n^live.
 
 
-def _unit_eigenvalues(ring: GroupAlgebra, terms: dict, width: int):
-    """Yield (chi, chi(a)) for every character chi of Z_n^width, where a has
-    the given sparse terms keyed by flat exponent tuples of that length.
-    Raises NotInvertibleError at the first zero value, so a scan for
-    non-units stops there."""
-    cyc = ring.cyc
-    items = list(terms.items())
-    for chi in iproduct(range(ring.n), repeat=width):
-        v = cyc.zero
-        for key, c in items:
-            v = v + c * cyc.q_pow(sum(x * y for x, y in zip(chi, key)))
-        if v.is_zero():
-            raise NotInvertibleError("element is not a unit of the group algebra")
-        yield chi, v
+def _character_pass(vecs: list, n: int, sign: int) -> list:
+    """For vecs indexed row-major by beta in Z_n^k (len(vecs) = n^k), the
+    array of sum_beta vecs[beta] x^{2 sign chi.beta} in Z[x]/(x^2n - 1)
+    indexed row-major by chi: one n-point pass per axis, where x^r rotates."""
+    N = 2 * n
+    zero = [0] * N
+    stride = 1
+    while stride < len(vecs):
+        block = stride * n
+        out = [zero] * len(vecs)
+        for base in range(0, len(vecs), block):
+            for off in range(base, base + stride):
+                fiber = [(e, vecs[off + e * stride]) for e in range(n)]
+                fiber = [(e, v) for e, v in fiber if any(v)]
+                for k in range(n):
+                    acc = zero
+                    for e, v in fiber:
+                        r = (2 * sign * k * e) % N
+                        acc = list(map(add, acc, v[-r:] + v[:-r]))
+                    out[off + k * stride] = acc
+        vecs = out
+        stride = block
+    return vecs
+
+
+def _character_values(cyc: CycContext, items, live: int, sign: int, scale: int = 1) -> list:
+    """[sum_i c_i q^{sign chi.beta_i} / scale for chi in Z_n^live], row-major,
+    from pairs (row-major index of beta_i in Z_n^live, c_i)."""
+    den = 1
+    for _, c in items:
+        den = lcm(den, c.den)
+    pad = [0] * (cyc.N - cyc.degree)
+    vecs = [[0] * cyc.N] * cyc.n**live
+    for idx, c in items:
+        f = den // c.den
+        vecs[idx] = [x * f for x in c.nums] + pad
+    return [cyc.from_cyclic(v, den * scale) for v in _character_pass(vecs, cyc.n, sign)]
+
+
+def _unit_values(ring: GroupAlgebra, terms: dict, width: int) -> tuple[list, list]:
+    """The live axes of the element with the given sparse terms, keyed by
+    flat exponent tuples of that width, and its character values over
+    Z_n^live.  Raises NotInvertibleError if one of them is zero."""
+    n = ring.n
+    live = [i for i in range(width) if any(key[i] for key in terms)]
+    items = []
+    for key, c in terms.items():
+        idx = 0
+        for i in live:
+            idx = idx * n + key[i]
+        items.append((idx, c))
+    values = _character_values(ring.cyc, items, len(live), 1)
+    if any(v.is_zero() for v in values):
+        raise NotInvertibleError("element is not a unit of the group algebra")
+    return live, values
+
+
+def _embed_live(coords, live: list, width: int) -> tuple:
+    """The exponent tuple of the given width with coords on the live axes."""
+    key = [0] * width
+    for i, e in zip(live, coords):
+        key[i] = e
+    return tuple(key)
 
 
 def _fourier_inverse_terms(ring: GroupAlgebra, terms: dict, width: int) -> dict:
     """Invert an element of the group algebra of Z_n^width given sparse terms
     keyed by flat exponent tuples of that length."""
-    cyc = ring.cyc
-    eigen = [(chi, v.inv()) for chi, v in _unit_eigenvalues(ring, terms, width)]
-    inv_size = cyc.scalar(1) / cyc.scalar(ring.n**width)
+    n = ring.n
+    live, values = _unit_values(ring, terms, width)
+    inverse = _character_values(
+        ring.cyc, list(enumerate(v.inv() for v in values)), len(live), -1, n ** len(live)
+    )
     out = {}
-    for beta, _ in eigen:
-        v = cyc.zero
-        for chi, ev in eigen:
-            v = v + ev * cyc.q_pow(-sum(x * y for x, y in zip(chi, beta)))
-        v = v * inv_size
-        if v:
-            out[beta] = v
+    for coords, c in zip(iproduct(range(n), repeat=len(live)), inverse):
+        if c:
+            out[_embed_live(coords, live, width)] = c
     return out
 
 
@@ -399,10 +466,9 @@ def tensor_inverse(J: KTensor) -> KTensor:
 
 
 def check_tensor_invertible(J: KTensor) -> None:
-    """Raise NotInvertibleError unless J is a unit: scan the character
+    """Raise NotInvertibleError unless J is a unit: compute the character
     values without reconstructing the inverse."""
-    for _ in _unit_eigenvalues(J.ring, _flat_terms(J), J.ring.m * J.arity):
-        pass
+    _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)
 
 
 def tensor_is_invertible(J: KTensor) -> bool:

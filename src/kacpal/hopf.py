@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
@@ -203,7 +204,7 @@ class HopfAlgebra:
         """Lambda = (int_B)^(x m) sum_w w-bar, with int_B = (1/n) sum_i x^i.
         Summed over the given permutation labels of a Hopf subalgebra
         R #_gamma G instead, it is the integral of that subalgebra."""
-        inv = self.cyc.scalar(1) / self.cyc.scalar(self.n**self.m)
+        inv = self.cyc.scalar(Fraction(1, self.n**self.m))
         labels = self.perms if labels is None else labels
         return HopfElem(
             self, {(exps, w): inv for exps in self.ring.exponent_vectors() for w in labels}

@@ -9,6 +9,7 @@ left module structure."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd
 
@@ -103,7 +104,7 @@ class Rep:
         for s in range(n):
             for t in range(n):
                 acc = acc + (xk_pows[s] * xk1_pows[t]).scale(ctx.q_pow(-s * t))
-        return acc.scale(ctx.scalar(1) / ctx.scalar(n))
+        return acc.scale(ctx.scalar(Fraction(1, n)))
 
 
 def build_rep(params: RepParams) -> Rep:

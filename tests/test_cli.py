@@ -77,6 +77,17 @@ def test_twist_check(capsys):
     assert any(c.startswith("embedded-twist(1,3,3)") for c in conditions)
 
 
+def test_twist_check_wide_embeddings(capsys):
+    # every embedding of J into B^(tensor m) has two live axes of 2m; the
+    # character transform must not scan all 3^(2m) characters of each
+    code, report = _run(capsys, ["twist-check", "3", "--max-m", "6"])
+    assert code == 0
+    embedded = [c for c in report["checks"] if c["name"].startswith("embedded-twist(")]
+    assert len(embedded) == 1 + 3 + 6 + 10 + 15
+    assert all(c["status"] == "pass" for c in embedded)
+    assert any(c["name"].startswith("embedded-twist(5,6,6)") for c in embedded)
+
+
 def test_twist_search(capsys):
     code, report = _run(capsys, ["twist-check", "2", "--search", "10", "--seed", "3"])
     assert code == 0

@@ -142,3 +142,18 @@ def test_serialization():
     s = ctx.scalar(Fraction(1, 2)) + ctx.p
     assert s.to_json() == ["1/2", "1/1"]
     assert ctx.to_json() == {"n": 2, "N": 4, "degree": 2}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_from_cyclic_reads_vector_at_zeta(n):
+    ctx = CycContext(n)
+    rng = random.Random(n)
+    for _ in range(20):
+        vec = [rng.randrange(-5, 6) for _ in range(ctx.N)]
+        den = rng.randrange(1, 7)
+        expected = ctx.zero
+        for e, c in enumerate(vec):
+            expected = expected + ctx.scalar(Fraction(c, den)) * ctx.root(e)
+        assert ctx.from_cyclic(vec, den) == expected
+    # sum of all N-th roots of unity is zero
+    assert ctx.from_cyclic([1] * ctx.N, 3).is_zero()

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacpal import (
     GroupAlgebra,
@@ -18,8 +22,15 @@ from kacpal import (
     tensor_inverse,
     twist_Js,
 )
+from kacpal import group_ring
 from kacpal.errors import ContextMismatchError, NotInvertibleError
-from kacpal.group_ring import antipode_ring, delta_ring, eps_ring, tensor_from_pair
+from kacpal.group_ring import (
+    antipode_ring,
+    check_tensor_invertible,
+    delta_ring,
+    eps_ring,
+    tensor_from_pair,
+)
 
 
 def test_group_relations():
@@ -229,3 +240,151 @@ def test_ring_elem_json():
         {"exponents": [0, 0], "coeff": ["1/1", "0/1"]},
         {"exponents": [1, 0], "coeff": ["0/1", "1/1"]},
     ]
+
+
+# ---------------------------------------------------------------------------
+# the character transform against the direct O(n^(2 width)) double sum
+
+
+def reference_inverse_terms(R, terms, width):
+    """The inverse of sum c_beta x^beta in K[Z_n^width] by evaluating every
+    character on every term and summing the inverse values over every
+    character for every key; None for a non-unit."""
+    cyc = R.cyc
+    chis = list(iproduct(range(R.n), repeat=width))
+    values = []
+    for chi in chis:
+        v = cyc.zero
+        for key, c in terms.items():
+            v = v + c * cyc.q_pow(sum(x * y for x, y in zip(chi, key)))
+        if v.is_zero():
+            return None
+        values.append(v.inv())
+    inv_size = cyc.scalar(Fraction(1, R.n**width))
+    out = {}
+    for beta in chis:
+        v = cyc.zero
+        for chi, ev in zip(chis, values):
+            v = v + ev * cyc.q_pow(-sum(x * y for x, y in zip(chi, beta)))
+        v = v * inv_size
+        if v:
+            out[beta] = v
+    return out
+
+
+def as_tensor(n, width, terms):
+    """The same flat terms as a tensor: two legs of width/2 slots when the
+    width is even, width legs over B otherwise."""
+    m, arity = (width // 2, 2) if width % 2 == 0 else (1, width)
+    keys = {tuple(k[i * m : (i + 1) * m] for i in range(arity)): c for k, c in terms.items()}
+    return KTensor(GroupAlgebra(n, m), arity, keys)
+
+
+def flat(J):
+    return {tuple(e for leg in k for e in leg): c for k, c in J.terms.items()}
+
+
+def check_against_reference(n, width, terms):
+    R = GroupAlgebra(n, width)
+    a = R.from_terms(terms)
+    J = as_tensor(n, width, a.terms)
+    expected = reference_inverse_terms(R, a.terms, width)
+    if expected is None:
+        with pytest.raises(NotInvertibleError):
+            ring_inverse(a)
+        with pytest.raises(NotInvertibleError):
+            check_tensor_invertible(J)
+        return
+    inv = ring_inverse(a)
+    assert list(inv.terms.items()) == list(expected.items())  # same keys, same order
+    assert a * inv == R.one
+    J_inv = tensor_inverse(J)
+    assert flat(J_inv) == expected
+    check_tensor_invertible(J)
+    one = KTensor(J.ring, J.arity, {(J.ring.zero_exp,) * J.arity: R.cyc.one})
+    assert J * J_inv == one
+
+
+# widths up to n^width <= 125 keep the reference under 16k products
+MAX_WIDTH = {2: 4, 3: 4, 4: 3, 5: 3}
+
+
+@st.composite
+def sparse_elements(draw):
+    """(n, width, terms): one to five terms with coefficients k zeta^e / d,
+    keyed on a drawn subset of live axes, the other axes all zero."""
+    n = draw(st.integers(2, 5))
+    width = draw(st.integers(1, MAX_WIDTH[n]))
+    live = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    cyc = GroupAlgebra(n, 1).cyc
+    key = st.tuples(*[st.integers(0, n - 1) if on else st.just(0) for on in live])
+    coeff = st.builds(
+        lambda k, e, d: cyc.scalar(Fraction(k, d)) * cyc.root(e),
+        st.integers(-3, 3).filter(bool),
+        st.integers(0, 2 * n - 1),
+        st.integers(1, 6),
+    )
+    terms = draw(st.dictionaries(key, coeff, min_size=1, max_size=5))
+    return n, width, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_elements())
+def test_inverse_matches_reference(case):
+    check_against_reference(*case)
+
+
+@pytest.mark.parametrize("n, width", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 3)])
+def test_non_units_raise(n, width):
+    R = GroupAlgebra(n, width)
+    rng = random.Random(n * 10 + width)
+    for i in range(1, width + 1):
+        alpha = tuple(rng.randrange(n) for _ in range(width))
+        for a in (R.monomial(alpha) * (R.one - R.gen(i)), R.zero):
+            with pytest.raises(NotInvertibleError):
+                ring_inverse(a)
+            with pytest.raises(NotInvertibleError):
+                check_tensor_invertible(as_tensor(n, width, a.terms))
+
+
+def _control_cases():
+    """Units with a dead middle axis, whose inverses are not invariant under
+    beta -> -beta."""
+    cases = []
+    for n in (3, 4, 5):
+        cyc = GroupAlgebra(n, 1).cyc
+        terms = {
+            (0, 0, 0): cyc.scalar(2),
+            (1, 0, 2): cyc.q,
+            (2, 0, 1): cyc.scalar(Fraction(1, 2)) * cyc.p,
+        }
+        assert reference_inverse_terms(GroupAlgebra(n, 3), terms, 3) is not None
+        cases.append((n, 3, terms))
+    return cases
+
+
+def test_control_cases_pass():
+    for case in _control_cases():
+        check_against_reference(*case)
+
+
+def test_negative_control_wrong_rotation_sign(monkeypatch):
+    # Flipping the sign in both directions permutes the characters and still
+    # inverts; the fault is an inverse pass rotating like the forward one.
+    original = group_ring._character_pass
+    monkeypatch.setattr(group_ring, "_character_pass", lambda vecs, n, sign: original(vecs, n, 1))
+    for case in _control_cases():
+        with pytest.raises(AssertionError):
+            check_against_reference(*case)
+
+
+def test_negative_control_wrong_axis(monkeypatch):
+    original = group_ring._embed_live
+    monkeypatch.setattr(
+        group_ring,
+        "_embed_live",
+        lambda coords, live, width: original(coords, [(i + 1) % width for i in live], width),
+    )
+    for case in _control_cases():
+        with pytest.raises(AssertionError):
+            check_against_reference(*case)

@@ -3,7 +3,8 @@
 Exhaustive verification proves associativity from products of basis
 elements and relies on hmul being bilinear; these tests exercise the
 product, the antipode and the coproduct on sums of several basis elements
-with coefficients in Q(zeta_2n).
+with coefficients in Q(zeta_2n), including the antipode axiom
+sum S(a_1) a_2 = eps(a) 1 = sum a_1 S(a_2).
 """
 
 import pytest
@@ -62,3 +63,18 @@ def test_antipode_reverses_products(H, data):
 def test_coproduct_is_multiplicative(H, data):
     a, b = draw(data, H, 2)
     assert H.coproduct(H.hmul(a, b)) == H.coproduct(a) * H.coproduct(b)
+
+
+@over_algebras
+@examples
+@given(data=st.data())
+def test_antipode_axiom_on_random_elements(H, data):
+    (a,) = draw(data, H, 1)
+    left = right = H.zero()
+    for (k1, k2), c in H.coproduct(a).terms.items():
+        a1, a2 = H.basis_elem(*k1, c), H.basis_elem(*k2)
+        left = left + H.hmul(H.antipode_basis(*k1).scale(c), a2)
+        right = right + H.hmul(a1, H.antipode(a2))
+    unit = H.unit().scale(H.counit(a))
+    assert left == unit
+    assert right == unit
