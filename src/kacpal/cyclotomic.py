@@ -91,39 +91,27 @@ class CycContext:
         self.degree = len(self.phi) - 1
         if self.degree != euler_phi(self.N):
             raise ArithmeticError(f"Phi_{self.N} has the wrong degree")
-        # x^(degree + i) mod Phi_N for the multiplication reduction sweep
-        self._red: list[tuple[int, ...]] = []
-        prev = [-c for c in self.phi[:-1]]  # x^degree mod Phi (Phi monic)
-        self._red.append(tuple(prev))
-        for _ in range(self.degree - 1):
-            nxt = [0] + prev[:-1]
-            top = prev[-1]
-            if top:
-                for j in range(self.degree):
-                    nxt[j] -= top * self.phi[j]
-            self._red.append(tuple(nxt))
-            prev = nxt
-        self.zero = CycScalar(self, (0,) * self.degree, 1)
-        self.one = CycScalar(self, (1,) + (0,) * (self.degree - 1), 1)
-        # zeta_N^e for 0 <= e < N
+        # zeta_N^e mod Phi_N for 0 <= e < N, by shift and fold: x^(e+1) is
+        # x^e shifted up one place, with the coefficient pushed past
+        # x^(degree-1) folded back through the monic Phi_N
+        d = self.degree
+        row = [1] + [0] * (d - 1)
         self._roots: list[CycScalar] = []
-        cur = self.one
-        zeta = self._monomial(1)
         for _ in range(self.N):
-            self._roots.append(cur)
-            cur = cur * zeta
-
-    def _monomial(self, e: int) -> "CycScalar":
-        if e < self.degree:
-            nums = [0] * self.degree
-            nums[e] = 1
-            return CycScalar(self, tuple(nums), 1)
-        nums = [0] * (e + 1)
-        nums[e] = 1
-        return CycScalar(self, _reduce(self, nums), 1)
+            self._roots.append(CycScalar(self, tuple(row), 1))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                for j in range(d):
+                    row[j] -= top * self.phi[j]
+        self.zero = CycScalar(self, (0,) * d, 1)
+        self.one = self._roots[0]
 
     def scalar(self, value) -> "CycScalar":
-        """Embed an int or Fraction as a constant."""
+        """Embed an int or Fraction as a constant; anything else, a float
+        above all, is a TypeError."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"scalar needs an int or Fraction, not {type(value).__name__}")
         f = Fraction(value)
         nums = [f.numerator] + [0] * (self.degree - 1)
         return CycScalar(self, tuple(nums), f.denominator)
@@ -131,7 +119,8 @@ class CycContext:
     def from_cyclic(self, vec, den: int) -> "CycScalar":
         """(sum_e vec[e] zeta_N^e) / den for an integer vector of length at
         most N, i.e. an element of Z[x]/(x^N - 1) read at x = zeta_N: folded
-        modulo Phi_N with the rows of zeta_N^e already held for p_pow."""
+        modulo Phi_N with the rows of zeta_N^e.  The one reduction in the
+        field: products, conjugates and the character transform all use it."""
         d = self.degree
         out = list(vec[:d]) + [0] * max(0, d - len(vec))
         for e in range(d, len(vec)):
@@ -171,19 +160,6 @@ class CycContext:
 
     def to_json(self) -> dict:
         return {"n": self.n, "N": self.N, "degree": self.degree}
-
-
-def _reduce(ctx: CycContext, nums: list[int]) -> tuple[int, ...]:
-    """Reduce an integer coefficient vector modulo Phi_N (any length)."""
-    d = ctx.degree
-    out = list(nums[:d]) + [0] * max(0, d - len(nums))
-    for e in range(d, len(nums)):
-        c = nums[e]
-        if c:
-            row = ctx._red[e - d]
-            for j in range(d):
-                out[j] += c * row[j]
-    return tuple(out)
 
 
 class CycScalar:
@@ -248,12 +224,16 @@ class CycScalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # the schoolbook product has length 2 phi(N) - 1 < N: one fold
         d = self.ctx.degree
         a, b = self.nums, other.nums
         prod = [0] * (2 * d - 1)
@@ -262,30 +242,33 @@ class CycScalar:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return CycScalar(self.ctx, _reduce(self.ctx, prod), self.den * other.den)
+        return self.ctx.from_cyclic(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
-        """Inverse via the extended Euclidean algorithm on polynomials over Q."""
+        """Inverse by the Galois norm: a^-1 = P / (a P) with P the product
+        of the conjugates sigma_k(a), k != 1.
+
+        For a unit k mod N (odd, as N is even) sigma_k sends zeta to
+        zeta^k, so it moves the coefficient of zeta^e to zeta^(k e mod N):
+        a rotation read back by from_cyclic.  a P is the norm of a, a
+        nonzero rational for a != 0, so only integers are multiplied."""
         if self.is_zero():
             raise NotInvertibleError("division by zero in cyclotomic field")
-        phi = [Fraction(c) for c in self.ctx.phi]
-        a = [Fraction(c, self.den) for c in self.nums]
-        # invariant: r0 = s0*a mod phi, r1 = s1*a mod phi
-        r0, r1 = phi, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        while len(r0) > 1 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1 or r0[0] == 0:
-            raise ArithmeticError("Phi_N is irreducible; gcd must be constant")
-        c = r0[0]
-        inv_coeffs = [s / c for s in s0]
-        return _from_fractions(self.ctx, inv_coeffs)
+        ctx = self.ctx
+        N = ctx.N
+        P = ctx.one
+        for k in range(3, N, 2):
+            if gcd(k, N) == 1:
+                vec = [0] * N
+                for e, c in enumerate(self.nums):
+                    vec[k * e % N] = c
+                P = P * ctx.from_cyclic(vec, self.den)
+        norm = self * P
+        if any(norm.nums[1:]):
+            raise ArithmeticError("the norm of a nonzero element must be rational")
+        return CycScalar(ctx, tuple(c * norm.den for c in P.nums), P.den * norm.nums[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -294,7 +277,10 @@ class CycScalar:
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inv()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -339,52 +325,3 @@ class CycScalar:
                 parts.append(f"{f}*z^{e}")
         return " + ".join(parts) if parts else "0"
 
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / lead
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
-
-
-def _from_fractions(ctx: CycContext, coeffs: list[Fraction]) -> CycScalar:
-    coeffs = list(coeffs)
-    while len(coeffs) > ctx.degree and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) > ctx.degree:
-        raise ValueError("coefficient vector longer than field degree")
-    coeffs += [Fraction(0)] * (ctx.degree - len(coeffs))
-    den = 1
-    for f in coeffs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    nums = [int(f * den) for f in coeffs]
-    return CycScalar(ctx, tuple(nums), den)

@@ -294,7 +294,9 @@ class HopfAlgebra:
         scope "all": associativity over all basis triples and
         Delta-multiplicativity over all basis pairs; "sampled": seeded samples
         of the given size instead.  Coassociativity, counit, antipode and
-        S^2 = id always run over every basis element.
+        S^2 = id always run over every basis element, and the integral check
+        multiplies each one by a |B|-term integral, so every scope refuses
+        dim > ALL_PAIRS_GUARD.
 
         At scope "all" associativity is proved, not swept.  With w.beta the
         slot permutation (w.beta)_i = beta_{w(i)} and T_delta the shift of
@@ -327,13 +329,13 @@ class HopfAlgebra:
         the report names the same first failing triple as a full sweep.
         Comultiplicativity of a basis pair depends only on its permutation
         pair (see _pair_tensors), so it is computed once per such pair."""
+        if self.dim > ALL_PAIRS_GUARD:
+            raise SizeGuardError(
+                f"axiom verification refused for dim {self.dim} > {ALL_PAIRS_GUARD}"
+            )
         basis = self.basis_keys()
         if scope == "auto":
             scope = "all" if self.dim <= 64 else "sampled"
-        if scope == "all" and self.dim > ALL_PAIRS_GUARD:
-            raise SizeGuardError(
-                f"all-pairs sweep refused for dim {self.dim} > {ALL_PAIRS_GUARD}"
-            )
         report = AxiomReport(
             instance=f"H({self.n},{self.m})", scope=scope, seed=seed if scope == "sampled" else None
         )
@@ -793,7 +795,11 @@ def embedding_map(h: HopfElem, target: HopfAlgebra) -> HopfElem:
 
 def embedding_check(n: int, m: int) -> AxiomReport:
     """Verify that the generator map intertwines product, coproduct, counit
-    and antipode between H_{n,m} and H_{n,m+1}."""
+    and antipode between H_{n,m} and H_{n,m+1}.  The product check runs
+    over all |B|^2 basis pairs, so dim H_{n,m} > ALL_PAIRS_GUARD is refused."""
+    dim = n**m * factorial(m)
+    if dim > ALL_PAIRS_GUARD:
+        raise SizeGuardError(f"embedding check refused for dim {dim} > {ALL_PAIRS_GUARD}")
     small = HopfAlgebra(n, m)
     big = HopfAlgebra(n, m + 1)
     report = AxiomReport(instance=f"H({n},{m}) -> H({n},{m+1})")

@@ -189,15 +189,21 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_size_guard_exit_3(capsys):
-    code, report = _run(capsys, ["verify", "4", "4", "--scope", "all"])
-    assert code == 3
-    assert report["error"]["type"] == "size-guard"
-    code, report = _run(capsys, ["export", "4", "4"])
-    assert code == 3
-    # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
-    code, report = _run(capsys, ["gamma-table", "2", "5"])
-    assert code == 3
-    assert report["error"]["type"] == "size-guard"
+    for argv in (
+        # dim H(4,4) = 6144: every verify scope sweeps all of B at least once
+        "verify 4 4 --scope all",
+        "verify 4 4",
+        "verify 4 4 --scope sampled:1",
+        "export 4 4",
+        # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
+        "gamma-table 2 5",
+        # |B|^2 product checks on the source H(2,6), dim 46080
+        "embed-check 2 6",
+    ):
+        code, report = _run(capsys, argv.split())
+        assert code == 3, argv
+        assert report["error"]["type"] == "size-guard", argv
+        assert report["checks"] == [], argv
 
 
 def test_thread_cap_echoed(capsys, monkeypatch):

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacpal import CycContext, cyclotomic_polynomial, euler_phi
+from kacpal.cyclotomic import CycScalar, poly_divmod_int
 from kacpal.errors import ContextMismatchError, NotInvertibleError
 
 
@@ -157,3 +161,139 @@ def test_from_cyclic_reads_vector_at_zeta(n):
         assert ctx.from_cyclic(vec, den) == expected
     # sum of all N-th roots of unity is zero
     assert ctx.from_cyclic([1] * ctx.N, 3).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_root_rows_are_remainders_mod_phi(n):
+    ctx = CycContext(n)
+    for e in range(ctx.N):
+        _, rem = poly_divmod_int([0] * e + [1], list(ctx.phi))
+        assert ctx.root(e).nums == tuple(rem) + (0,) * (ctx.degree - len(rem)), e
+        assert ctx.root(e).den == 1
+    assert ctx.root(n) == ctx.scalar(-1)
+    assert ctx.root(ctx.N) == ctx.one
+    assert ctx.p ** ctx.N == ctx.one
+
+
+# -- the inverse against the extended Euclidean algorithm over Q ----------------
+
+
+def _frac_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(1, len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db] / b[-1]
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] -= c * b[j]
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def _frac_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _frac_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
+
+
+def reference_inv(a):
+    """a^-1 by the extended Euclidean algorithm on polynomials over Q: the
+    slow, independent path (s a = gcd(a, Phi_N), a nonzero constant)."""
+    ctx = a.ctx
+    r0, r1 = [Fraction(c) for c in ctx.phi], [Fraction(c, a.den) for c in a.nums]
+    while len(r1) > 1 and r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, rem = _frac_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
+    if len(r0) != 1:
+        raise ArithmeticError("gcd with Phi_N is not constant")
+    coeffs = [c / r0[0] for c in s0] + [Fraction(0)] * ctx.degree
+    coeffs = coeffs[: ctx.degree]
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return CycScalar(ctx, tuple(int(c * den) for c in coeffs), den)
+
+
+def assert_inverse_matches_reference(a):
+    got, want = a.inv(), reference_inv(a)
+    assert (got.nums, got.den) == (want.nums, want.den), a
+    assert a * got == a.ctx.one, a
+
+
+@st.composite
+def nonzero_scalars(draw):
+    ctx = CycContext(draw(st.integers(2, 8)))
+    nums = draw(st.lists(st.integers(-50, 50), min_size=ctx.degree, max_size=ctx.degree))
+    if not any(nums):
+        nums[draw(st.integers(0, ctx.degree - 1))] = draw(st.sampled_from([-1, 1]))
+    return CycScalar(ctx, tuple(nums), draw(st.integers(1, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_scalars())
+def test_inverse_matches_reference(a):
+    assert_inverse_matches_reference(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_inverse_control_cases(n):
+    ctx = CycContext(n)
+    for a in (ctx.one, ctx.scalar(Fraction(-7, 3)), ctx.p, ctx.q, ctx.p + 1, ctx.root(n - 1) * 5 - 2):
+        assert_inverse_matches_reference(a)
+
+
+def test_inverse_dropping_a_conjugate_fails_oracle(monkeypatch):
+    def short_inv(a):
+        # the Galois-norm inverse with the conjugate for the last unit k missing
+        ctx, N = a.ctx, a.ctx.N
+        P = ctx.one
+        for k in [k for k in range(3, N, 2) if gcd(k, N) == 1][:-1]:
+            vec = [0] * N
+            for e, c in enumerate(a.nums):
+                vec[k * e % N] = c
+            P = P * ctx.from_cyclic(vec, a.den)
+        norm = a * P
+        return P * ctx.scalar(Fraction(norm.den, norm.nums[0]))
+
+    monkeypatch.setattr(CycScalar, "inv", short_inv)
+    for n in (2, 4, 7):
+        ctx = CycContext(n)
+        with pytest.raises(AssertionError):
+            assert_inverse_matches_reference(ctx.p * 2 + 1)
+
+
+def test_scalar_refuses_floats():
+    ctx = CycContext(3)
+    for bad in (0.1, 1.0, "1", None, complex(1, 0)):
+        with pytest.raises(TypeError):
+            ctx.scalar(bad)
+    assert ctx.scalar(True) == ctx.one
+    assert ctx.scalar(Fraction(1, 10)) * 10 == ctx.one
+
+
+@pytest.mark.parametrize("other", ["a", None, 0.5])
+def test_reflected_ops_with_foreign_types_raise_type_error(other):
+    one = CycContext(2).one
+    with pytest.raises(TypeError, match="unsupported operand"):
+        other - one
+    with pytest.raises(TypeError, match="unsupported operand"):
+        other / one
+    assert 3 - one == CycContext(2).scalar(2)
+    assert 3 / (one * 2) == CycContext(2).scalar(Fraction(3, 2))
