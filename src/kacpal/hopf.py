@@ -52,6 +52,10 @@ from .sparse import SparseElem, accumulate, power_product
 from .symmetric import Perm, all_perms, canonical_word, cycle_perm, cycle_powers
 
 ALL_PAIRS_GUARD = 5000
+# embed-check multiplies every basis pair of the source in both algebras: on
+# a 2-core host with Python 3.11, dim 384 (H(2,4), H(4,3)) takes 18-32 s,
+# and H(5,3) (dim 750) and H(3,4) (dim 1944) each ran past 60 s
+EMBED_PAIRS_GUARD = 384**2
 
 
 class HopfAlgebra:
@@ -796,10 +800,13 @@ def embedding_map(h: HopfElem, target: HopfAlgebra) -> HopfElem:
 def embedding_check(n: int, m: int) -> AxiomReport:
     """Verify that the generator map intertwines product, coproduct, counit
     and antipode between H_{n,m} and H_{n,m+1}.  The product check runs
-    over all |B|^2 basis pairs, so dim H_{n,m} > ALL_PAIRS_GUARD is refused."""
-    dim = n**m * factorial(m)
-    if dim > ALL_PAIRS_GUARD:
-        raise SizeGuardError(f"embedding check refused for dim {dim} > {ALL_PAIRS_GUARD}")
+    over all |B|^2 basis pairs, so |B|^2 > EMBED_PAIRS_GUARD is refused
+    before either algebra is built."""
+    pairs = (n**m * factorial(m)) ** 2
+    if pairs > EMBED_PAIRS_GUARD:
+        raise SizeGuardError(
+            f"embedding check refused for {pairs} basis pairs > {EMBED_PAIRS_GUARD}"
+        )
     small = HopfAlgebra(n, m)
     big = HopfAlgebra(n, m + 1)
     report = AxiomReport(instance=f"H({n},{m}) -> H({n},{m+1})")

@@ -5,10 +5,12 @@ Relations u_i u_j = r_{ij} u_j u_i with r_ii = 1, r_ij = lambda^{j-i-1} mu
 for i < j (lambda = q^{b^2-ab}, mu = p^{b^2-a^2}) and r_ij = r_ji^{-1}
 otherwise.  Monomials are kept normal-ordered, u_1^{a_1} ... u_m^{a_m}.
 
-Generators act by the degree-one module V_{a,b}; the action on a degree-k
-monomial expands the iterated coproduct of the acting element, one leg per
-letter, then re-normal-orders.  Iterated coproduct expansions are cached per
-(permutation, degree), and whole-operator matrices per (element, degree).
+Generators act by the degree-one module V_{a,b}.  The base ring R acts
+diagonally on the letters, so the action is computed in the weight basis:
+a basis element x^e w-bar sends a monomial to one scalar times one
+monomial, read off from values of J(w) at pairs of letter weights (see
+QuantumPolyAlgebra.act).  Those values are cached per (permutation, weight
+pair), and whole-operator matrices per (element, degree).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class QuantumPolyAlgebra:
         for i in range(1, self.m + 1):
             for j in range(1, i):
                 self._r[(i, j)] = self._r[(j, i)].inv()
-        self._delta_power: dict = {}
+        self._j_value: dict = {}
         self._line_action: dict = {}
         self._op_cache: dict = {}
 
@@ -158,70 +160,97 @@ class QuantumPolyAlgebra:
             self._line_action[w] = out
         return out
 
-    def _x_scalar(self, exps, j: int) -> CycScalar:
-        """x^exps . u_j = q^{a exps_j + b sum_{l != j} exps_l} u_j."""
-        e = self.a * exps[j - 1] + self.b * (sum(exps) - exps[j - 1])
-        return self.ctx.q_pow(e)
+    def letter_weight(self, j: int) -> tuple[int, ...]:
+        """The character psi_j of Z_n^m by which R acts on u_j:
+        x^d . u_j = q^{psi_j . d} u_j, with psi_j = a at slot j, b elsewhere."""
+        return tuple(self.a if i == j - 1 else self.b for i in range(self.m))
 
-    def delta_power(self, w: Perm, k: int) -> list[tuple[CycScalar, tuple]]:
-        """Iterated coproduct Delta^{(k-1)}(w-bar): list of (coeff, leg exponent
-        vectors); every leg carries the same permutation w."""
-        key = (w, k)
-        out = self._delta_power.get(key)
+    def j_value(self, w: Perm, psi: tuple, psi2: tuple) -> CycScalar:
+        """J_w(psi, psi') = sum c q^{psi.d1 + psi'.d2} over the terms
+        c x^d1 (x) x^d2 of J(w): the scalar by which J(w) acts on a pair of
+        letters of weights psi and psi'.  Cached per (w, psi, psi')."""
+        key = (w, psi, psi2)
+        out = self._j_value.get(key)
         if out is None:
-            if k == 1:
-                out = [(self.ctx.one, ((0,) * self.m,))]
-            else:
-                n = self.n
-                prev = self.delta_power(w, k - 1)
-                j_terms = list(self.hopf.j_of_word(w).terms.items())
-                out = []
-                for c, legs in prev:
-                    last = legs[-1]
-                    for (d1, d2), cj in j_terms:
-                        out.append(
-                            (
-                                c * cj,
-                                legs[:-1]
-                                + (
-                                    tuple((last[i] + d1[i]) % n for i in range(self.m)),
-                                    tuple((last[i] + d2[i]) % n for i in range(self.m)),
-                                ),
-                            )
-                        )
-            self._delta_power[key] = out
+            out = self.ctx.zero
+            for (d1, d2), c in self.hopf.j_of_word(w).terms.items():
+                e = sum(map(operator.mul, psi, d1)) + sum(map(operator.mul, psi2, d2))
+                out = out + c * self.ctx.q_pow(e)
+            self._j_value[key] = out
         return out
 
+    def later_weights(self, weights: list) -> list:
+        """psi_{i+1} + ... + psi_k (mod n) for each i < k: the total weight
+        of the letters after letter i."""
+        n = self.n
+        out = []
+        tail = (0,) * self.m
+        for psi in reversed(weights[1:]):
+            tail = tuple((t + x) % n for t, x in zip(tail, psi))
+            out.append(tail)
+        return out[::-1]
+
     def act(self, h: HopfElem, f: "QpaElem") -> "QpaElem":
-        """h . f through the iterated coproduct, one leg per letter."""
+        """h . f in the weight basis: each basis element of h sends a
+        monomial to one scalar times one monomial.
+
+        Let f = u_{j_1} ... u_{j_k} (normal-ordered letters) and h = x^e w-bar,
+        with w-bar . u_j = c_j u_{j'} from line_action, and let psi_i be the
+        weight of the new letter u_{j'_i}.  The iterated coproduct is
+
+            Delta^(k-1)(x^e w-bar) = (x^e)^(x)k J^(k)(w) (w-bar)^(x)k,
+
+        with J^(1) = 1 and J^(k) = (id^(k-2) (x) Delta_R)(J^(k-1)) (1^(k-2) (x) J(w)):
+        each step comultiplies the right leg.  Every element of R^(x)k acts
+        on u_{j'_1} (x) ... (x) u_{j'_k} by its value at (psi_1, ..., psi_k),
+        r(psi) = sum c_delta q^{sum_i psi_i . delta_i}.  Evaluation is
+        multiplicative, and Delta_R(x^d) = x^d (x) x^d gives
+        (Delta_R r)(psi, psi') = r(psi + psi').  So
+
+            J^(k)(psi_1..psi_k) = J^(k-1)(psi_1, ..., psi_{k-1} + psi_k) J_w(psi_{k-1}, psi_k)
+                                = prod_{i<k} J_w(psi_i, psi_{i+1} + ... + psi_k),
+
+        and the legs x^e contribute q^{(psi_1 + ... + psi_k) . e}.  The product
+        of the images in A is then
+
+            h . f = prod_i c_{j_i} q^{(sum psi) . e} prod_{i<k} J_w(psi_i, psi_{i+1} + ... + psi_k)
+                    normal_order(u_{j'_1} ... u_{j'_k}),
+
+        k - 1 cached values of J_w instead of the |J(w)|^(k-1) terms of the
+        dense expansion.  (Comultiplying the left leg instead gives
+        prod J_w(psi_1 + ... + psi_i, psi_{i+1}), the same value by the
+        2-cocycle identity of J_w, which is coassociativity.)  On degree 0,
+        h acts by eps(h)."""
         if h.algebra != self.hopf:
             raise ContextMismatchError("acting element from a different algebra")
-        n = self.n
+        by_perm: dict = {}
+        for (e_h, w), c_h in h.terms.items():
+            by_perm.setdefault(w, []).append((e_h, c_h))
         out: dict = {}
         for exps_f, c_f in f.terms.items():
-            k = sum(exps_f)
-            if k == 0:
+            if not any(exps_f):
                 accumulate(out, exps_f, self.hopf.counit(h) * c_f)
                 continue
             word = [i + 1 for i, e in enumerate(exps_f) for _ in range(e)]
-            for (e_h, w), c_h in h.terms.items():
+            for w, terms in by_perm.items():
                 lines = self.line_action(w)
-                base = c_h * c_f
-                for c_t, legs in self.delta_power(w, k):
-                    scalar = base * c_t
-                    new_letters = []
-                    dead = False
-                    for leg, j in zip(legs, word):
-                        c_line, j2 = lines[j - 1]
-                        total = tuple((leg[i] + e_h[i]) % n for i in range(self.m))
-                        scalar = scalar * c_line * self._x_scalar(total, j2)
-                        if not scalar:
-                            dead = True
-                            break
-                        new_letters.append(j2)
-                    if not dead:
-                        for e, c in self.normal_order(new_letters).terms.items():
-                            accumulate(out, e, c * scalar)
+                scalar = c_f
+                new_letters = []
+                for j in word:
+                    c_line, j2 = lines[j - 1]
+                    scalar = scalar * c_line
+                    new_letters.append(j2)
+                weights = [self.letter_weight(j2) for j2 in new_letters]
+                for psi, tail in zip(weights, self.later_weights(weights)):
+                    scalar = scalar * self.j_value(w, psi, tail)
+                # the x^e parts of h, read at the total weight of the word
+                total = [sum(col) for col in zip(*weights)]
+                ring_value = self.ctx.zero
+                for e_h, c_h in terms:
+                    e = sum(map(operator.mul, total, e_h))
+                    ring_value = ring_value + c_h * self.ctx.q_pow(e)
+                for e, c in self.normal_order(new_letters).terms.items():
+                    accumulate(out, e, c * scalar * ring_value)
         return QpaElem(self, out)
 
     def monomials(self, k: int) -> list[tuple[int, ...]]:

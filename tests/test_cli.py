@@ -131,6 +131,19 @@ def test_invariants_cyclic_m2_coincides_with_full(capsys):
     assert report["data"]["subalgebra"] == "full"
 
 
+def test_invariants_h33_degree_4(capsys):
+    # a lock on the cost of the action: the integral of H(3,3) has 162
+    # terms, acting on the 15 monomials of degree 4
+    code, report = _run(capsys, ["invariants", "3", "3", "1", "0", "--degree", "4"])
+    assert code == 0
+    assert report["ok"] is True
+    assert [d["dim"] for d in report["data"]["invariants"]] == [1, 0, 0, 1, 0]
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["integral-projector-oracle"] == "pass"
+    assert statuses["exponent-divisibility"] == "pass"
+    assert set(statuses.values()) <= {"pass", "skipped"}  # n odd skips two
+
+
 def test_module_algebra_check(capsys):
     code, report = _run(capsys, ["module-algebra-check", "2", "2", "1", "0", "--degree", "3"])
     assert code == 0
@@ -197,13 +210,22 @@ def test_size_guard_exit_3(capsys):
         "export 4 4",
         # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
         "gamma-table 2 5",
-        # |B|^2 product checks on the source H(2,6), dim 46080
+        # |B|^2 product checks on the source: 1944^2, 750^2 and 46080^2
+        # basis pairs exceed 384^2
+        "embed-check 3 4",
+        "embed-check 5 3",
         "embed-check 2 6",
     ):
         code, report = _run(capsys, argv.split())
         assert code == 3, argv
         assert report["error"]["type"] == "size-guard", argv
         assert report["checks"] == [], argv
+
+
+def test_embed_check_guard_names_pair_count(capsys):
+    code, report = _run(capsys, ["embed-check", "3", "4"])
+    assert code == 3
+    assert str(1944**2) in report["error"]["message"]
 
 
 def test_thread_cap_echoed(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacpal import (
     HopfAlgebra,
@@ -9,10 +11,223 @@ from kacpal import (
     build_rep,
     monomials_of_degree,
 )
+from kacpal.quantum_poly import QpaElem
+from kacpal.sparse import accumulate
+from kacpal.symmetric import Perm
 
 
 def _qpa(n, m, a, b, bound=None):
     return QuantumPolyAlgebra(HopfAlgebra(n, m), a, b, degree_bound=bound)
+
+
+# -- the dense iterated coproduct: independent slow path for act -----------------
+
+
+def _dense_coproduct(qpa, w, k, memo):
+    """Delta^(k-1)(w-bar) expanded in full, each step comultiplying the right
+    leg by J(w): a list of (coefficient, leg exponent vectors), every leg
+    carrying the permutation w."""
+    key = (w, k)
+    if key not in memo:
+        m, n = qpa.m, qpa.n
+        if k == 1:
+            memo[key] = [(qpa.ctx.one, ((0,) * m,))]
+        else:
+            j_terms = list(qpa.hopf.j_of_word(w).terms.items())
+            out = []
+            for c, legs in _dense_coproduct(qpa, w, k - 1, memo):
+                last = legs[-1]
+                for (d1, d2), cj in j_terms:
+                    split = (
+                        tuple((last[i] + d1[i]) % n for i in range(m)),
+                        tuple((last[i] + d2[i]) % n for i in range(m)),
+                    )
+                    out.append((c * cj, legs[:-1] + split))
+            memo[key] = out
+    return memo[key]
+
+
+def reference_act(qpa, h, f, memo=None):
+    """h . f through the dense iterated coproduct, one leg per letter: every
+    leg x^(e + delta_i) w-bar acts on its letter by line_action and then by
+    x^d . u_j = q^{a d_j + b sum_{l != j} d_l} u_j, and the images are
+    normal-ordered.  |J(w)|^(k-1) terms per permutation and monomial."""
+    memo = {} if memo is None else memo
+    n, m = qpa.n, qpa.m
+    out = {}
+    for exps_f, c_f in f.terms.items():
+        k = sum(exps_f)
+        if k == 0:
+            accumulate(out, exps_f, qpa.hopf.counit(h) * c_f)
+            continue
+        word = [i + 1 for i, e in enumerate(exps_f) for _ in range(e)]
+        for (e_h, w), c_h in h.terms.items():
+            lines = qpa.line_action(w)
+            for c_t, legs in _dense_coproduct(qpa, w, k, memo):
+                scalar = c_h * c_f * c_t
+                new_letters = []
+                for leg, j in zip(legs, word):
+                    c_line, j2 = lines[j - 1]
+                    total = [(leg[i] + e_h[i]) % n for i in range(m)]
+                    x_exp = qpa.a * total[j2 - 1] + qpa.b * (sum(total) - total[j2 - 1])
+                    scalar = scalar * c_line * qpa.ctx.q_pow(x_exp)
+                    new_letters.append(j2)
+                for e, c in qpa.normal_order(new_letters).terms.items():
+                    accumulate(out, e, c * scalar)
+    return QpaElem(qpa, out)
+
+
+def first_oracle_mismatch(qpa, max_degree):
+    """The first (basis key, monomial) where a column of action_matrix
+    differs from reference_act, or None."""
+    hopf = qpa.hopf
+    memo = {}
+    for key in hopf.basis_keys():
+        h = hopf.basis_elem(*key)
+        for k in range(max_degree + 1):
+            mat = qpa.action_matrix(h, k)
+            mons = qpa.monomials(k)
+            for col, mon in enumerate(mons):
+                ref = reference_act(qpa, h, qpa.monomial(mon), memo)
+                if any(mat[row, col] != ref.terms.get(mons[row], qpa.ctx.zero)
+                       for row in range(len(mons))):
+                    return key, mon
+    return None
+
+
+ORACLE_INSTANCES = [
+    (2, 2, 1, 0, 5),
+    (3, 2, 1, 0, 4),
+    (3, 2, 2, 1, 4),
+    (2, 3, 1, 0, 3),
+    (3, 3, 1, 0, 2),
+    (3, 3, 2, 1, 2),
+]
+
+
+@pytest.mark.parametrize("n,m,a,b,k", ORACLE_INSTANCES)
+def test_weight_action_matches_dense_coproduct(n, m, a, b, k):
+    qpa = _qpa(n, m, a, b, bound=max(k, 2 * n))
+    assert first_oracle_mismatch(qpa, k) is None
+
+
+def _qpa_elements(qpa):
+    """Sums of one to three basis elements of H with coefficients k zeta^e,
+    and polynomials of degree <= 3 with small integer coefficients."""
+    hopf = qpa.hopf
+    term = st.tuples(
+        st.sampled_from(hopf.basis_keys()),
+        st.integers(-3, 3).filter(bool),
+        st.integers(0, 2 * hopf.n - 1),
+    )
+
+    def build_h(terms):
+        out = hopf.zero()
+        for (exps, w), k, e in terms:
+            out = out + hopf.basis_elem(exps, w, hopf.cyc.scalar(k) * hopf.cyc.root(e))
+        return out
+
+    mons = [mon for k in range(4) for mon in qpa.monomials(k)]
+    poly_term = st.tuples(st.sampled_from(mons), st.integers(-3, 3).filter(bool))
+
+    def build_f(terms):
+        out = qpa.zero()
+        for mon, c in terms:
+            out = out + qpa.monomial(mon, c)
+        return out
+
+    return (
+        st.lists(term, min_size=1, max_size=3).map(build_h),
+        st.lists(poly_term, min_size=1, max_size=4).map(build_f),
+    )
+
+
+PROPERTY_ALGEBRAS = [_qpa(2, 2, 1, 0), _qpa(3, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("qpa", PROPERTY_ALGEBRAS, ids=lambda q: f"H({q.n},{q.m})")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weight_action_matches_dense_on_random_elements(qpa, data):
+    hs, fs = _qpa_elements(qpa)
+    h, f = data.draw(hs), data.draw(fs)
+    assert qpa.act(h, f) == reference_act(qpa, h, f)
+
+
+def _assert_real_witness(qpa, witness, degree):
+    assert witness is not None
+    key, mon = witness
+    assert sum(mon) == degree
+    h, f = qpa.hopf.basis_elem(*key), qpa.monomial(mon)
+    assert qpa.act(h, f) != reference_act(qpa, h, f)
+
+
+def test_negative_control_swapped_j_arguments(monkeypatch):
+    # J_w(psi', psi) for J_w(psi, psi').  A fault on H(3,2) with (a, b) =
+    # (1, 0) from degree 2, but not with (2, 1) through degree 4, where J_w
+    # is symmetric at every pair of weights that occurs
+    original = QuantumPolyAlgebra.j_value
+    monkeypatch.setattr(
+        QuantumPolyAlgebra, "j_value", lambda self, w, psi, psi2: original(self, w, psi2, psi)
+    )
+    qpa = _qpa(3, 2, 1, 0)
+    witness = first_oracle_mismatch(qpa, 2)
+    assert witness == (((0, 0), Perm.transposition(2, 1)), (1, 1))
+    _assert_real_witness(qpa, witness, 2)
+
+
+def test_negative_control_prefix_sums(monkeypatch):
+    # psi_1 + ... + psi_i for psi_{i+1} + ... + psi_k.  On H(3,2) with
+    # (a, b) = (1, 0) every degree-2 column still agrees with the dense path
+    # (and on H(3,3) too); the first witness is u_1 u_2^2 in degree 3
+    def prefix_sums(self, weights):
+        n = self.n
+        out, head = [], (0,) * self.m
+        for psi in weights[:-1]:
+            head = tuple((t + x) % n for t, x in zip(head, psi))
+            out.append(head)
+        return out
+
+    monkeypatch.setattr(QuantumPolyAlgebra, "later_weights", prefix_sums)
+    qpa = _qpa(3, 2, 1, 0)
+    assert first_oracle_mismatch(qpa, 2) is None
+    witness = first_oracle_mismatch(qpa, 3)
+    assert witness[1] == (1, 2)
+    _assert_real_witness(qpa, witness, 3)
+
+
+@pytest.mark.parametrize("n,m,a,b", [(2, 2, 1, 0), (3, 2, 2, 1), (2, 3, 1, 0)])
+def test_left_comb_gives_the_same_scalar(n, m, a, b):
+    # comultiplying the left leg instead of the right one is no fault: the
+    # two products agree by the 2-cocycle identity of J_w (coassociativity)
+    qpa = _qpa(n, m, a, b)
+    weights = [qpa.letter_weight(j) for j in range(1, m + 1)]
+
+    def add(x, y):
+        return tuple((s + t) % n for s, t in zip(x, y))
+
+    for w in qpa.hopf.perms:
+        for p1 in weights:
+            for p2 in weights:
+                for p3 in weights:
+                    right = qpa.j_value(w, p1, add(p2, p3)) * qpa.j_value(w, p2, p3)
+                    left = qpa.j_value(w, add(p1, p2), p3) * qpa.j_value(w, p1, p2)
+                    assert left == right, (w, p1, p2, p3)
+
+
+@pytest.mark.parametrize(
+    "n,m,a,b,subalgebra,degree",
+    [(2, 2, 1, 0, "full", 8), (3, 3, 1, 0, "full", 4), (2, 3, 1, 0, "cyclic", 4)],
+)
+def test_invariant_dimension_is_projector_trace(n, m, a, b, subalgebra, degree):
+    # dim A_k^{H'} = tr rho_k(Lambda') / eps(Lambda'), the trace of an idempotent
+    qpa = _qpa(n, m, a, b, bound=max(degree, 2 * n))
+    inv = qpa.invariants(subalgebra, degree)
+    lam = qpa._subalgebra_integral(subalgebra)
+    for k in range(degree + 1):
+        proj = qpa.integral_projector(lam, k)
+        trace = sum((proj[i, i] for i in range(len(proj.rows))), qpa.ctx.zero)
+        assert trace == qpa.ctx.scalar(len(inv[k])), (subalgebra, k)
 
 
 def test_r_matrix_values_a1_b0():
