@@ -20,7 +20,9 @@ from . import __version__
 from .cocycle import reference_cocycle_table_m3
 from .errors import NotInvertibleError, SizeGuardError
 from .group_ring import GroupAlgebra, canonical_twist, sigma
-from .hopf import ALL_PAIRS_GUARD, AxiomReport, HopfAlgebra, embedding_check, key_json
+from .hopf import (
+    ALL_PAIRS_GUARD, AxiomReport, HopfAlgebra, embedding_check, guard_basis_pairs, key_json
+)
 from .linalg import rref
 from .quantum_poly import QuantumPolyAlgebra
 from .reps import (
@@ -307,9 +309,8 @@ def _run_module_algebra(args, report):
 
 
 def _run_export(args, report):
+    guard_basis_pairs("export", args.n, args.m)
     hopf = HopfAlgebra(args.n, args.m)
-    if hopf.dim > ALL_PAIRS_GUARD:
-        raise SizeGuardError(f"export refused for dim {hopf.dim} > {ALL_PAIRS_GUARD}")
     report["context"] = hopf.cyc.to_json()
     basis = hopf.basis_keys()
 

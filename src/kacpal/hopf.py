@@ -20,10 +20,12 @@ translate of a product of permutation labels:
 
     (x^alpha w-bar)(x^beta v-bar) = T_{alpha + w.beta}(w-bar v-bar),
 
-with T_delta shifting every exponent by delta.  Exhaustive verification uses
-this to prove associativity over all |B|^3 basis triples from |B|^2 products
-and the (m!)^3 permutation triples, and comultiplicativity over all |B|^2
-basis pairs from the (m!)^2 permutation pairs (see verify_axioms).
+with T_delta shifting every exponent by delta.  Exhaustive verification
+checks this law through hmul and uses it to prove associativity over all
+|B|^3 basis triples from |B|^2 products and the (m!)^3 permutation triples,
+and comultiplicativity over all |B|^2 basis pairs from one verdict per
+permutation pair through hmul and coproduct.  Where the law fails, the
+literal sweep names the witness (see verify_axioms).
 """
 
 from __future__ import annotations
@@ -42,20 +44,23 @@ from .group_ring import (
     GroupAlgebra,
     KTensor,
     RingElem,
-    delta_ring,
     ring_inverse,
     slot_vector,
-    tensor_from_pair,
     twist_Js,
 )
 from .sparse import SparseElem, accumulate, power_product
 from .symmetric import Perm, all_perms, canonical_word, cycle_perm, cycle_powers
 
 ALL_PAIRS_GUARD = 5000
-# embed-check multiplies every basis pair of the source in both algebras: on
-# a 2-core host with Python 3.11, dim 384 (H(2,4), H(4,3)) takes 18-32 s,
-# and H(5,3) (dim 750) and H(3,4) (dim 1944) each ran past 60 s
-EMBED_PAIRS_GUARD = 384**2
+# bounds every sweep over all basis pairs (embed-check, export): on a 2-core
+# host with Python 3.11, dim 384 (H(2,4), H(4,3)) takes 18-32 s in
+# embed-check, and H(5,3) (dim 750) and H(3,4) (dim 1944) each ran past 60 s
+BASIS_PAIRS_GUARD = 384**2
+# Delta(w-bar)Delta(v-bar) over every permutation pair multiplies
+# sum_{w,v} |J(w)| |J(v)| |gamma(w, v)|^2 pairs of leg terms, at 9-13 us each
+# on a 2-core host with Python 3.11: H(3,3) 5.3M, H(7,2) 5.8M and H(2,4)
+# 8.8M take 69-79 s for it; H(8,2) 17M and H(4,3) 76M are refused
+DELTA_COST_GUARD = 10_000_000
 
 
 class HopfAlgebra:
@@ -75,8 +80,6 @@ class HopfAlgebra:
         self._sproduct: dict[tuple[Perm, Perm], tuple[Perm, list]] = {}
         self._antipode_word: dict[Perm, "HopfElem"] = {}
         self._antipode_basis: dict = {}
-        self._pair_lhs: dict = {}
-        self._pair_rhs: dict = {}
 
     # -- element constructors --------------------------------------------------
 
@@ -236,34 +239,25 @@ class HopfAlgebra:
 
     # -- axiom verification --------------------------------------------------------
 
-    def _pair_tensors(self, w: Perm, v: Perm) -> tuple[KTensor, KTensor]:
-        """For basis elements with permutations (w, v) and any exponents, both
-        sides of Delta(ab) = Delta(a)Delta(b) equal a common translate of
-
-            lhs(w,v) = Delta_R(gamma(w,v)) J(wv)
-            rhs(w,v) = J(w) (sigma_w (x) sigma_w)(J(v)) (gamma(w,v) (x) gamma(w,v)),
-
-        so the pair check reduces to these memoized tensors: translating both
-        sides by the same group-like is a bijection on keys, so the translates
-        agree exactly when lhs == rhs."""
-        key = (w, v)
-        lhs = self._pair_lhs.get(key)
-        if lhs is None:
-            g = self.words.cocycle(w, v)
-            lhs = delta_ring(g) * self.j_of_word(w * v)
-            rhs = (
-                self.j_of_word(w)
-                * self.j_of_word(v).sigma_all(w)
-                * tensor_from_pair(g, g)
-            )
-            self._pair_lhs[key] = lhs
-            self._pair_rhs[key] = rhs
-        return lhs, self._pair_rhs[key]
+    def _translation_law_holds(self) -> bool:
+        """P1 of verify_axioms, checked through hmul on every basis pair."""
+        n, m, zero = self.n, self.m, self.ring.zero_exp
+        for w, v in iproduct(self.perms, repeat=2):
+            template = self.hmul(self.basis_elem(zero, w), self.basis_elem(zero, v)).terms
+            for ea, eb in iproduct(self.ring.exponent_vectors(), repeat=2):
+                shift = [(a + eb[j]) % n for a, j in zip(ea, w.images)]
+                expected = {
+                    (tuple((e[i] + shift[i]) % n for i in range(m)), p): c
+                    for (e, p), c in template.items()
+                }
+                if self.hmul(self.basis_elem(ea, w), self.basis_elem(eb, v)).terms != expected:
+                    return False
+        return True
 
     def _associative_by_reduction(self) -> bool:
-        """True when the facts G, P1, P2 and P3 of verify_axioms hold, which
-        prove (ab)c = a(bc) on every basis triple; False when one fails."""
-        n, m, perms = self.n, self.m, self.perms
+        """True when the facts G, P2 and P3 of verify_axioms hold, which with
+        P1 prove (ab)c = a(bc) on every basis triple; False when one fails."""
+        m, perms = self.m, self.perms
         bar = {w: self.basis_elem(self.ring.zero_exp, w) for w in perms}
         template = {(w, v): self.hmul(bar[w], bar[v]) for w in perms for v in perms}
 
@@ -277,20 +271,24 @@ class HopfAlgebra:
         units = [slot_vector(m, j) for j in range(1, m + 1)]
         if any(act(w, act(v, e)) != act(w * v, e) for w in perms for v in perms for e in units):
             return False
-        # P1: (x^alpha w-bar)(x^beta v-bar) = T_{alpha + w.beta}(w-bar v-bar)
-        for (ea, w), (eb, v) in iproduct(self.basis_keys(), repeat=2):
-            shift = [(a + b) % n for a, b in zip(ea, act(w, eb))]
-            expected = {
-                (tuple((e[i] + shift[i]) % n for i in range(m)), p): c
-                for (e, p), c in template[w, v].terms.items()
-            }
-            if self.hmul(self.basis_elem(ea, w), self.basis_elem(eb, v)).terms != expected:
-                return False
         # P3: (w-bar v-bar) u-bar = w-bar (v-bar u-bar)
         return all(
             self.hmul(template[w, v], bar[u]) == self.hmul(bar[w], template[v, u])
             for w, v, u in iproduct(perms, repeat=3)
         )
+
+    def _guard_delta_cost(self) -> None:
+        """Refuse a comultiplicativity verdict cost over DELTA_COST_GUARD.
+        The J and gamma it reads are memoized, and the checks need them all."""
+        size = {w: len(self.j_of_word(w).terms) for w in self.perms}
+        cost = 0
+        for w, v in iproduct(self.perms, repeat=2):
+            cost += size[w] * size[v] * len(self.words.cocycle(w, v).terms) ** 2
+            if cost > DELTA_COST_GUARD:
+                raise SizeGuardError(
+                    f"axiom verification refused: comultiplicativity costs over "
+                    f"{DELTA_COST_GUARD} leg-term products"
+                )
 
     def verify_axioms(self, scope: str = "auto", seed: int = 0, sample_size: int = 10000) -> "AxiomReport":
         """Exact verification of the Hopf axioms.
@@ -300,7 +298,8 @@ class HopfAlgebra:
         of the given size instead.  Coassociativity, counit, antipode and
         S^2 = id always run over every basis element, and the integral check
         multiplies each one by a |B|-term integral, so every scope refuses
-        dim > ALL_PAIRS_GUARD.
+        dim > ALL_PAIRS_GUARD, and a comultiplicativity verdict cost over
+        DELTA_COST_GUARD.
 
         At scope "all" associativity is proved, not swept.  With w.beta the
         slot permutation (w.beta)_i = beta_{w(i)} and T_delta the shift of
@@ -331,12 +330,27 @@ class HopfAlgebra:
 
         If a fact fails, the literal predicate runs over every triple, so
         the report names the same first failing triple as a full sweep.
-        Comultiplicativity of a basis pair depends only on its permutation
-        pair (see _pair_tensors), so it is computed once per such pair."""
+
+        Comultiplicativity is decided once per permutation pair, by
+        Delta(w-bar v-bar) == Delta(w-bar)Delta(v-bar) through hmul,
+        coproduct and the HTensor product, which multiplies legs with hmul;
+        both comultiplicativity checks read this verdict.  Given P1 it
+        decides every basis pair a = x^alpha w-bar, b = x^beta v-bar.  Let
+        T_{d,d} shift both legs by d and put delta = alpha + w.beta.  By the
+        form of coproduct, Delta(x^alpha w-bar) = T_{alpha,alpha}
+        Delta(w-bar), so Delta(ab) = T_{delta,delta} Delta(w-bar v-bar) by
+        P1.  A pair of legs of Delta(a)Delta(b) is (x^{alpha+d} w-bar)
+        (x^{beta+e} v-bar) = T_delta((x^d w-bar)(x^e v-bar)) by P1 twice and
+        additivity of the action, so Delta(a)Delta(b) = T_{delta,delta}
+        (Delta(w-bar)Delta(v-bar)), and T_{delta,delta} is a bijection on
+        keys.  At scope "all" a failing P1 sends comultiplicativity to the
+        literal predicate over the basis pairs in order; scope "sampled"
+        does not check P1 and assumes it."""
         if self.dim > ALL_PAIRS_GUARD:
             raise SizeGuardError(
                 f"axiom verification refused for dim {self.dim} > {ALL_PAIRS_GUARD}"
             )
+        self._guard_delta_cost()
         basis = self.basis_keys()
         if scope == "auto":
             scope = "all" if self.dim <= 64 else "sampled"
@@ -346,9 +360,12 @@ class HopfAlgebra:
         report.add("dimension", "basis count = n^m m!", len(basis) == self.dim, None)
 
         rng = random.Random(seed)
+        translates = True
         if scope == "all":
+            translates = self._translation_law_holds()
             # a failing reduction falls back to the literal sweep for the witness
-            triples = () if self._associative_by_reduction() else iproduct(basis, repeat=3)
+            reduced = translates and self._associative_by_reduction()
+            triples = () if reduced else iproduct(basis, repeat=3)
             pairs = iproduct(basis, repeat=2)
             n_triples = len(basis) ** 3
             n_pairs = len(basis) ** 2
@@ -379,36 +396,31 @@ class HopfAlgebra:
             checked=n_triples,
         )
 
-        perm_pair_ok: dict = {}
+        def delta_fails(keys):
+            a, b = (self.basis_elem(*k) for k in keys)
+            return self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
 
-        def comultiplicativity_fails(keys):
-            wv = (keys[0][1], keys[1][1])
-            ok = perm_pair_ok.get(wv)
-            if ok is None:
-                lhs, rhs = self._pair_tensors(*wv)
-                ok = perm_pair_ok[wv] = lhs == rhs
-            return not ok
+        verdicts: dict = {}
+
+        def perm_pair_fails(perms):
+            bad = verdicts.get(perms)
+            if bad is None:
+                bad = verdicts[perms] = delta_fails([(self.ring.zero_exp, u) for u in perms])
+            return bad
 
         report.check(
             "comultiplicativity",
             "Delta(ab) = Delta(a)Delta(b) on basis pairs",
             pairs,
-            comultiplicativity_fails,
+            (lambda keys: perm_pair_fails((keys[0][1], keys[1][1]))) if translates else delta_fails,
             _pair_witness,
             checked=n_pairs,
         )
-
-        # direct end-to-end spot check through the public tensor product,
-        # one pair per permutation pair
-        def direct_fails(perms):
-            a, b = (self.basis_elem(self.ring.zero_exp, u) for u in perms)
-            return self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
-
         report.check(
             "comultiplicativity-direct",
             "Delta(w v) = Delta(w)Delta(v) via the full tensor product",
             iproduct(self.perms, repeat=2),
-            direct_fails,
+            perm_pair_fails,
             lambda perms: {"pair": [list(u.one_line()) for u in perms]},
             checked=len(self.perms) ** 2,
         )
@@ -641,6 +653,8 @@ class HopfElem(SparseElem):
         return self.algebra.hmul(self, other)
 
     def __pow__(self, e: int) -> "HopfElem":
+        if e < 0:
+            raise ValueError(f"negative power {e} of a Hopf algebra element")
         out = self.algebra.unit()
         for _ in range(e):
             out = self.algebra.hmul(out, self)
@@ -682,36 +696,35 @@ class HTensor(SparseElem):
         return self.algebra.cyc
 
     def __mul__(self, other: "HTensor"):
-        """Componentwise product in H (x) H."""
+        """Componentwise product in H (x) H: each pair of legs is multiplied
+        by hmul, once per pair of leg keys."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         alg = self.algebra
-        n, m = alg.n, alg.m
+        legs: dict = {}
+
+        def leg(k1, k2) -> list:
+            out = legs.get((k1, k2))
+            if out is None:
+                product = alg.hmul(alg.basis_elem(*k1), alg.basis_elem(*k2))
+                out = legs[k1, k2] = list(product.terms.items())
+            return out
+
         out: dict = {}
         for (kl1, kr1), c1 in self.terms.items():
-            img_l = kl1[1].images
-            img_r = kr1[1].images
             for (kl2, kr2), c2 in other.terms.items():
                 c = c1 * c2
-                sl = tuple((kl1[0][i] + kl2[0][img_l[i]]) % n for i in range(m))
-                sr = tuple((kr1[0][i] + kr2[0][img_r[i]]) % n for i in range(m))
-                wl, gl = alg._single_product(kl1[1], kl2[1])
-                wr, gr = alg._single_product(kr1[1], kr2[1])
-                for dgl, cgl in gl:
-                    left_key = (tuple((sl[i] + dgl[i]) % n for i in range(m)), wl)
-                    ccl = c * cgl
-                    for dgr, cgr in gr:
-                        right_key = (tuple((sr[i] + dgr[i]) % n for i in range(m)), wr)
-                        accumulate(out, (left_key, right_key), ccl * cgr)
+                right = leg(kr1, kr2)
+                for kl, cl in leg(kl1, kl2):
+                    ccl = c * cl
+                    for kr, cr in right:
+                        accumulate(out, (kl, kr), ccl * cr)
         return HTensor(alg, out)
 
     def to_json(self) -> list:
-        def kj(k):
-            return {"exponents": list(k[0]), "perm": list(k[1].one_line())}
-
         return [
-            {"left": kj(k1), "right": kj(k2), "coeff": c.to_json()}
+            {"left": key_json(k1), "right": key_json(k2), "coeff": c.to_json()}
             for (k1, k2), c in self.sorted_terms()
         ]
 
@@ -797,16 +810,20 @@ def embedding_map(h: HopfElem, target: HopfAlgebra) -> HopfElem:
     return HopfElem(target, out)
 
 
+def guard_basis_pairs(what: str, n: int, m: int) -> None:
+    """Refuse a sweep over all basis pairs of H_{n,m} when |B|^2 exceeds
+    BASIS_PAIRS_GUARD."""
+    pairs = (n**m * factorial(m)) ** 2
+    if pairs > BASIS_PAIRS_GUARD:
+        raise SizeGuardError(f"{what} refused for {pairs} basis pairs > {BASIS_PAIRS_GUARD}")
+
+
 def embedding_check(n: int, m: int) -> AxiomReport:
     """Verify that the generator map intertwines product, coproduct, counit
     and antipode between H_{n,m} and H_{n,m+1}.  The product check runs
-    over all |B|^2 basis pairs, so |B|^2 > EMBED_PAIRS_GUARD is refused
-    before either algebra is built."""
-    pairs = (n**m * factorial(m)) ** 2
-    if pairs > EMBED_PAIRS_GUARD:
-        raise SizeGuardError(
-            f"embedding check refused for {pairs} basis pairs > {EMBED_PAIRS_GUARD}"
-        )
+    over all |B|^2 basis pairs, so it is guarded before either algebra is
+    built."""
+    guard_basis_pairs("embedding check", n, m)
     small = HopfAlgebra(n, m)
     big = HopfAlgebra(n, m + 1)
     report = AxiomReport(instance=f"H({n},{m}) -> H({n},{m+1})")

@@ -146,6 +146,8 @@ class Mat:
         n, m = self.shape
         if n != m:
             raise ValueError(f"power of a non-square {n}x{m} matrix")
+        if e < 0:
+            raise ValueError(f"negative power {e} of a matrix")
         out = Mat.identity(self.ctx, n)
         for _ in range(e):
             out = out * self

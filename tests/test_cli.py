@@ -207,11 +207,19 @@ def test_size_guard_exit_3(capsys):
         "verify 4 4 --scope all",
         "verify 4 4",
         "verify 4 4 --scope sampled:1",
+        # comultiplicativity over the permutation pairs: 76M (H(4,3)), 2.2G
+        # (H(2,5)), 6.2G (H(5,3)) and 8.4G (H(3,4)) leg-term products exceed
+        # the guard; H(3,3) (5.3M) does not
+        "verify 4 3 --scope sampled:1",
+        "verify 2 5",
+        "verify 5 3 --scope all",
+        "verify 3 4 --scope sampled:1",
         "export 4 4",
         # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
         "gamma-table 2 5",
-        # |B|^2 product checks on the source: 1944^2, 750^2 and 46080^2
-        # basis pairs exceed 384^2
+        # sweeps over all basis pairs: 1944^2, 750^2 and 46080^2 exceed 384^2
+        "export 3 4",
+        "export 5 3",
         "embed-check 3 4",
         "embed-check 5 3",
         "embed-check 2 6",
@@ -222,10 +230,11 @@ def test_size_guard_exit_3(capsys):
         assert report["checks"] == [], argv
 
 
-def test_embed_check_guard_names_pair_count(capsys):
-    code, report = _run(capsys, ["embed-check", "3", "4"])
-    assert code == 3
-    assert str(1944**2) in report["error"]["message"]
+def test_basis_pairs_guard_names_pair_count(capsys):
+    for command in ("embed-check", "export"):
+        code, report = _run(capsys, [command, "3", "4"])
+        assert code == 3
+        assert str(1944**2) in report["error"]["message"]
 
 
 def test_thread_cap_echoed(capsys, monkeypatch):

@@ -158,8 +158,8 @@ def _first_nonassociative_triple(H):
     return None
 
 
-def _associativity_check(report):
-    return next(c for c in report.checks if c["name"] == "associativity")
+def _check(report, name):
+    return next(c for c in report.checks if c["name"] == name)
 
 
 def test_negative_control_gamma_mutation_breaks_associativity():
@@ -173,7 +173,7 @@ def test_negative_control_gamma_mutation_breaks_associativity():
     assert not report.ok
     failed = {c["name"] for c in report.checks if c["status"] == "fail"}
     assert "associativity" in failed
-    assoc = _associativity_check(report)
+    assoc = _check(report, "associativity")
     assert assoc["witness"] is not None
     assert assoc["witness"] == _first_nonassociative_triple(H)
     assert assoc["checked"] == H.dim**3
@@ -199,9 +199,10 @@ def test_negative_control_translation_mutation_breaks_associativity():
     bar = {w: H.basis_elem(H.ring.zero_exp, w) for w in H.perms}
     for w, v, u in iproduct(H.perms, repeat=3):
         assert H.hmul(H.hmul(bar[w], bar[v]), bar[u]) == H.hmul(bar[w], H.hmul(bar[v], bar[u]))
-    assert not H._associative_by_reduction()
+    assert H._associative_by_reduction()
+    assert not H._translation_law_holds()
     report = H.verify_axioms(scope="all")
-    assoc = _associativity_check(report)
+    assoc = _check(report, "associativity")
     assert assoc["status"] == "fail"
     assert assoc["witness"] == _first_nonassociative_triple(H)
 
@@ -220,14 +221,83 @@ def test_reduced_associativity_matches_literal_sweep(n, m):
     literal = _LiteralHopf(n, m).verify_axioms(scope="all")
     assert reduced.ok
     assert reduced.to_json() == literal.to_json()
-    assert _associativity_check(reduced)["checked"] == (n**m * factorial(m)) ** 3
+    assert _check(reduced, "associativity")["checked"] == (n**m * factorial(m)) ** 3
 
 
 def test_reduced_report_on_failure_matches_literal_sweep():
     reduced = _GammaDroppedHopf(2, 3).verify_axioms(scope="all")
     literal = type("_LiteralGammaDropped", (_LiteralHopf, _GammaDroppedHopf), {})(2, 3)
-    assert _associativity_check(reduced)["status"] == "fail"
+    assert _check(reduced, "associativity")["status"] == "fail"
     assert reduced.to_json() == literal.verify_axioms(scope="all").to_json()
+
+
+def _first_noncomultiplicative_pair(H):
+    """The literal sweep: the first basis pair, in iteration order, with
+    Delta(ab) != Delta(a)Delta(b), as its JSON witness (None if there is
+    none)."""
+    for keys in iproduct(H.basis_keys(), repeat=2):
+        a, b = (H.basis_elem(*k) for k in keys)
+        if H.coproduct(H.hmul(a, b)) != H.coproduct(a) * H.coproduct(b):
+            return {"pair": [key_json(k) for k in keys]}
+    return None
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+def test_reduced_comultiplicativity_matches_literal_sweep(n, m):
+    H = HopfAlgebra(n, m)
+    comult = _check(H.verify_axioms(scope="all"), "comultiplicativity")
+    assert comult["status"] == "pass"
+    assert comult["witness"] == _first_noncomultiplicative_pair(H) is None
+    assert comult["checked"] == H.dim**2
+
+
+def test_negative_control_gamma_mutation_breaks_comultiplicativity():
+    """Dropping gamma(s_1, s_1) from the product must fail both
+    comultiplicativity checks.  Before they shared one verdict through hmul,
+    comultiplicativity read gamma from the word calculus and passed here."""
+    H = _GammaDroppedHopf(2, 3)
+    report = H.verify_axioms(scope="all")
+    direct = _check(report, "comultiplicativity-direct")
+    assert direct["status"] == "fail"
+    assert direct["witness"] == {"pair": [[2, 1, 3], [2, 1, 3]]}
+    comult = _check(report, "comultiplicativity")
+    assert comult["status"] == "fail"
+    assert comult["witness"] == _first_noncomultiplicative_pair(H)
+
+
+class _LeftTranslationMutatedHopf(HopfAlgebra):
+    """Negative control: negate (x^alpha)(x^beta v-bar) whenever alpha != 0
+    and v != id.  Products of permutation labels are untouched, and the sign
+    cancels between the two legs of Delta(x^alpha)Delta(x^beta v-bar)."""
+
+    def hmul(self, a, b):
+        out = super().hmul(a, b)
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            ((ea, w),) = a.terms
+            ((_, v),) = b.terms
+            if any(ea) and w.is_identity() and not v.is_identity():
+                return -out
+        return out
+
+
+def test_negative_control_translation_mutation_breaks_comultiplicativity():
+    """A product that breaks the translation law P1 must fail
+    comultiplicativity at the literal first failing basis pair, (x_2, s_1).
+    Both comultiplicativity checks passed here while the basis-pair check
+    answered from the permutation pairs without checking P1."""
+    H = _LeftTranslationMutatedHopf(2, 2)
+    assert not H._translation_law_holds()
+    report = H.verify_axioms(scope="all")
+    assert _check(report, "comultiplicativity-direct")["status"] == "pass"
+    comult = _check(report, "comultiplicativity")
+    assert comult["status"] == "fail"
+    assert comult["witness"] == _first_noncomultiplicative_pair(H)
+    assert comult["witness"] == {
+        "pair": [
+            {"exponents": [0, 1], "perm": [1, 2]},
+            {"exponents": [0, 0], "perm": [2, 1]},
+        ]
+    }
 
 
 def test_slot_out_of_range():
@@ -274,6 +344,46 @@ def test_gamma_from_hmul_matches_cocycle():
                     H.basis_elem(H.ring.zero_exp, w * v),
                 )
                 assert prod == expected
+
+
+def reference_htensor_mul(t1, t2):
+    """The independent slow path: multiply H (x) H leg by leg with the
+    crossed-product rule written out on exponents and gamma terms."""
+    alg = t1.algebra
+    n, m = alg.n, alg.m
+    out: dict = {}
+    for (kl1, kr1), c1 in t1.terms.items():
+        for (kl2, kr2), c2 in t2.terms.items():
+            c = c1 * c2
+            sl = tuple((kl1[0][i] + kl2[0][kl1[1].images[i]]) % n for i in range(m))
+            sr = tuple((kr1[0][i] + kr2[0][kr1[1].images[i]]) % n for i in range(m))
+            wl, gl = alg._single_product(kl1[1], kl2[1])
+            wr, gr = alg._single_product(kr1[1], kr2[1])
+            for dgl, cgl in gl:
+                left = (tuple((sl[i] + dgl[i]) % n for i in range(m)), wl)
+                for dgr, cgr in gr:
+                    right = (tuple((sr[i] + dgr[i]) % n for i in range(m)), wr)
+                    key = (left, right)
+                    out[key] = out.get(key, alg.cyc.zero) + c * cgl * cgr
+    return HTensor(alg, {k: c for k, c in out.items() if c})
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_htensor_product_matches_reference(n, m):
+    H = HopfAlgebra(n, m)
+    rng = random.Random(n * 10 + m)
+    basis = H.basis_keys()
+
+    def random_tensor():
+        out = H.coproduct(H.zero())
+        for _ in range(rng.randint(1, 3)):
+            c = H.cyc.scalar(rng.choice([-2, -1, 1, 3])) * H.cyc.root(rng.randrange(2 * n))
+            out = out + H.coproduct(H.basis_elem(*rng.choice(basis), c))
+        return out
+
+    for _ in range(6):
+        a, b = random_tensor(), random_tensor()
+        assert a * b == reference_htensor_mul(a, b)
 
 
 def test_htensor_product_matches_coproduct_on_random_pairs():
@@ -331,6 +441,13 @@ def test_embedding_h22_into_h23():
 def test_context_mismatch():
     with pytest.raises(ContextMismatchError):
         HopfAlgebra(2, 2).unit() * HopfAlgebra(2, 3).unit()
+
+
+def test_negative_power_raises():
+    H = HopfAlgebra(2, 2)
+    assert H.z(1) ** 0 == H.unit()
+    with pytest.raises(ValueError, match="negative power"):
+        H.z(1) ** -1
 
 
 def test_hopf_elem_json():

@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from kacpal import CycContext
 from kacpal.linalg import Mat, determinant, kernel_basis, rank, rref
 
@@ -67,3 +69,11 @@ def test_mat_ops():
     assert a.is_invertible()
     b = Mat(ctx, [[ctx.one, ctx.one], [ctx.one, ctx.one]])
     assert not b.is_invertible()
+
+
+def test_negative_matrix_power_raises():
+    ctx = CycContext(2)
+    a = Mat(ctx, [[ctx.one, ctx.p], [ctx.zero, ctx.one]])
+    assert a**0 == Mat.identity(ctx, 2)
+    with pytest.raises(ValueError, match="negative power"):
+        a ** -1
