@@ -7,38 +7,60 @@ deterministic and canonical (RREF bases are unique for a given row space).
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .cyclotomic import CycContext, CycScalar
 
 
-def rref(rows: list[list[CycScalar]], ctx: CycContext) -> tuple[list[list[CycScalar]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _gauss_jordan(rows, ncols: int, ctx: CycContext):
+    """One sparse, exact Gauss–Jordan pass over rows of width ncols (other
+    widths raise ValueError), held as {column: nonzero entry} dicts.  Column
+    c pivots on the first row at or below the current one that holds it; the
+    pivot row is scaled only when its pivot is not one, and c is eliminated
+    only from the rows that hold it.  Returns (nonzero reduced rows, pivot
+    columns, (-1)^swaps times the product of the pivots before scaling)."""
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"expected rows of width {ncols}, got {sorted({len(r) for r in rows})}")
+    work = [{c: x for c, x in enumerate(row) if x} for row in rows]
     pivots: list[int] = []
-    r = 0
+    det = ctx.one
     for c in range(ncols):
-        pivot_row = _pivot(rows, r, c)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        r = len(pivots)
+        if r == len(work):
             break
-    return rows[:r], pivots
+        p = next((i for i in range(r, len(work)) if c in work[i]), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            det = -det
+        prow = work[r]
+        if prow[c] != ctx.one:
+            det = det * prow[c]
+            inv = prow[c].inv()
+            for j, x in prow.items():
+                prow[j] = x * inv
+        for row in work:
+            if row is prow or c not in row:
+                continue
+            f = row.pop(c)
+            for j, y in prow.items():
+                if j != c:
+                    v = row[j] - f * y if j in row else -(f * y)
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        pivots.append(c)
+    return work[: len(pivots)], pivots, det
 
 
-def _pivot(rows, start: int, c: int) -> int | None:
-    """First row index >= start with a nonzero entry in column c."""
-    return next((i for i in range(start, len(rows)) if rows[i][c]), None)
+def rref(rows: list[list[CycScalar]], ctx: CycContext) -> tuple[list[list[CycScalar]], list[int]]:
+    """Reduced row echelon form (nonzero rows, pivot columns); ragged rows
+    raise ValueError."""
+    ncols = len(rows[0]) if rows else 0
+    red, pivots, _ = _gauss_jordan(rows, ncols, ctx)
+    return [[row.get(c, ctx.zero) for c in range(ncols)] for row in red], pivots
 
 
 def rank(rows: list[list[CycScalar]], ctx: CycContext) -> int:
@@ -47,38 +69,25 @@ def rank(rows: list[list[CycScalar]], ctx: CycContext) -> int:
 
 def kernel_basis(rows: list[list[CycScalar]], ncols: int, ctx: CycContext) -> list[list[CycScalar]]:
     """Canonical basis of the right kernel {v : A v = 0}, one vector per free
-    column, derived from the RREF."""
-    red, pivots = rref(rows, ctx)
+    column, derived from the RREF.  A row whose width is not ncols raises
+    ValueError."""
+    red, pivots, _ = _gauss_jordan(rows, ncols, ctx)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [ctx.zero] * ncols
         v[fc] = ctx.one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = -red[r].get(fc, ctx.zero)
         basis.append(v)
     return basis
 
 
 def determinant(mat: list[list[CycScalar]], ctx: CycContext) -> CycScalar:
-    """Exact determinant by Gaussian elimination with division."""
-    n = len(mat)
-    rows = [list(r) for r in mat]
-    det = ctx.one
-    for c in range(n):
-        pivot_row = _pivot(rows, c, c)
-        if pivot_row is None:
-            return ctx.zero
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inv()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+    """Exact determinant, read off the Gauss–Jordan pass: zero when some
+    column has no pivot.  A non-square matrix raises ValueError."""
+    _, pivots, det = _gauss_jordan(mat, len(mat), ctx)
+    return det if len(pivots) == len(mat) else ctx.zero
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +126,19 @@ class Mat:
             if k != k2:
                 raise ValueError(f"shape mismatch: {n}x{k} times {k2}x{m}")
             cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out.append(
-                    [_dot(self.ctx, row, col) for col in cols]
-                )
-            return Mat(self.ctx, out)
+            return Mat(self.ctx, [[_dot(self.ctx, row, col) for col in cols] for row in self.rows])
         return self.scale(other)
 
     def __add__(self, other: "Mat"):
-        return Mat(
-            self.ctx,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Mat"):
-        return Mat(
-            self.ctx,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op, other: "Mat") -> "Mat":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
+        return Mat(self.ctx, [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)])
 
     def scale(self, c) -> "Mat":
         if isinstance(c, int):
@@ -163,7 +166,7 @@ class Mat:
         return [x for row in self.rows for x in row]
 
     def det(self) -> CycScalar:
-        return determinant([list(r) for r in self.rows], self.ctx)
+        return determinant(self.rows, self.ctx)
 
     def is_invertible(self) -> bool:
         return bool(self.det())

@@ -172,15 +172,11 @@ def is_simple(params: RepParams) -> bool:
     ctx = rep.ctx
     gens = rep.xs + rep.zs
     basis_rows: list = []
-    matrices: list[Mat] = []
 
     def insert(mat: Mat) -> bool:
-        rows = basis_rows + [mat.flatten()]
-        red, _ = rref(rows, ctx)
+        red, _ = rref(basis_rows + [mat.flatten()], ctx)
         if len(red) > len(basis_rows):
-            basis_rows.clear()
-            basis_rows.extend(red)
-            matrices.append(mat)
+            basis_rows[:] = red
             return True
         return False
 

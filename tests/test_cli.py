@@ -103,6 +103,13 @@ def test_rep_check(capsys):
     assert report["data"]["simple"] is True
 
 
+def test_rep_check_simple_at_m7(capsys):
+    code, report = _run(capsys, ["rep-check", "3", "7", "1", "0"])
+    assert code == 0
+    assert report["ok"] is True
+    assert report["data"]["simple"] is True
+
+
 def test_inner_faithful(capsys):
     code, report = _run(capsys, ["inner-faithful", "2", "2", "1", "0", "--bruteforce"])
     assert code == 0

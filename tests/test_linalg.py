@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacpal import CycContext
 from kacpal.linalg import Mat, determinant, kernel_basis, rank, rref
@@ -9,6 +11,118 @@ from kacpal.linalg import Mat, determinant, kernel_basis, rank, rref
 
 def _rand_scalar(ctx, rng):
     return ctx.scalar(rng.randrange(-3, 4)) + ctx.p * ctx.scalar(rng.randrange(-1, 2))
+
+
+# -- independent slow path: dense elimination over every entry ---------------
+
+
+def _first_nonzero(rows, start, c):
+    return next((i for i in range(start, len(rows)) if rows[i][c]), None)
+
+
+def reference_rref(rows, ctx):
+    """Dense Gauss-Jordan: inverts at every pivot and updates every entry."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = _first_nonzero(rows, r, c)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def reference_determinant(mat, ctx):
+    """Dense forward elimination with division."""
+    n = len(mat)
+    rows = [list(r) for r in mat]
+    det = ctx.one
+    for c in range(n):
+        pivot_row = _first_nonzero(rows, c, c)
+        if pivot_row is None:
+            return ctx.zero
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = rows[c][c].inv()
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def _dot(ctx, u, v):
+    acc = ctx.zero
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A field n = 2..5 and a matrix up to 6x9 with sparse entries
+    k zeta^e / d, some rows zero, some duplicated, some scaled so their
+    leading entry is one."""
+    ctx = CycContext(draw(st.integers(2, 5)))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    entry = st.one_of(
+        st.just(ctx.zero),
+        st.builds(
+            lambda k, e, d: ctx.root(e) * ctx.scalar(k) * ctx.scalar(d).inv(),
+            st.integers(-3, 3), st.integers(0, ctx.N - 1), st.integers(1, 3),
+        ),
+    )
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "duplicate", "unit-lead"]))
+        if kind == "zero":
+            rows[i] = [ctx.zero] * ncols
+        elif kind == "duplicate":
+            rows[i] = list(rows[draw(st.integers(0, nrows - 1))])
+        elif kind == "unit-lead" and any(rows[i]):
+            inv = next(x for x in rows[i] if x).inv()
+            rows[i] = [x * inv for x in rows[i]]
+    return ctx, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_sparse_elimination_matches_dense_reference(case):
+    ctx, rows = case
+    ncols = len(rows[0])
+    red, pivots = rref(rows, ctx)
+    ref_red, ref_pivots = reference_rref(rows, ctx)
+    assert (red, pivots) == (ref_red, ref_pivots)
+    assert rank(rows, ctx) == len(ref_red)
+    kern = kernel_basis(rows, ncols, ctx)
+    ref_kern = []
+    for fc in (c for c in range(ncols) if c not in ref_pivots):
+        v = [ctx.zero] * ncols
+        v[fc] = ctx.one
+        for r, pc in enumerate(ref_pivots):
+            v[pc] = -ref_red[r][fc]
+        ref_kern.append(v)
+    assert kern == ref_kern
+    assert all(_dot(ctx, row, v) == ctx.zero for row in rows for v in kern)
+    k = min(len(rows), ncols)
+    square = [row[:k] for row in rows[:k]]
+    assert determinant(square, ctx) == reference_determinant(square, ctx)
 
 
 def test_rref_known_system():
@@ -53,10 +167,21 @@ def _det_by_permutation_expansion(mat, ctx):
 
 def test_determinant_against_permanent_expansion():
     rng = random.Random(13)
-    ctx = CycContext(2)
-    for _ in range(15):
-        mat = [[_rand_scalar(ctx, rng) for _ in range(3)] for _ in range(3)]
-        assert determinant(mat, ctx) == _det_by_permutation_expansion(mat, ctx)
+    for n in (2, 3, 4, 5):
+        ctx = CycContext(n)
+        for trial in range(15):
+            size = 3 + trial % 2
+            mat = [[_rand_scalar(ctx, rng) for _ in range(size)] for _ in range(size)]
+            if trial % 5 == 1:
+                mat[0][0] = ctx.zero  # the first column needs a row swap
+            elif trial % 5 == 2:
+                mat[0], mat[1] = [ctx.zero] + mat[0][1:], [ctx.zero] + mat[1][1:]
+            elif trial % 5 == 3:
+                mat[-1] = [a + ctx.p * b for a, b in zip(mat[0], mat[1])]  # singular
+            elif trial % 5 == 4:
+                mat[1] = [ctx.zero] * size  # singular
+            assert determinant(mat, ctx) == _det_by_permutation_expansion(mat, ctx)
+            assert Mat(ctx, mat).det() == determinant(mat, ctx)
 
 
 def test_mat_ops():
@@ -77,3 +202,23 @@ def test_negative_matrix_power_raises():
     assert a**0 == Mat.identity(ctx, 2)
     with pytest.raises(ValueError, match="negative power"):
         a ** -1
+
+
+def test_shape_mismatches_raise():
+    ctx = CycContext(2)
+    one, zero = ctx.one, ctx.zero
+    with pytest.raises(ValueError, match="width"):
+        rref([[one, zero], [one]], ctx)
+    with pytest.raises(ValueError, match="width"):
+        kernel_basis([[one, one, one]], 2, ctx)
+    with pytest.raises(ValueError, match="width"):
+        kernel_basis([[one]], 3, ctx)
+    with pytest.raises(ValueError, match="width"):
+        determinant([[one, one]], ctx)
+    with pytest.raises(ValueError, match="width"):
+        Mat(ctx, [[one, one]]).det()
+    a, b = Mat.identity(ctx, 2), Mat.identity(ctx, 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a + b
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a - b

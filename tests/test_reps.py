@@ -81,7 +81,7 @@ def test_mutated_block_fails_z_square():
     assert "z-square" in failed
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (3, 5)])
 def test_simplicity_iff_a_neq_b(n, m):
     for a in range(n):
         for b in range(n):
