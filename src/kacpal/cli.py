@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import product as iproduct
@@ -84,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Kac-Paljutkin Hopf algebras H_{n,m} and their actions.",
     )
     parser.add_argument("--out", help="write the JSON report to this path")
-    parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, positionals: str = "nm"):
@@ -312,31 +312,26 @@ def _run_export(args, report):
     guard_basis_pairs("export", args.n, args.m)
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
-    basis = hopf.basis_keys()
-
-    def export_key(key):
-        return dict(key_json(key), word=list(canonical_word(key[1])))
-
-    report["data"]["dim"] = hopf.dim
-    report["data"]["basis"] = [export_key(k) for k in basis]
-    report["data"]["mul"] = [
-        {
-            "left": export_key(ka),
-            "right": export_key(kb),
-            "result": hopf.hmul(hopf.basis_elem(*ka), hopf.basis_elem(*kb)).to_json(),
-        }
-        for ka in basis
-        for kb in basis
+    # each basis element and its label are built once and shared by every
+    # row that names them; the report writer renders a shared label once
+    basis = [
+        (hopf.basis_elem(*key), dict(key_json(key), word=list(canonical_word(key[1]))))
+        for key in hopf.basis_keys()
+    ]
+    data = report["data"]
+    data["dim"] = hopf.dim
+    data["basis"] = [label for _, label in basis]
+    data["mul"] = [
+        {"left": left, "right": right, "result": hopf.hmul(a, b).to_json()}
+        for a, left in basis
+        for b, right in basis
     ]
     for name, op in (
         ("coproduct", hopf.coproduct),
         ("counit", hopf.counit),
         ("antipode", hopf.antipode),
     ):
-        report["data"][name] = [
-            {"element": export_key(k), "result": op(hopf.basis_elem(*k)).to_json()}
-            for k in basis
-        ]
+        data[name] = [{"element": label, "result": op(a).to_json()} for a, label in basis]
 
 
 def _run_embed_check(args, report):
@@ -364,33 +359,173 @@ def main(argv=None) -> int:
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k not in ("command", "out", "format")
+        if k not in ("command", "out")
     }
+    # open --out before the run, so that a bad path costs no computation
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"kacpal: error: cannot write the report to {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    try:
+        code, report = _run(args, config)
+        _emit(report, out)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return code
+
+
+def _run(args, config) -> tuple[int, dict]:
+    """The exit code and report of one command."""
     report = _report_shell(args.command, config)
     start = time.monotonic()
     try:
         _RUNNERS[args.command](args, report)
     except SizeGuardError as exc:
         report["error"] = {"type": "size-guard", "message": str(exc)}
-        _emit(report, args)
-        return 3
+        return 3, report
     except NotInvertibleError as exc:
         report["error"] = {"type": "not-invertible", "message": str(exc)}
-        _emit(report, args)
-        return 1
+        return 1, report
     report["ok"] = not any(c["status"] == "fail" for c in report["checks"])
     report.setdefault("timings", {})["total_seconds"] = round(time.monotonic() - start, 6)
-    _emit(report, args)
-    return 0 if report["ok"] else 1
+    return (0 if report["ok"] else 1), report
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(report: dict, out) -> None:
+    """Write the report and a newline.  A reader that closes stdout early
+    (``kacpal export 2 3 | head``) ends the output quietly."""
+    text = report_text(report)
+    try:
+        out.write(text)
+        out.write("\n")
+        out.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps
+        # that flush from raising (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+
+
+# -- the report writer ---------------------------------------------------------
+
+_JSON_STR = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar_text(o) -> str | None:
+    """JSON text of a str, None, bool, int or float, in the order and form
+    of ``json.dumps``; None for anything else."""
+    if isinstance(o, str):
+        return _JSON_STR(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def report_text(report) -> str:
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes
+    it, byte for byte.  With ``indent`` set, ``json.dumps`` runs the
+    pure-Python encoder, which took over half of ``export 2 3``.
+
+    Two memos last for one call.  A list of plain ints and strings (a
+    coefficient, an exponent vector, a word) is rendered once per values
+    and depth; testing ``type(x) is int`` keeps True, 1 and 1.0, which hash
+    equal, out of one key.  A flat dict (every value a scalar or such a
+    list) is rendered once per object and depth, so a label dict that
+    ``export`` shares across rows is rendered once; ids stay valid because
+    the report holds every object for the whole call.  Other containers are
+    rendered each time they are reached: most are reached once, and storing
+    their text would hold the report's text twice."""
+    chunks: list[str] = []
+    emit = chunks.append
+    leaf_lists: dict = {}
+    flat_dicts: dict = {}
+
+    def write(o, depth: int) -> bool:
+        """Append the text of o; true when o is a scalar or a leaf list."""
+        if isinstance(o, (list, tuple)):
+            return write_list(o, depth)
+        if isinstance(o, dict):
+            write_dict(o, depth)
+            return False
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        emit(text)
+        return True
+
+    def write_list(o, depth: int) -> bool:
+        if not o:
+            emit("[]")
+            return True
+        pad = "\n" + "  " * (depth + 1)
+        if all(type(x) is int or type(x) is str for x in o):
+            key = (tuple(o), depth)
+            text = leaf_lists.get(key)
+            if text is None:
+                items = [_JSON_STR(x) if type(x) is str else int.__repr__(x) for x in o]
+                text = leaf_lists[key] = f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
+            emit(text)
+            return True
+        sep = "[" + pad
+        for x in o:
+            emit(sep)
+            write(x, depth + 1)
+            sep = "," + pad
+        emit(f"\n{'  ' * depth}]")
+        return False
+
+    def write_dict(o, depth: int) -> None:
+        memo_key = (id(o), depth)
+        text = flat_dicts.get(memo_key)
+        if text is not None:
+            emit(text)
+            return
+        if not o:
+            emit("{}")
+            return
+        start = len(chunks)
+        flat = True
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" + pad
+        for key, value in sorted(o.items()):
+            if isinstance(key, str):
+                key = _JSON_STR(key)
+            else:
+                text = _scalar_text(key)
+                if text is None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = f'"{text}"'
+            emit(f"{sep}{key}: ")
+            flat = write(value, depth + 1) and flat
+            sep = "," + pad
+        emit(f"\n{'  ' * depth}}}")
+        if flat:
+            text = flat_dicts[memo_key] = "".join(chunks[start:])
+            del chunks[start:]
+            emit(text)
+
+    write(report, 0)
+    return "".join(chunks)
 
 
 def entry() -> None:

@@ -310,7 +310,13 @@ class CycScalar:
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     def to_json(self) -> list[str]:
-        return [f"{f.numerator}/{f.denominator}" for f in self.to_fractions()]
+        """Each coefficient as a reduced "p/q" with q > 0, as Fraction writes it."""
+        den = self.den
+        out = []
+        for c in self.nums:
+            g = gcd(c, den)  # gcd(0, den) = den writes zero as "0/1"
+            out.append(f"{c // g}/{den // g}")
+        return out
 
     def __repr__(self):
         parts = []

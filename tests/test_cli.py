@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kacpal
 from kacpal.cli import main
 
 
@@ -195,6 +200,7 @@ USAGE_ERRORS = [
     "twist-check 2 --search -3",
     "twist-check 2 --max-m -1",
     "twist-check 2 --max-m 1",
+    "--format json verify 2 2",
 ]
 
 
@@ -275,6 +281,60 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(path.read_text())
     assert report["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "verify 2 2 --scope sampled:50 --seed 9",
+    "twist-check 2 --search 10 --seed 3",
+    "gamma-table 2 3",
+    "rep-check 2 2 1 0",
+    "inner-faithful 2 2 1 1 --bruteforce",
+    "invariants 2 2 1 0 --degree 4",
+    "module-algebra-check 2 2 1 0 --degree 3",
+    "export 2 2",
+    "embed-check 2 2",
+    "export 3 4",
+])
+def test_report_is_json_dumps_text(tmp_path, argv):
+    """Every report is byte for byte json.dumps(indent=2, sort_keys=True)."""
+    path = tmp_path / "report.json"
+    main(["--out", str(path)] + argv.split())
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import kacpal.cli
+
+    def must_not_run(args, report):
+        raise AssertionError("the command ran although --out cannot be written")
+
+    monkeypatch.setitem(kacpal.cli._RUNNERS, "verify", must_not_run)
+    path = tmp_path / "missing" / "report.json"
+    assert main(["--out", str(path), "verify", "2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kacpal: error: "), captured.err
+    assert str(path) in lines[0]
+
+
+@pytest.mark.parametrize("argv, code", [("export 2 2", 0), ("export 3 4", 3)])
+def test_closed_stdout_ends_quietly(argv, code):
+    """A reader that closes the pipe early (``kacpal export 2 2 | head -c 0``)
+    gets no traceback, and the run keeps its exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(kacpal.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kacpal.cli"] + argv.split(),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == code
 
 
 def test_no_assert_statements_in_library():

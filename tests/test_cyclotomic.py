@@ -148,6 +148,25 @@ def test_serialization():
     assert ctx.to_json() == {"n": 2, "N": 4, "degree": 2}
 
 
+def reference_to_json(a):
+    return [f"{f.numerator}/{f.denominator}" for f in a.to_fractions()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(-60, 60), min_size=4, max_size=4),
+       st.integers(-36, 36).filter(bool))
+def test_to_json_matches_fraction_reference(n, nums, den):
+    ctx = CycContext(n)
+    a = CycScalar(ctx, tuple(nums[: ctx.degree]), den)
+    values = [a, -a, ctx.zero, a * ctx.p - 3]
+    values += [v.inv() for v in values if not v.is_zero()]
+    for v in values:
+        assert v.to_json() == reference_to_json(v), v
+    # a non-trivial denominator from an inverse
+    inv = (ctx.p + 2).inv()
+    assert inv.den > 1 and inv.to_json() == reference_to_json(inv)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_from_cyclic_reads_vector_at_zeta(n):
     ctx = CycContext(n)
