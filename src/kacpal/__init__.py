@@ -35,7 +35,6 @@ from .hopf import HopfAlgebra, HopfElem, HTensor, embedding_check, embedding_map
 from .reps import (
     Rep,
     RepParams,
-    build_rep,
     det_M,
     inner_faithful_bruteforce,
     inner_faithful_criterion,
@@ -86,7 +85,6 @@ __all__ = [
     "embedding_map",
     "Rep",
     "RepParams",
-    "build_rep",
     "verify_rep",
     "is_simple",
     "modules_isomorphic",

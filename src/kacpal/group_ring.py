@@ -276,17 +276,6 @@ class KTensor(SparseElem):
         ]
 
 
-def tensor_from_pair(a: RingElem, b: RingElem) -> KTensor:
-    """a (x) b as an arity-2 tensor."""
-    if a.ring != b.ring:
-        raise ContextMismatchError("tensor product across contexts")
-    out = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out[(ka, kb)] = ca * cb
-    return KTensor(a.ring, 2, out)
-
-
 # ---------------------------------------------------------------------------
 # the canonical twist of B = K[Z_n] and its derived elements
 
@@ -469,11 +458,3 @@ def check_tensor_invertible(J: KTensor) -> None:
     """Raise NotInvertibleError unless J is a unit: compute the character
     values without reconstructing the inverse."""
     _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)
-
-
-def tensor_is_invertible(J: KTensor) -> bool:
-    try:
-        check_tensor_invertible(J)
-        return True
-    except NotInvertibleError:
-        return False

@@ -295,7 +295,8 @@ class HopfAlgebra:
 
         scope "all": associativity over all basis triples and
         Delta-multiplicativity over all basis pairs; "sampled": seeded samples
-        of the given size instead.  Coassociativity, counit, antipode and
+        of the given size instead; any other scope, or a sample_size below 1,
+        raises ValueError.  Coassociativity, counit, antipode and
         S^2 = id always run over every basis element, and the integral check
         multiplies each one by a |B|-term integral, so every scope refuses
         dim > ALL_PAIRS_GUARD, and a comultiplicativity verdict cost over
@@ -346,6 +347,8 @@ class HopfAlgebra:
         keys.  At scope "all" a failing P1 sends comultiplicativity to the
         literal predicate over the basis pairs in order; scope "sampled"
         does not check P1 and assumes it."""
+        if scope not in ("all", "auto", "sampled") or sample_size < 1:
+            raise ValueError(f"unknown scope {scope!r} or sample_size {sample_size} < 1")
         if self.dim > ALL_PAIRS_GUARD:
             raise SizeGuardError(
                 f"axiom verification refused for dim {self.dim} > {ALL_PAIRS_GUARD}"
@@ -511,12 +514,12 @@ class HopfAlgebra:
 
         # theta^k = (prod_{i<k} gamma(s^i, s)) # (s^k)-bar
         expected = [None]
-        coeff = self.ring.one
+        t = self.ring.one
         sk = Perm.identity(self.m)
         for _ in range(self.m):
-            coeff = coeff * self.words.cocycle(sk, s)
+            t = t * self.words.cocycle(sk, s)
             sk = sk * s
-            expected.append(HopfElem(self, {(key, sk): c for key, c in coeff.terms.items()}))
+            expected.append(HopfElem(self, {(key, sk): c for key, c in t.terms.items()}))
         report.check(
             "theta-powers",
             "theta^k = prod gamma(s^i, s) (s^k)-bar",
@@ -525,11 +528,7 @@ class HopfAlgebra:
             lambda k: {"k": k},
         )
 
-        t = self.ring.one
-        sk = s
-        for _ in range(1, self.m):
-            t = t * self.words.cocycle(sk, s)
-            sk = sk * s
+        # s^m = id, so t = prod_{i<m} gamma(s^i, s), the last coefficient above
         ok = powers[self.m] == self.from_ring(t)
         report.add("theta-order", "theta^m = t in R", ok, None if ok else {"t": t.to_json()})
 
@@ -580,21 +579,9 @@ class HopfAlgebra:
             lambda i: {"i": i},
         )
 
-        dim = self.m * self.n**self.m
         report.add("subalgebra-dimension", "dim H' = m n^m", len(s_powers) == self.m, None)
-        basis_labels = [
-            (exps, u) for exps in self.ring.exponent_vectors() for u in labels
-        ]
         return CyclicSubalgebra(
-            algebra=self,
-            s=s,
-            theta=theta,
-            t=t,
-            t_inverse=t_inv,
-            antipode_theta=self.antipode(theta),
-            basis_labels=basis_labels,
-            dim=dim,
-            report=report,
+            s=s, theta=theta, t=t, t_inverse=t_inv, dim=self.m * self.n**self.m, report=report
         )
 
     def __eq__(self, other):
@@ -734,13 +721,10 @@ class CyclicSubalgebra:
     """H' = R #_gamma <s> for the m-cycle s; theta generates it over R.
     Basis {x^alpha theta^k, 0 <= k < m} labeled by (exponents, s^k)."""
 
-    algebra: HopfAlgebra
     s: Perm
     theta: HopfElem
     t: RingElem
     t_inverse: RingElem | None
-    antipode_theta: HopfElem
-    basis_labels: list
     dim: int
     report: "AxiomReport"
 
@@ -804,10 +788,13 @@ def embedding_map(h: HopfElem, target: HopfAlgebra) -> HopfElem:
     src = h.algebra
     if target.n != src.n or target.m != src.m + 1:
         raise ContextMismatchError("target must be H_{n,m+1}")
-    out = {}
-    for (e, w), c in h.terms.items():
-        out[(e + (0,), Perm(w.images + (src.m,)))] = c
-    return HopfElem(target, out)
+    return HopfElem(target, {_embed_key(k, src.m): c for k, c in h.terms.items()})
+
+
+def _embed_key(key, m: int) -> tuple:
+    """The key of phi(x^e w-bar) in H_{n,m+1} for the key (e, w) of H_{n,m}."""
+    e, w = key
+    return e + (0,), Perm(w.images + (m,))
 
 
 def guard_basis_pairs(what: str, n: int, m: int) -> None:
@@ -838,11 +825,10 @@ def embedding_check(n: int, m: int) -> AxiomReport:
 
     def coproduct_fails(key):
         h = small.basis_elem(*key)
-        lhs: dict = {}
-        for (k1, k2), c in small.coproduct(h).terms.items():
-            e1 = phi(small.basis_elem(*k1))
-            e2 = phi(small.basis_elem(*k2))
-            accumulate(lhs, (next(iter(e1.terms)), next(iter(e2.terms))), c)
+        lhs = {
+            (_embed_key(k1, m), _embed_key(k2, m)): c
+            for (k1, k2), c in small.coproduct(h).terms.items()
+        }
         return HTensor(big, lhs) != big.coproduct(phi(h))
 
     def counit_fails(key):

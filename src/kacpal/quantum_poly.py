@@ -584,8 +584,5 @@ class QpaElem(SparseElem):
                 accumulate(out, exps, ca * cb * alg._swap_factor(ea, eb))
         return QpaElem(alg, out)
 
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
     def _monomial_repr(self, key) -> str:
         return "*".join(power_product("u", key)) or "1"

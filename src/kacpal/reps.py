@@ -20,6 +20,10 @@ from .linalg import Mat, kernel_basis, rref
 from .symmetric import Perm, canonical_word
 
 SUBGROUP_GUARD = 4096
+# bounds the kernel K of inner_faithful_bruteforce: on a 2-core host with
+# Python 3.11 the slowest |K| <= 63 found (Z_6 x Z_2^3, inner-faithful 6 4 0 2)
+# takes 7 s; |K| = 64 takes 11 s for Z_4^3 and longer for Z_2^6
+KERNEL_GUARD = 63
 
 
 @dataclass
@@ -64,10 +68,6 @@ class Rep:
             rows[k][k - 1] = q_ab
             self.zs.append(Mat(ctx, rows))
 
-    @property
-    def dim(self) -> int:
-        return self.params.m
-
     def x(self, i: int) -> Mat:
         return self.xs[i - 1]
 
@@ -105,10 +105,6 @@ class Rep:
             for t in range(n):
                 acc = acc + (xk_pows[s] * xk1_pows[t]).scale(ctx.q_pow(-s * t))
         return acc.scale(ctx.scalar(Fraction(1, n)))
-
-
-def build_rep(params: RepParams) -> Rep:
-    return Rep(params)
 
 
 def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
@@ -242,36 +238,11 @@ def modules_isomorphic(p1: RepParams, p2: RepParams) -> bool:
 # inner-faithfulness over R
 
 
-def int_matrix_M(m: int, a: int, b: int) -> list[list[int]]:
-    """a on the diagonal, b elsewhere."""
-    return [[a if i == j else b for j in range(m)] for i in range(m)]
-
-
 def det_M(m: int, a: int, b: int) -> int:
-    """Integer determinant of M_{m,a,b} by fraction-free elimination."""
-    mat = [row[:] for row in int_matrix_M(m, a, b)]
-    return _int_det(mat)
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    # Bareiss fraction-free Gaussian elimination
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
+    """Integer determinant of M_{m,a,b}, a on the diagonal and b elsewhere.
+    M = (a - b) I + b 11^T has the eigenvalue a + (m - 1) b on the all-ones
+    vector and a - b, m - 1 times, on its complement."""
+    return (a - b) ** (m - 1) * (a + (m - 1) * b)
 
 
 def inner_faithful_criterion(params: RepParams) -> bool:
@@ -279,11 +250,21 @@ def inner_faithful_criterion(params: RepParams) -> bool:
     return gcd(det_M(params.m, params.a, params.b), params.n) == 1
 
 
-def subgroups_of_znm(n: int, m: int) -> list[frozenset]:
-    """All subgroups of Z_n^m, by closing generated subsets incrementally."""
+def _elements_of_znm(n: int, m: int) -> list[tuple]:
+    """Z_n^m as exponent tuples; refuses n^m > SUBGROUP_GUARD."""
     if n**m > SUBGROUP_GUARD:
         raise SizeGuardError(f"subgroup enumeration refused for n^m = {n**m} > {SUBGROUP_GUARD}")
-    elems = [tuple(v) for v in iproduct(range(n), repeat=m)]
+    return list(iproduct(range(n), repeat=m))
+
+
+def subgroups_of_znm(n: int, m: int) -> list[frozenset]:
+    """All subgroups of Z_n^m."""
+    return _subgroups_within(_elements_of_znm(n, m), n, m)
+
+
+def _subgroups_within(elems: list, n: int, m: int) -> list[frozenset]:
+    """All subgroups of Z_n^m generated by elements of elems, by closing
+    generated subsets incrementally; sorted by size, then elements."""
 
     def close(gens) -> frozenset:
         seen = {(0,) * m} | set(gens)
@@ -316,14 +297,19 @@ def subgroups_of_znm(n: int, m: int) -> list[frozenset]:
 
 
 def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[list[int]]]]:
-    """Enumerate all subgroups N of Z_n^m; V_{a,b} is inner-faithful over R
-    iff the only N whose every element acts as the identity matrix is the
-    trivial one.  Returns (verdict, annihilating subgroups as element lists)."""
+    """V_{a,b} is inner-faithful over R iff the only subgroup of Z_n^m that
+    acts as the identity is the trivial one.  rho is multiplicative on the
+    group-likes, so the alpha with rho(x^alpha) = I form a subgroup K, whose
+    subgroups are the annihilating ones.  Returns (verdict, annihilating
+    subgroups as element lists); refuses n^m > SUBGROUP_GUARD, |K| > KERNEL_GUARD."""
+    n, m = params.n, params.m
     rep = Rep(params)
-    ident = Mat.identity(rep.ctx, params.m)
-    annihilating = []
-    for H in subgroups_of_znm(params.n, params.m):
-        if all(rep.rho_ring_monomial(alpha) == ident for alpha in H):
-            annihilating.append(sorted(H))
+    ident = Mat.identity(rep.ctx, m)
+    kernel = [a for a in _elements_of_znm(n, m) if rep.rho_ring_monomial(a) == ident]
+    if len(kernel) > KERNEL_GUARD:
+        raise SizeGuardError(
+            f"subgroup enumeration refused for |K| = {len(kernel)} > {KERNEL_GUARD}"
+        )
+    annihilating = _subgroups_within(kernel, n, m)
     verdict = len(annihilating) == 1  # only the trivial subgroup
-    return verdict, [[list(v) for v in H] for H in annihilating]
+    return verdict, [[list(v) for v in sorted(H)] for H in annihilating]

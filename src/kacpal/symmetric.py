@@ -70,13 +70,6 @@ class Perm:
             1 for i in range(len(img)) for j in range(i + 1, len(img)) if img[i] > img[j]
         )
 
-    def order(self) -> int:
-        k, p = 1, self
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
-
     def one_line(self) -> tuple[int, ...]:
         return tuple(v + 1 for v in self.images)
 

@@ -8,11 +8,11 @@ from kacpal import (
     HopfAlgebra,
     Perm,
     QuantumPolyAlgebra,
+    Rep,
     RepParams,
     WordCalculus,
     all_perms,
     antipode_conditions,
-    build_rep,
     canonical_twist,
     embedded_twist,
     embedding_check,
@@ -167,7 +167,7 @@ def test_criterion_08_representations():
                 params = RepParams(n, m, a, b)
                 report = verify_rep(params)
                 assert report.ok, (n, m, a, b)
-                rep = build_rep(params)
+                rep = Rep(params)
                 for k in range(1, m):
                     assert rep.z(k) ** 2 == rep.rho_t(k)
             for a in range(n):

@@ -125,6 +125,10 @@ def test_inner_faithful(capsys):
     assert report["data"]["criterion"] is False
     assert report["data"]["bruteforce"] is False
     assert report["data"]["det_M"] == 0
+    # the oracle enumerates the subgroups of the kernel K, not of Z_2^6
+    code, report = _run(capsys, ["inner-faithful", "2", "6", "1", "0", "--bruteforce"])
+    assert code == 0
+    assert report["data"]["bruteforce"] is True
 
 
 def test_invariants(capsys):
@@ -236,6 +240,8 @@ def test_size_guard_exit_3(capsys):
         "embed-check 3 4",
         "embed-check 5 3",
         "embed-check 2 6",
+        # a = b = 0 makes the kernel K all of Z_2^6: |K| = 64
+        "inner-faithful 2 6 0 0 --bruteforce",
     ):
         code, report = _run(capsys, argv.split())
         assert code == 3, argv

@@ -29,7 +29,6 @@ from kacpal.group_ring import (
     check_tensor_invertible,
     delta_ring,
     eps_ring,
-    tensor_from_pair,
 )
 
 
@@ -176,7 +175,8 @@ def test_twist_js_inverse_via_antipode_leg():
 def test_coalgebra_ops():
     R = GroupAlgebra(3, 2)
     x1x2 = R.gen(1) * R.gen(2)
-    assert delta_ring(x1x2) == tensor_from_pair(x1x2, x1x2)
+    leg = KTensor(R, 1, {(k,): c for k, c in x1x2.terms.items()})
+    assert delta_ring(x1x2) == leg.tensor(leg)
     # eps(e_k) = (1/n) sum_i q^{-ik}: geometric sum, 1 iff k = 0
     B = GroupAlgebra(3, 1)
     for k in range(3):

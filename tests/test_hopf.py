@@ -17,7 +17,7 @@ from kacpal import (
     twist_Js,
 )
 from kacpal.errors import ContextMismatchError
-from kacpal.group_ring import eps_ring
+from kacpal.group_ring import check_tensor_invertible, eps_ring
 from kacpal.hopf import HTensor, key_json
 from kacpal.quantum_poly import QuantumPolyAlgebra
 
@@ -101,10 +101,7 @@ def test_j_of_word():
     for w in all_perms(3):
         J = H.j_of_word(w)
         assert eps_ring(J.multiply_legs()) == H.cyc.one
-        # J(w) is invertible
-        from kacpal.group_ring import tensor_is_invertible
-
-        assert tensor_is_invertible(J)
+        check_tensor_invertible(J)  # raises unless J(w) is invertible
 
 
 def test_ring_embeds_in_h():
@@ -457,3 +454,10 @@ def test_hopf_elem_json():
         {"exponents": [0, 0], "perm": [2, 1], "word": [1], "coeff": ["1/1", "0/1"]},
         {"exponents": [1, 0], "perm": [1, 2], "word": [], "coeff": ["1/1", "0/1"]},
     ]
+
+
+def test_verify_axioms_rejects_unknown_scope_and_empty_sample():
+    H = HopfAlgebra(2, 2)
+    for scope, size in (("bogus", 5), ("sampled", 0), ("all", 0)):
+        with pytest.raises(ValueError, match="scope"):
+            H.verify_axioms(scope=scope, sample_size=size)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from kacpal import (
     HopfAlgebra,
     QuantumPolyAlgebra,
+    Rep,
     RepParams,
-    build_rep,
     monomials_of_degree,
 )
 from kacpal.quantum_poly import QpaElem
@@ -345,7 +345,7 @@ def test_unit_element_acts_as_identity():
 def test_degree_one_matrices_match_rep(n, m, a, b):
     qpa = _qpa(n, m, a, b)
     H = qpa.hopf
-    rep = build_rep(RepParams(n, m, a, b))
+    rep = Rep(RepParams(n, m, a, b))
     for i in range(1, m + 1):
         assert qpa.action_matrix(H.x(i), 1) == rep.x(i)
     for k in range(1, m):

@@ -6,7 +6,6 @@ from kacpal import (
     HopfAlgebra,
     Rep,
     RepParams,
-    build_rep,
     det_M,
     inner_faithful_bruteforce,
     inner_faithful_criterion,
@@ -16,12 +15,13 @@ from kacpal import (
     t_of,
     verify_rep,
 )
+from kacpal.cyclotomic import CycContext
 from kacpal.errors import SizeGuardError
-from kacpal.linalg import Mat
+from kacpal.linalg import Mat, determinant
 
 
 def test_matrices_n2_m2():
-    rep = build_rep(RepParams(2, 2, 1, 0))
+    rep = Rep(RepParams(2, 2, 1, 0))
     ctx = rep.ctx
     assert rep.x(1) == Mat(ctx, [[ctx.scalar(-1), ctx.zero], [ctx.zero, ctx.one]])
     assert rep.x(2) == Mat(ctx, [[ctx.one, ctx.zero], [ctx.zero, ctx.scalar(-1)]])
@@ -31,7 +31,7 @@ def test_matrices_n2_m2():
 def test_braid_product_block_value():
     # Z_k Z_{k+1} Z_k = p^{b^2} [[0,0,1],[0,q^{ab},0],[q^{2ab},0,0]] on the block
     for n, a, b in [(3, 1, 0), (3, 2, 1), (2, 1, 1)]:
-        rep = build_rep(RepParams(n, 3, a, b))
+        rep = Rep(RepParams(n, 3, a, b))
         ctx = rep.ctx
         prod = rep.z(1) * rep.z(2) * rep.z(1)
         p_b2 = ctx.p_pow(b * b)
@@ -49,7 +49,7 @@ def test_braid_product_block_value():
 
 
 def test_z_square_diagonal_structure():
-    rep = build_rep(RepParams(3, 3, 2, 1))
+    rep = Rep(RepParams(3, 3, 2, 1))
     ctx = rep.ctx
     zsq = rep.z(1) ** 2
     assert zsq[0, 0] == ctx.q_pow(2)  # q^{ab} on the block rows
@@ -70,7 +70,7 @@ def test_verify_rep_instances(n, m):
 
 def test_mutated_block_fails_z_square():
     params = RepParams(3, 3, 1, 0)
-    rep = build_rep(params)
+    rep = Rep(params)
     ctx = rep.ctx
     rows = [list(r) for r in rep.z(1).rows]
     rows[1][0] = rows[1][0] * ctx.q  # q^{ab} -> q^{ab+1}
@@ -120,6 +120,15 @@ def test_det_m_formulas():
             assert det_M(3, a, b) == a**3 + 2 * b**3 - 3 * a * b * b
 
 
+def test_det_m_matches_linalg_determinant():
+    ctx = CycContext(2)
+    for m in range(2, 7):
+        for a in range(-3, 6):
+            for b in range(-3, 6):
+                mat = [[ctx.scalar(a if i == j else b) for j in range(m)] for i in range(m)]
+                assert ctx.scalar(det_M(m, a, b)) == determinant(mat, ctx), (m, a, b)
+
+
 def test_criterion_examples():
     for n in (2, 3, 4, 5):
         for m in (2, 3):
@@ -141,6 +150,24 @@ def test_bruteforce_examples():
     ok, ann = inner_faithful_bruteforce(RepParams(2, 2, 1, 1))
     assert not ok
     assert [[0, 0], [1, 1]] in ann  # the diagonal subgroup acts trivially
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)])
+def test_bruteforce_matches_full_subgroup_lattice(n, m):
+    """The subgroups of the kernel K are the annihilating subgroups that a
+    filter over every subgroup of Z_n^m finds."""
+    lattice = subgroups_of_znm(n, m)
+    for a in range(n):
+        for b in range(n):
+            rep = Rep(RepParams(n, m, a, b))
+            ident = Mat.identity(rep.ctx, m)
+            annihilating = [
+                [list(v) for v in sorted(H)]
+                for H in lattice
+                if all(rep.rho_ring_monomial(alpha) == ident for alpha in H)
+            ]
+            expected = (len(annihilating) == 1, annihilating)
+            assert inner_faithful_bruteforce(RepParams(n, m, a, b)) == expected, (a, b)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,11 +9,13 @@ from kacpal import (
     antipode_conditions,
     canonical_twist,
     embedded_twist,
+    idempotent,
     is_strong_twist,
     is_superstrong,
     is_twist,
 )
 from kacpal.errors import NotInvertibleError
+from kacpal.sparse import accumulate
 from kacpal.twists import search_central_converse, unit_tensor
 
 
@@ -130,3 +133,50 @@ def test_converse_search_reports_no_resolution():
     assert out["resolved"] is False
     assert out["samples"] == 30
     assert out["separating_candidates"] == []
+
+
+def test_converse_search_classifies_with_the_predicates():
+    out = search_central_converse(2, 2000, seed=3)
+    separating = out["separating_candidates"]
+    assert len(separating) == 14
+    classified = out["twist_and_strong"] + out["strong_only"] + out["neither"]
+    assert out["invertible"] == len(separating) + classified
+    B = GroupAlgebra(2, 1)
+    for candidate in separating:
+        # the sampled coefficients are integers, written as ["c/1", "0/1"]
+        terms = {}
+        for term in candidate:
+            key = tuple(tuple(leg) for leg in term["exponents"])
+            terms[key] = B.cyc.scalar(Fraction(term["coeff"][0]))
+        J = KTensor(B, 2, terms)
+        assert is_twist(J).ok
+        assert not is_strong_twist(J).ok
+
+
+def _from_characters(B, v):
+    """J = sum_{k,l} v(k, l) e_k (x) e_l: the element of B (x) B whose value
+    at the pair of characters (x -> q^k, x -> q^l) is v(k, l)."""
+    terms: dict = {}
+    for k in range(B.n):
+        for l in range(B.n):
+            for (i,), ci in idempotent(B, k).terms.items():
+                for (j,), cj in idempotent(B, l).terms.items():
+                    accumulate(terms, ((i,), (j,)), v(k, l) * ci * cj)
+    return KTensor(B, 2, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_strong_twists_are_the_bicharacters(n):
+    """Strong <=> J is a bicharacter of the dual group, and a coboundary
+    f(k) f(l) / f(k + l) is a twist that need not be strong."""
+    B = GroupAlgebra(n, 1)
+    for c in range(n):
+        J = _from_characters(B, lambda k, l: B.cyc.q_pow(c * k * l))
+        assert is_twist(J).ok, c
+        assert is_strong_twist(J).ok, c
+    f = [B.cyc.scalar(1)] + [B.cyc.scalar(i + 2) for i in range(1, n)]
+    J = _from_characters(B, lambda k, l: f[k] * f[l] / f[(k + l) % n])
+    assert is_twist(J).ok
+    assert not is_strong_twist(J).ok
+    assert not is_superstrong(J).ok
+    assert not antipode_conditions(J).ok
