@@ -24,7 +24,9 @@ with T_delta shifting every exponent by delta.  Exhaustive verification
 checks this law through hmul and uses it to prove associativity over all
 |B|^3 basis triples from |B|^2 products and the (m!)^3 permutation triples,
 and comultiplicativity over all |B|^2 basis pairs from one verdict per
-permutation pair through hmul and coproduct.  Where the law fails, the
+permutation pair, read from exponent tables of J(w) and gamma(w, v) at
+characters.  With the matching laws for coproduct and antipode, the other
+per-basis checks run on the m! permutation labels.  Where a law fails, the
 literal sweep names the witness (see verify_axioms).
 """
 
@@ -44,6 +46,7 @@ from .group_ring import (
     GroupAlgebra,
     KTensor,
     RingElem,
+    _character_values,
     ring_inverse,
     slot_vector,
     twist_Js,
@@ -80,6 +83,8 @@ class HopfAlgebra:
         self._sproduct: dict[tuple[Perm, Perm], tuple[Perm, list]] = {}
         self._antipode_word: dict[Perm, "HopfElem"] = {}
         self._antipode_basis: dict = {}
+        # P1 of verify_axioms, once a scope "all" run has checked it
+        self._translates: bool | None = None
 
     # -- element constructors --------------------------------------------------
 
@@ -218,6 +223,15 @@ class HopfAlgebra:
         )
 
     def verify_integral(self) -> "AxiomReport":
+        """Check eps(Lambda) = m! and h Lambda = Lambda = Lambda h on the basis.
+
+        Once verify_axioms(scope="all") has found P1, invariance is checked
+        on the m! labels w-bar only.  For h = x^alpha w-bar, P1 and the
+        bilinearity of hmul give h Lambda = n^-m sum_{beta,v}
+        T_{alpha + w.beta}(w-bar v-bar), and alpha + w.beta runs over Z_n^m
+        as beta does, so h Lambda = w-bar Lambda; likewise Lambda h = n^-m
+        sum T_{beta + v.alpha}(v-bar w-bar) = Lambda w-bar.  Without a P1
+        verdict, or if a label fails, every basis element is swept."""
         report = AxiomReport(instance=f"H({self.n},{self.m})")
         lam = self.integral()
         eps_lam = self.counit(lam)
@@ -231,11 +245,21 @@ class HopfAlgebra:
         report.check(
             "integral-invariance",
             "h Lambda = eps(h) Lambda = Lambda h",
-            self.basis_keys(),
+            self._sweep_cases(bool(self._translates), invariance_fails),
             invariance_fails,
             _basis_witness,
         )
         return report
+
+    def _sweep_cases(self, reduced: bool, fails) -> list:
+        """The basis keys a per-basis check sweeps: none when reduced is set
+        and fails is false on every label (0, w), whose verdicts then decide
+        every basis element; otherwise all of them in order, so a failure
+        names the literal sweep's first witness."""
+        zero = self.ring.zero_exp
+        if reduced and not any(fails((zero, w)) for w in self.perms):
+            return []
+        return self.basis_keys()
 
     # -- axiom verification --------------------------------------------------------
 
@@ -277,6 +301,84 @@ class HopfAlgebra:
             for w, v, u in iproduct(perms, repeat=3)
         )
 
+    def _coproduct_translates(self) -> bool:
+        """D1 of verify_axioms, checked through coproduct on every basis
+        element."""
+        n, zero = self.n, self.ring.zero_exp
+        for w in self.perms:
+            base = self.coproduct(self.basis_elem(zero, w)).terms
+            for e in self.ring.exponent_vectors():
+                shifted = {
+                    ((_shift(d1, e, n), w1), (_shift(d2, e, n), w2)): c
+                    for ((d1, w1), (d2, w2)), c in base.items()
+                }
+                if self.coproduct(self.basis_elem(e, w)).terms != shifted:
+                    return False
+        return True
+
+    def _antipode_translates(self) -> bool:
+        """S0 and S1 of verify_axioms, checked through antipode and hmul on
+        every basis element."""
+        n, zero, ident = self.n, self.ring.zero_exp, Perm.identity(self.m)
+        for w in self.perms:
+            s_w = self.antipode(self.basis_elem(zero, w))
+            if any(u != w.inverse() for _, u in s_w.terms):
+                return False
+            for e in self.ring.exponent_vectors():
+                neg = self.basis_elem(tuple(-x for x in e), ident)
+                if self.antipode(self.basis_elem(e, w)) != self.hmul(s_w, neg):
+                    return False
+        return True
+
+    def _comultiplicative_by_tables(self) -> set:
+        """The permutation pairs (w, v) at which the exponent identity of
+        verify_axioms holds, from tables read through coproduct and hmul.
+        A pair is left out when an identity fails, when a value is not a
+        root of unity, or when a term carries an unexpected label."""
+        n, m, N, zero = self.n, self.m, self.cyc.N, self.ring.zero_exp
+        vectors = list(self.ring.exponent_vectors())
+        index = {e: k for k, e in enumerate(vectors)}
+        size = len(vectors)
+        exponent = {self.cyc.root(e): e for e in range(N)}
+
+        def table(items, live: int) -> list | None:
+            """Exponents e with value zeta_2n^e at every character, row-major."""
+            values = [exponent.get(c) for c in _character_values(self.cyc, items, live, 1)]
+            return None if None in values else values
+
+        # f[w](psi, psi') from Delta(w-bar), flattened as psi * n^m + psi'
+        f = {}
+        for w in self.perms:
+            terms = self.coproduct(self.basis_elem(zero, w)).terms
+            f[w] = None
+            if all(w1 == w == w2 for (_, w1), (_, w2) in terms):
+                items = [(index[d1] * size + index[d2], c) for ((d1, _), (d2, _)), c in terms.items()]
+                f[w] = table(items, 2 * m)
+        # act[w][psi] = w.psi with (w.psi)_j = psi_{w^-1(j)}, so that
+        # psi(sigma_w(x^beta)) = (w.psi)(x^beta)
+        act = {
+            w: [index[tuple(psi[i] for i in w.inverse().images)] for psi in vectors]
+            for w in self.perms
+        }
+        plus = [[index[tuple((a + b) % n for a, b in zip(p, r))] for r in vectors] for p in vectors]
+        proved = set()
+        for w, v in iproduct(self.perms, repeat=2):
+            terms = self.hmul(self.basis_elem(zero, w), self.basis_elem(zero, v)).terms
+            if any(p != w * v for _, p in terms):
+                continue
+            g = table([(index[e], c) for (e, _), c in terms.items()], m)
+            fw, fv, fwv, aw = f[w], f[v], f[w * v], act[w]
+            if g is None or fw is None or fv is None or fwv is None:
+                continue
+            if not any(
+                (g[plus[a][b]] + fwv[a * size + b] - fw[a * size + b]
+                 - fv[aw[a] * size + aw[b]] - g[a] - g[b]) % N
+                for a in range(size)
+                for b in range(size)
+            ):
+                proved.add((w, v))
+        return proved
+
     def _guard_delta_cost(self) -> None:
         """Refuse a comultiplicativity verdict cost over DELTA_COST_GUARD.
         The J and gamma it reads are memoized, and the checks need them all."""
@@ -293,13 +395,14 @@ class HopfAlgebra:
     def verify_axioms(self, scope: str = "auto", seed: int = 0, sample_size: int = 10000) -> "AxiomReport":
         """Exact verification of the Hopf axioms.
 
-        scope "all": associativity over all basis triples and
-        Delta-multiplicativity over all basis pairs; "sampled": seeded samples
-        of the given size instead; any other scope, or a sample_size below 1,
-        raises ValueError.  Coassociativity, counit, antipode and
-        S^2 = id always run over every basis element, and the integral check
-        multiplies each one by a |B|-term integral, so every scope refuses
-        dim > ALL_PAIRS_GUARD, and a comultiplicativity verdict cost over
+        scope "all" (and "auto", its alias): associativity over all basis
+        triples and Delta-multiplicativity over all basis pairs; "sampled":
+        seeded samples of the given size instead; any other scope, or a
+        sample_size below 1, raises ValueError.  Coassociativity, counit,
+        antipode and S^2 = id are decided for every basis element: at scope
+        "sampled" by sweeping them, at scope "all" from the m! labels where
+        the label reduction below applies.  Every scope refuses
+        dim > ALL_PAIRS_GUARD and a comultiplicativity verdict cost over
         DELTA_COST_GUARD.
 
         At scope "all" associativity is proved, not swept.  With w.beta the
@@ -334,8 +437,9 @@ class HopfAlgebra:
 
         Comultiplicativity is decided once per permutation pair, by
         Delta(w-bar v-bar) == Delta(w-bar)Delta(v-bar) through hmul,
-        coproduct and the HTensor product, which multiplies legs with hmul;
-        both comultiplicativity checks read this verdict.  Given P1 it
+        coproduct and the HTensor product, which multiplies legs with hmul,
+        or by the exponent tables below; both comultiplicativity checks
+        read this verdict.  Given P1 it
         decides every basis pair a = x^alpha w-bar, b = x^beta v-bar.  Let
         T_{d,d} shift both legs by d and put delta = alpha + w.beta.  By the
         form of coproduct, Delta(x^alpha w-bar) = T_{alpha,alpha}
@@ -344,9 +448,73 @@ class HopfAlgebra:
         (x^{beta+e} v-bar) = T_delta((x^d w-bar)(x^e v-bar)) by P1 twice and
         additivity of the action, so Delta(a)Delta(b) = T_{delta,delta}
         (Delta(w-bar)Delta(v-bar)), and T_{delta,delta} is a bijection on
-        keys.  At scope "all" a failing P1 sends comultiplicativity to the
-        literal predicate over the basis pairs in order; scope "sampled"
-        does not check P1 and assumes it."""
+        keys.  At scope "all" D1 below states the form of coproduct used
+        here, and a failing P1 or D1 sends comultiplicativity to the literal
+        predicate over the basis pairs in order; scope "sampled" checks
+        neither and assumes both.
+
+        At scope "all" these facts are also checked, through coproduct,
+        antipode and hmul, on every basis element:
+
+          D1  Delta(x^alpha w-bar) = T_{alpha,alpha} Delta(w-bar);
+          S0  S(w-bar) lies in R (w^-1)-bar;
+          S1  S(x^alpha w-bar) = S(w-bar) x^-alpha.
+
+        Exponent tables.  At scope "all", when P1 and D1 hold and the literal
+        predicate passes on the generator pairs (x_i, z_k) and (z_k, x_i),
+        which run the HTensor product, a permutation pair may be decided
+        from integer tables instead.  A character psi of Z_n^m sends x^beta
+        to q^{psi.beta}.  Read Delta(w-bar) = J(w)(w-bar (x) w-bar) through
+        coproduct and w-bar v-bar = gamma(w, v)(wv)-bar through hmul; the
+        character transform gives J(w)(psi, psi') = zeta^{f_w(psi, psi')}
+        and gamma(w, v)(psi) = zeta^{g(psi)}, zeta = zeta_2n, where every
+        value is a root of unity.  The pair passes when, at every pair of
+        characters, with (w.psi)_j = psi_{w^-1(j)},
+
+          g(psi + psi') + f_wv(psi, psi')
+            = f_w(psi, psi') + f_v(w.psi, w.psi') + g(psi) + g(psi') mod 2n.
+
+        Proof that Delta(w-bar v-bar) = Delta(w-bar)Delta(v-bar) then holds.
+        By D1 and the linearity of coproduct, Delta(w-bar v-bar) = sum_g c_g
+        T_{g,g} Delta((wv)-bar) = Delta_R(gamma(w, v)) J(wv) ((wv)-bar (x)
+        (wv)-bar), with Delta_R(x^g) = x^g (x) x^g.  The HTensor product
+        multiplies legs with hmul, and (x^d w-bar)(x^e v-bar) =
+        T_{d + w.e}(w-bar v-bar) by P1, so Delta(w-bar)Delta(v-bar) =
+        J(w) sigma_w(J(v)) (gamma (x) gamma) ((wv)-bar (x) (wv)-bar), where
+        sigma_w(x^e) = x^{w.e} on each leg and psi(x^{w.e}) = (w.psi)(x^e).
+        Both coefficients lie in the commutative algebra R (x) R, where an
+        element is fixed by its values at the character pairs, and their
+        values are zeta to the two sides of the identity.  A pair whose
+        identity fails, or whose tables hold a value that is not a root of
+        unity, gets the HTensor verdict; so does every pair when a
+        generator pair fails.  Scope "sampled" does not check P1 and always
+        uses the HTensor verdict.
+
+        Label reduction.  When associativity is proved (G, P1, P2, P3) and
+        D1, S0 and S1 hold, coassociativity, counit, antipode and S^2 = id
+        run their predicates on the m! labels w-bar, and each label's
+        verdict holds at every h = x^alpha w-bar.  hmul and antipode are
+        linear over terms.
+          - Coassociativity and counit: by D1 on every leg, both sides at h
+            are the sides at w-bar with every leg shifted by alpha, which
+            is a bijection on keys.
+          - By P1, G and S1 at alpha = 0, S(x^alpha w-bar) is S(w-bar) with
+            each term x^e u-bar moved to x^{e - u.alpha} u-bar.
+          - Antipode: by D1, the legs of Delta(h) are those of Delta(w-bar)
+            shifted by alpha.  With P1, a term of mu(S (x) id)Delta(h) is
+            (x^{e - u.(alpha+d1)} u-bar)(x^{alpha+d2} w2-bar) =
+            T_{e + u.(d2-d1)}(u-bar w2-bar), its value at alpha = 0.  A term
+            of mu(id (x) S)Delta(h) is (x^{alpha+d1} w1-bar)
+            (x^{e - u.(alpha+d2)} u-bar), by P1 and P2 the term at alpha = 0
+            shifted by alpha - q.alpha, where q = w1 u is its label (G).
+            This shift is a bijection on keys and fixes the unit.
+          - S^2 = id: by S0 every term of S(w-bar) has the label w^-1 and
+            every term of S(u-bar) for u = w^-1 the label w, so S(S(h)) =
+            T_{w.(w^-1.alpha)} S(S(w-bar)) = T_alpha S(S(w-bar)) by P2,
+            while h = T_alpha(w-bar).
+        If a fact or a label fails, the predicate sweeps every basis
+        element in order, so the witness is the literal sweep's; "checked"
+        is |B| either way."""
         if scope not in ("all", "auto", "sampled") or sample_size < 1:
             raise ValueError(f"unknown scope {scope!r} or sample_size {sample_size} < 1")
         if self.dim > ALL_PAIRS_GUARD:
@@ -356,18 +524,19 @@ class HopfAlgebra:
         self._guard_delta_cost()
         basis = self.basis_keys()
         if scope == "auto":
-            scope = "all" if self.dim <= 64 else "sampled"
+            scope = "all"
         report = AxiomReport(
             instance=f"H({self.n},{self.m})", scope=scope, seed=seed if scope == "sampled" else None
         )
         report.add("dimension", "basis count = n^m m!", len(basis) == self.dim, None)
 
         rng = random.Random(seed)
-        translates = True
+        translates = reduced = coproduct_translates = False
         if scope == "all":
-            translates = self._translation_law_holds()
+            translates = self._translates = self._translation_law_holds()
             # a failing reduction falls back to the literal sweep for the witness
             reduced = translates and self._associative_by_reduction()
+            coproduct_translates = self._coproduct_translates()
             triples = () if reduced else iproduct(basis, repeat=3)
             pairs = iproduct(basis, repeat=2)
             n_triples = len(basis) ** 3
@@ -404,6 +573,11 @@ class HopfAlgebra:
             return self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
 
         verdicts: dict = {}
+        if translates and coproduct_translates:
+            gens = [next(iter(g.terms)) for g in self.generators()]
+            xs, zs = gens[: self.m], gens[self.m :]
+            if not any(delta_fails(p) for x in xs for z in zs for p in ((x, z), (z, x))):
+                verdicts = dict.fromkeys(self._comultiplicative_by_tables(), False)
 
         def perm_pair_fails(perms):
             bad = verdicts.get(perms)
@@ -411,11 +585,12 @@ class HopfAlgebra:
                 bad = verdicts[perms] = delta_fails([(self.ring.zero_exp, u) for u in perms])
             return bad
 
+        by_pair = scope == "sampled" or (translates and coproduct_translates)
         report.check(
             "comultiplicativity",
             "Delta(ab) = Delta(a)Delta(b) on basis pairs",
             pairs,
-            (lambda keys: perm_pair_fails((keys[0][1], keys[1][1]))) if translates else delta_fails,
+            (lambda keys: perm_pair_fails((keys[0][1], keys[1][1]))) if by_pair else delta_fails,
             _pair_witness,
             checked=n_pairs,
         )
@@ -438,10 +613,11 @@ class HopfAlgebra:
                     accumulate(rhs, (k1, k2a, k2b), c * c2)
             return lhs != rhs
 
+        by_label = reduced and coproduct_translates and self._antipode_translates()
         report.check(
             "coassociativity",
             "(Delta(x)id)Delta = (id(x)Delta)Delta on all basis elements",
-            basis,
+            self._sweep_cases(by_label, coassociativity_fails),
             coassociativity_fails,
             _basis_witness,
             checked=len(basis),
@@ -459,7 +635,7 @@ class HopfAlgebra:
         report.check(
             "counit",
             "(eps(x)id)Delta = id = (id(x)eps)Delta",
-            basis,
+            self._sweep_cases(by_label, counit_fails),
             counit_fails,
             _basis_witness,
             checked=len(basis),
@@ -481,7 +657,7 @@ class HopfAlgebra:
         report.check(
             "antipode",
             "mu(S(x)id)Delta = eta eps = mu(id(x)S)Delta",
-            basis,
+            self._sweep_cases(by_label, antipode_fails),
             antipode_fails,
             _basis_witness,
             checked=len(basis),
@@ -494,7 +670,7 @@ class HopfAlgebra:
         report.check(
             "involution",
             "S^2 = id on the basis",
-            basis,
+            self._sweep_cases(by_label, involution_fails),
             involution_fails,
             _basis_witness,
             checked=len(basis),
@@ -532,10 +708,13 @@ class HopfAlgebra:
         ok = powers[self.m] == self.from_ring(t)
         report.add("theta-order", "theta^m = t in R", ok, None if ok else {"t": t.to_json()})
 
-        try:
-            t_inv = ring_inverse(t)
-        except NotInvertibleError:
-            t_inv = None
+        def inverse(a: RingElem) -> RingElem | None:
+            try:
+                return ring_inverse(a)
+            except NotInvertibleError:
+                return None
+
+        t_inv = inverse(t)
         report.add("t-invertible", "t is a unit of R", t_inv is not None, None)
 
         labels = cycle_powers(self.m)
@@ -579,7 +758,15 @@ class HopfAlgebra:
             lambda i: {"i": i},
         )
 
-        report.add("subalgebra-dimension", "dim H' = m n^m", len(s_powers) == self.m, None)
+        # theta^k = c_k (s^k)-bar with c_k a unit of R spans R (s^k)-bar, of
+        # dim n^m; m distinct labels s^k make the sum over k < m direct
+        labels_of = [{w for _, w in powers[k].terms} for k in range(self.m)]
+        ok = all(len(ls) == 1 for ls in labels_of) and len(set().union(*labels_of)) == self.m
+        ok = ok and all(
+            inverse(RingElem(self.ring, {e: c for (e, _), c in powers[k].terms.items()})) is not None
+            for k in range(self.m)
+        )
+        report.add("subalgebra-dimension", "dim H' = m n^m", ok, None)
         return CyclicSubalgebra(
             s=s, theta=theta, t=t, t_inverse=t_inv, dim=self.m * self.n**self.m, report=report
         )
@@ -592,6 +779,11 @@ class HopfAlgebra:
 
     def __repr__(self):
         return f"HopfAlgebra(n={self.n}, m={self.m})"
+
+
+def _shift(d, e, n: int) -> tuple:
+    """The exponent vector d + e mod n."""
+    return tuple((a + b) % n for a, b in zip(d, e))
 
 
 def key_json(key) -> dict:

@@ -263,22 +263,19 @@ def subgroups_of_znm(n: int, m: int) -> list[frozenset]:
 
 
 def _subgroups_within(elems: list, n: int, m: int) -> list[frozenset]:
-    """All subgroups of Z_n^m generated by elements of elems, by closing
-    generated subsets incrementally; sorted by size, then elements."""
+    """All subgroups of Z_n^m generated by elements of elems, by adding one
+    generator at a time; sorted by size, then elements.  The group is
+    abelian, so H and g generate H + <g>, which depends only on the coset
+    g + H: one g per coset is closed."""
 
-    def close(gens) -> frozenset:
-        seen = {(0,) * m} | set(gens)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in list(seen):
-                    s = tuple((a + b) % n for a, b in zip(u, g))
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(seen)
+    def add(u, v) -> tuple:
+        return tuple((a + b) % n for a, b in zip(u, v))
+
+    def close(H: frozenset, g: tuple) -> frozenset:
+        multiples = [g]  # g, 2g, ..., 0: the cyclic group <g>
+        while any(multiples[-1]):
+            multiples.append(add(multiples[-1], g))
+        return frozenset(add(h, c) for h in H for c in multiples)
 
     trivial = frozenset({(0,) * m})
     found = {trivial}
@@ -286,9 +283,11 @@ def _subgroups_within(elems: list, n: int, m: int) -> list[frozenset]:
     while frontier:
         nxt = []
         for H in frontier:
+            covered = set(H)
             for g in elems:
-                if g not in H:
-                    K = close(H | {g})
+                if g not in covered:
+                    covered.update(add(g, h) for h in H)
+                    K = close(H, g)
                     if K not in found:
                         found.add(K)
                         nxt.append(K)

@@ -76,11 +76,9 @@ def test_criterion_01_kac_paljutkin_recovery():
 
 def test_criterion_02_hopf_axioms():
     with _Criterion(2, "Hopf axioms", budget=300.0):
-        for n, m in [(2, 2), (3, 2), (2, 3)]:
+        for n, m in [(2, 2), (3, 2), (2, 3), (3, 3)]:
             report = HopfAlgebra(n, m).verify_axioms(scope="all")
             assert report.ok, (n, m, [c for c in report.checks if c["status"] != "pass"])
-        report = HopfAlgebra(3, 3).verify_axioms(scope="sampled", seed=42, sample_size=10000)
-        assert report.ok, [c for c in report.checks if c["status"] != "pass"]
 
 
 def test_criterion_03_dimension():

@@ -34,6 +34,16 @@ def test_verify_h8(capsys):
     assert timings["total_seconds"] >= 0
 
 
+def test_verify_default_scope_is_all(capsys):
+    """scope auto resolves to all at every dimension, here 162."""
+    code, report = _run(capsys, ["verify", "3", "3"])
+    assert code == 0
+    assert report["data"]["scope"] == "all"
+    assert report["data"]["dim"] == 162
+    assoc = next(c for c in report["checks"] if c["name"] == "associativity")
+    assert assoc["checked"] == 162**3
+
+
 def test_report_determinism(capsys):
     code1, r1 = _run(capsys, ["verify", "2", "2", "--scope", "sampled:50", "--seed", "9"])
     code2, r2 = _run(capsys, ["verify", "2", "2", "--scope", "sampled:50", "--seed", "9"])

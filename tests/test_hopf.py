@@ -17,8 +17,9 @@ from kacpal import (
     twist_Js,
 )
 from kacpal.errors import ContextMismatchError
-from kacpal.group_ring import check_tensor_invertible, eps_ring
+from kacpal.group_ring import KTensor, check_tensor_invertible, eps_ring
 from kacpal.hopf import HTensor, key_json
+from kacpal.symmetric import cycle_perm
 from kacpal.quantum_poly import QuantumPolyAlgebra
 
 
@@ -461,3 +462,198 @@ def test_verify_axioms_rejects_unknown_scope_and_empty_sample():
     for scope, size in (("bogus", 5), ("sampled", 0), ("all", 0)):
         with pytest.raises(ValueError, match="scope"):
             H.verify_axioms(scope=scope, sample_size=size)
+
+
+class _LiteralCoalgebraHopf(HopfAlgebra):
+    """The oracle: never take the exponent tables or the label reduction,
+    so every permutation pair gets the HTensor verdict and every per-basis
+    check sweeps the whole basis."""
+
+    def _comultiplicative_by_tables(self):
+        return set()
+
+    def _sweep_cases(self, reduced, fails):
+        return self.basis_keys()
+
+
+def _literal(cls):
+    return type(f"_Literal{cls.__name__}", (_LiteralCoalgebraHopf, cls), {})
+
+
+def _htensor_verdicts(H):
+    """The permutation pairs with Delta(w-bar v-bar) = Delta(w-bar)Delta(v-bar)
+    through the HTensor product."""
+    bar = {w: H.basis_elem(H.ring.zero_exp, w) for w in H.perms}
+    return {
+        (w, v)
+        for w, v in iproduct(H.perms, repeat=2)
+        if H.coproduct(bar[w] * bar[v]) == H.coproduct(bar[w]) * H.coproduct(bar[v])
+    }
+
+
+@pytest.mark.parametrize(
+    "cls,n,m",
+    [
+        (HopfAlgebra, 2, 2),
+        (HopfAlgebra, 3, 2),
+        (HopfAlgebra, 4, 2),
+        (HopfAlgebra, 2, 3),
+        (HopfAlgebra, 3, 3),
+        (_GammaDroppedHopf, 2, 3),
+    ],
+)
+def test_table_verdicts_match_htensor(cls, n, m):
+    H = cls(n, m)
+    proved = H._comultiplicative_by_tables()
+    assert proved == _htensor_verdicts(H)
+    if cls is HopfAlgebra:
+        assert len(proved) == len(H.perms) ** 2
+
+
+@pytest.mark.parametrize(
+    "cls,n,m",
+    [
+        (HopfAlgebra, 2, 2),
+        (HopfAlgebra, 3, 2),
+        (HopfAlgebra, 2, 3),
+        (_GammaDroppedHopf, 2, 3),
+        (_LeftTranslationMutatedHopf, 2, 2),
+    ],
+)
+def test_reduced_report_matches_literal_coalgebra_sweep(cls, n, m):
+    reduced = cls(n, m)
+    literal = _literal(cls)(n, m)
+    assert reduced.verify_axioms(scope="all").to_json() == literal.verify_axioms(scope="all").to_json()
+    assert reduced.verify_integral().to_json() == literal.verify_integral().to_json()
+
+
+def _character_unit(H, psi, psi2, e):
+    """The unit of R (x) R with value zeta^e at the character pair
+    (psi, psi2) and 1 at every other pair."""
+    n, m = H.n, H.m
+    size = n**m
+    shift = H.cyc.root(e) - H.cyc.one
+    terms = {(H.ring.zero_exp, H.ring.zero_exp): H.cyc.one}
+    for b1 in H.ring.exponent_vectors():
+        for b2 in H.ring.exponent_vectors():
+            phase = sum(p * b for p, b in zip(psi, b1)) + sum(p * b for p, b in zip(psi2, b2))
+            c = shift * H.cyc.q_pow(-phase) / H.cyc.scalar(size * size)
+            terms[b1, b2] = terms.get((b1, b2), H.cyc.zero) + c
+    return KTensor(H.ring, 2, {k: c for k, c in terms.items() if c})
+
+
+class _ShiftedTwistHopf(HopfAlgebra):
+    """Negative control: J(s_1) times a unit whose value is zeta at one
+    character pair, which adds 1 to one exponent of f_{s_1}."""
+
+    def j_of_word(self, w):
+        out = super().j_of_word(w)
+        if w == Perm.transposition(self.m, 1):
+            psi = (1,) + (0,) * (self.m - 1)
+            out = out * _character_unit(self, psi, psi, 1)
+        return out
+
+
+class _SignFlippedTwistHopf(HopfAlgebra):
+    """Negative control: negate one coefficient of J(s_1), which leaves
+    values at characters that are not roots of unity."""
+
+    def j_of_word(self, w):
+        out = super().j_of_word(w)
+        if w == Perm.transposition(self.m, 1):
+            terms = dict(out.terms)
+            key = max(terms)
+            terms[key] = -terms[key]
+            out = KTensor(self.ring, 2, terms)
+        return out
+
+
+@pytest.mark.parametrize("cls", [_ShiftedTwistHopf, _SignFlippedTwistHopf])
+def test_negative_control_twist_mutation_fails_with_literal_witness(cls):
+    H = cls(2, 2)
+    s1 = Perm.transposition(2, 1)
+    assert H._translation_law_holds() and H._coproduct_translates()
+    assert (s1, s1) not in H._comultiplicative_by_tables()
+    if cls is _SignFlippedTwistHopf:
+        # no value of f_{s_1} is a root of unity, so no pair with s_1 is proved
+        assert all(s1 not in pair for pair in H._comultiplicative_by_tables())
+    report = H.verify_axioms(scope="all")
+    comult = _check(report, "comultiplicativity")
+    assert comult["status"] == "fail"
+    assert comult["witness"] == _first_noncomultiplicative_pair(H)
+    assert report.to_json() == _literal(cls)(2, 2).verify_axioms(scope="all").to_json()
+
+
+class _AntipodeBasisMutatedHopf(HopfAlgebra):
+    """Negative control: negate S(x_1 s_1-bar) alone, which breaks S1."""
+
+    def antipode_basis(self, e, w):
+        out = super().antipode_basis(e, w)
+        if e == (1,) + (0,) * (self.m - 1) and w == Perm.transposition(self.m, 1):
+            return -out
+        return out
+
+
+class _AntipodeWordMutatedHopf(HopfAlgebra):
+    """Negative control: scale S(s_1-bar) by 2.  S0 and S1 still hold, so
+    the label check of the antipode is what fails."""
+
+    def antipode_word(self, w):
+        out = super().antipode_word(w)
+        if w == Perm.transposition(self.m, 1):
+            return out.scale(2)
+        return out
+
+
+def _first_failing_basis_element(H, fails):
+    return next(({"basis": key_json(k)} for k in H.basis_keys() if fails(k)), None)
+
+
+@pytest.mark.parametrize("cls", [_AntipodeBasisMutatedHopf, _AntipodeWordMutatedHopf])
+def test_negative_control_antipode_mutation_fails_with_literal_witness(cls):
+    H = cls(2, 3)
+    assert H._antipode_translates() == (cls is _AntipodeWordMutatedHopf)
+    report = H.verify_axioms(scope="all")
+
+    def antipode_fails(key):
+        left = right = H.zero()
+        for ((e1, w1), (e2, w2)), c in H.coproduct(H.basis_elem(*key)).terms.items():
+            left = left + (H.antipode_basis(e1, w1) * H.basis_elem(e2, w2)).scale(c)
+            right = right + (H.basis_elem(e1, w1) * H.antipode_basis(e2, w2)).scale(c)
+        return left != H.unit() or right != H.unit()
+
+    antipode = _check(report, "antipode")
+    assert antipode["status"] == "fail"
+    assert antipode["witness"] == _first_failing_basis_element(H, antipode_fails)
+    assert antipode["checked"] == H.dim
+    assert report.to_json() == _literal(cls)(2, 3).verify_axioms(scope="all").to_json()
+
+
+def test_integral_report_does_not_depend_on_verify_axioms():
+    for n, m in [(2, 2), (3, 2), (2, 3)]:
+        before = HopfAlgebra(n, m).verify_integral().to_json()
+        H = HopfAlgebra(n, m)
+        H.verify_axioms(scope="all")
+        assert H._translates is True
+        assert H.verify_integral().to_json() == before
+
+
+def test_cyclic_subalgebra_dimension_needs_unit_coefficients():
+    """Make gamma(s, s) the non-unit 1 - x_1, which vanishes at the trivial
+    character: theta^2 then spans less than R (s^2)-bar."""
+    H = HopfAlgebra(2, 3)
+    s = cycle_perm(3)
+    cocycle = H.words.cocycle
+    non_unit = H.ring.one - H.ring.gen(1)
+    H.words.cocycle = lambda w, v: non_unit if (w, v) == (s, s) else cocycle(w, v)
+    report = H.cyclic_subalgebra().report
+    assert _check(report, "theta-powers")["status"] == "pass"
+    assert _check(report, "subalgebra-dimension")["status"] == "fail"
+    passing = HopfAlgebra(2, 3).cyclic_subalgebra().report
+    assert _check(passing, "subalgebra-dimension") == {
+        "name": "subalgebra-dimension",
+        "identity": "dim H' = m n^m",
+        "status": "pass",
+        "witness": None,
+        "checked": None,
+    }

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -141,6 +142,67 @@ def test_subgroup_enumeration():
     assert len(subgroups_of_znm(3, 2)) == 6    # 1 + 4 lines + full
     with pytest.raises(SizeGuardError):
         subgroups_of_znm(9, 5)
+
+
+def _pairwise_closure_lattice(elems, n, m):
+    """The reference enumeration: close H u {g} by adding every pair of
+    elements until nothing new appears."""
+
+    def close(gens):
+        seen = {(0,) * m} | set(gens)
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for g in list(seen):
+                    s = tuple((a + b) % n for a, b in zip(u, g))
+                    if s not in seen:
+                        seen.add(s)
+                        nxt.append(s)
+            frontier = nxt
+        return frozenset(seen)
+
+    trivial = frozenset({(0,) * m})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in elems:
+                if g not in H:
+                    K = close(H | {g})
+                    if K not in found:
+                        found.add(K)
+                        nxt.append(K)
+        frontier = nxt
+    return sorted(found, key=lambda H: (len(H), sorted(H)))
+
+
+_GROUPS_UP_TO_64 = [(n, m) for m in range(1, 7) for n in range(2, 65) if n**m <= 64]
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n, m in _GROUPS_UP_TO_64 if n**m <= 32])
+def test_subgroups_match_pairwise_closure(n, m):
+    """H + <g> gives the lattice, in the same order, that the pairwise
+    closure gives."""
+    elems = list(iproduct(range(n), repeat=m))
+    assert subgroups_of_znm(n, m) == _pairwise_closure_lattice(elems, n, m)
+
+
+def test_subgroup_counts_up_to_64():
+    """Above 32 elements the pairwise closure takes seconds to minutes per
+    group, so the lattices are checked by their counts: d(n) subgroups of
+    Z_n, the Gaussian binomials of F_2^6, Z_6^2 = Z_2^2 x Z_3^2 with 5 * 6,
+    and for Z_7^2, Z_8^2 and Z_4^3 the counts of the pairwise closure."""
+    counts = {(2, 6): 1 + 63 + 651 + 1395 + 651 + 63 + 1, (6, 2): 30, (7, 2): 10, (8, 2): 37, (4, 3): 129}
+    for n, m in _GROUPS_UP_TO_64:
+        if n**m <= 32:
+            continue
+        lattice = subgroups_of_znm(n, m)
+        expected = counts.get((n, m), sum(1 for d in range(1, n + 1) if n % d == 0))
+        assert len(lattice) == len(set(lattice)) == expected, (n, m)
+        for H in lattice:
+            assert all(tuple((a + b) % n for a, b in zip(u, v)) in H for u in H for v in H)
 
 
 def test_bruteforce_examples():
