@@ -32,7 +32,6 @@ literal sweep names the witness (see verify_axioms).
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,16 +53,14 @@ from .group_ring import (
 from .sparse import SparseElem, accumulate, power_product
 from .symmetric import Perm, all_perms, canonical_word, cycle_perm, cycle_powers
 
-ALL_PAIRS_GUARD = 5000
-# bounds every sweep over all basis pairs (embed-check, export): on a 2-core
-# host with Python 3.11, dim 384 (H(2,4), H(4,3)) takes 18-32 s in
-# embed-check, and H(5,3) (dim 750) and H(3,4) (dim 1944) each ran past 60 s
+# bounds every sweep over all basis pairs (verify, embed-check, export).  On
+# a 2-core host with Python 3.11, one or two runs each: dim 384 (H(2,4),
+# H(4,3)) takes 18-32 s in embed-check, and H(5,3) (dim 750) and H(3,4)
+# (dim 1944) each ran past 60 s.  verify, whose P1 alone is |B|^2 hmul
+# calls, takes 3.4-3.5 s on H(8,2), 12.2-12.5 s on H(10,2), 49-58 s on
+# H(13,2) (dim 338, of which associativity/P1 is 43-53 s), 18.8-19.6 s on
+# H(4,3) and 16.1-16.4 s on H(2,4); it refuses H(14,2) (dim 392) in 0.24 s
 BASIS_PAIRS_GUARD = 384**2
-# Delta(w-bar)Delta(v-bar) over every permutation pair multiplies
-# sum_{w,v} |J(w)| |J(v)| |gamma(w, v)|^2 pairs of leg terms, at 9-13 us each
-# on a 2-core host with Python 3.11: H(3,3) 5.3M, H(7,2) 5.8M and H(2,4)
-# 8.8M take 69-79 s for it; H(8,2) 17M and H(4,3) 76M are refused
-DELTA_COST_GUARD = 10_000_000
 
 
 class HopfAlgebra:
@@ -83,7 +80,7 @@ class HopfAlgebra:
         self._sproduct: dict[tuple[Perm, Perm], tuple[Perm, list]] = {}
         self._antipode_word: dict[Perm, "HopfElem"] = {}
         self._antipode_basis: dict = {}
-        # P1 of verify_axioms, once a scope "all" run has checked it
+        # P1 of verify_axioms, once it has been checked
         self._translates: bool | None = None
 
     # -- element constructors --------------------------------------------------
@@ -225,8 +222,8 @@ class HopfAlgebra:
     def verify_integral(self) -> "AxiomReport":
         """Check eps(Lambda) = m! and h Lambda = Lambda = Lambda h on the basis.
 
-        Once verify_axioms(scope="all") has found P1, invariance is checked
-        on the m! labels w-bar only.  For h = x^alpha w-bar, P1 and the
+        Once verify_axioms has found P1, invariance is checked on the m!
+        labels w-bar only.  For h = x^alpha w-bar, P1 and the
         bilinearity of hmul give h Lambda = n^-m sum_{beta,v}
         T_{alpha + w.beta}(w-bar v-bar), and alpha + w.beta runs over Z_n^m
         as beta does, so h Lambda = w-bar Lambda; likewise Lambda h = n^-m
@@ -379,35 +376,18 @@ class HopfAlgebra:
                 proved.add((w, v))
         return proved
 
-    def _guard_delta_cost(self) -> None:
-        """Refuse a comultiplicativity verdict cost over DELTA_COST_GUARD.
-        The J and gamma it reads are memoized, and the checks need them all."""
-        size = {w: len(self.j_of_word(w).terms) for w in self.perms}
-        cost = 0
-        for w, v in iproduct(self.perms, repeat=2):
-            cost += size[w] * size[v] * len(self.words.cocycle(w, v).terms) ** 2
-            if cost > DELTA_COST_GUARD:
-                raise SizeGuardError(
-                    f"axiom verification refused: comultiplicativity costs over "
-                    f"{DELTA_COST_GUARD} leg-term products"
-                )
+    def verify_axioms(self) -> "AxiomReport":
+        """Exact verification of the Hopf axioms on every basis element.
 
-    def verify_axioms(self, scope: str = "auto", seed: int = 0, sample_size: int = 10000) -> "AxiomReport":
-        """Exact verification of the Hopf axioms.
+        Associativity holds over all basis triples and Delta-multiplicativity
+        over all basis pairs.  Coassociativity, counit, antipode and
+        S^2 = id are decided for every basis element, from the m! labels
+        where the label reduction below applies.  P1 below alone makes |B|^2
+        hmul calls, so |B|^2 > BASIS_PAIRS_GUARD is refused.
 
-        scope "all" (and "auto", its alias): associativity over all basis
-        triples and Delta-multiplicativity over all basis pairs; "sampled":
-        seeded samples of the given size instead; any other scope, or a
-        sample_size below 1, raises ValueError.  Coassociativity, counit,
-        antipode and S^2 = id are decided for every basis element: at scope
-        "sampled" by sweeping them, at scope "all" from the m! labels where
-        the label reduction below applies.  Every scope refuses
-        dim > ALL_PAIRS_GUARD and a comultiplicativity verdict cost over
-        DELTA_COST_GUARD.
-
-        At scope "all" associativity is proved, not swept.  With w.beta the
-        slot permutation (w.beta)_i = beta_{w(i)} and T_delta the shift of
-        every exponent by delta, these facts are checked through hmul:
+        Associativity is proved, not swept.  With w.beta the slot
+        permutation (w.beta)_i = beta_{w(i)} and T_delta the shift of every
+        exponent by delta, these facts are checked through hmul:
 
           G   w-bar v-bar lies in R (wv)-bar, for all w, v;
           P1  (x^alpha w-bar)(x^beta v-bar) = T_{alpha + w.beta}(w-bar v-bar)
@@ -448,22 +428,21 @@ class HopfAlgebra:
         (x^{beta+e} v-bar) = T_delta((x^d w-bar)(x^e v-bar)) by P1 twice and
         additivity of the action, so Delta(a)Delta(b) = T_{delta,delta}
         (Delta(w-bar)Delta(v-bar)), and T_{delta,delta} is a bijection on
-        keys.  At scope "all" D1 below states the form of coproduct used
-        here, and a failing P1 or D1 sends comultiplicativity to the literal
-        predicate over the basis pairs in order; scope "sampled" checks
-        neither and assumes both.
+        keys.  D1 below states the form of coproduct used here, and a
+        failing P1 or D1 sends comultiplicativity to the literal predicate
+        over the basis pairs in order.
 
-        At scope "all" these facts are also checked, through coproduct,
-        antipode and hmul, on every basis element:
+        These facts are also checked, through coproduct, antipode and hmul,
+        on every basis element:
 
           D1  Delta(x^alpha w-bar) = T_{alpha,alpha} Delta(w-bar);
           S0  S(w-bar) lies in R (w^-1)-bar;
           S1  S(x^alpha w-bar) = S(w-bar) x^-alpha.
 
-        Exponent tables.  At scope "all", when P1 and D1 hold and the literal
-        predicate passes on the generator pairs (x_i, z_k) and (z_k, x_i),
-        which run the HTensor product, a permutation pair may be decided
-        from integer tables instead.  A character psi of Z_n^m sends x^beta
+        Exponent tables.  When P1 and D1 hold and the literal predicate
+        passes on the generator pairs (x_i, z_k) and (z_k, x_i), which run
+        the HTensor product, a permutation pair may be decided from integer
+        tables instead.  A character psi of Z_n^m sends x^beta
         to q^{psi.beta}.  Read Delta(w-bar) = J(w)(w-bar (x) w-bar) through
         coproduct and w-bar v-bar = gamma(w, v)(wv)-bar through hmul; the
         character transform gives J(w)(psi, psi') = zeta^{f_w(psi, psi')}
@@ -487,8 +466,7 @@ class HopfAlgebra:
         values are zeta to the two sides of the identity.  A pair whose
         identity fails, or whose tables hold a value that is not a root of
         unity, gets the HTensor verdict; so does every pair when a
-        generator pair fails.  Scope "sampled" does not check P1 and always
-        uses the HTensor verdict.
+        generator pair fails.
 
         Label reduction.  When associativity is proved (G, P1, P2, P3) and
         D1, S0 and S1 hold, coassociativity, counit, antipode and S^2 = id
@@ -515,45 +493,15 @@ class HopfAlgebra:
         If a fact or a label fails, the predicate sweeps every basis
         element in order, so the witness is the literal sweep's; "checked"
         is |B| either way."""
-        if scope not in ("all", "auto", "sampled") or sample_size < 1:
-            raise ValueError(f"unknown scope {scope!r} or sample_size {sample_size} < 1")
-        if self.dim > ALL_PAIRS_GUARD:
-            raise SizeGuardError(
-                f"axiom verification refused for dim {self.dim} > {ALL_PAIRS_GUARD}"
-            )
-        self._guard_delta_cost()
+        guard_basis_pairs("axiom verification", self.n, self.m)
         basis = self.basis_keys()
-        if scope == "auto":
-            scope = "all"
-        report = AxiomReport(
-            instance=f"H({self.n},{self.m})", scope=scope, seed=seed if scope == "sampled" else None
-        )
+        report = AxiomReport(instance=f"H({self.n},{self.m})")
         report.add("dimension", "basis count = n^m m!", len(basis) == self.dim, None)
 
-        rng = random.Random(seed)
-        translates = reduced = coproduct_translates = False
-        if scope == "all":
-            translates = self._translates = self._translation_law_holds()
-            # a failing reduction falls back to the literal sweep for the witness
-            reduced = translates and self._associative_by_reduction()
-            coproduct_translates = self._coproduct_translates()
-            triples = () if reduced else iproduct(basis, repeat=3)
-            pairs = iproduct(basis, repeat=2)
-            n_triples = len(basis) ** 3
-            n_pairs = len(basis) ** 2
-        else:
-            triples = (
-                (rng.choice(basis), rng.choice(basis), rng.choice(basis))
-                for _ in range(sample_size)
-            )
-            # sampled pairs plus every generator pair
-            gk = [next(iter(g.terms)) for g in self.generators()]
-            sampled_pairs = [
-                (rng.choice(basis), rng.choice(basis)) for _ in range(sample_size)
-            ]
-            pairs = sampled_pairs + [(a, b) for a in gk for b in gk]
-            n_triples = sample_size
-            n_pairs = len(pairs)
+        translates = self._translates = self._translation_law_holds()
+        # a failing reduction falls back to the literal sweep for the witness
+        reduced = translates and self._associative_by_reduction()
+        coproduct_translates = self._coproduct_translates()
 
         def associativity_fails(keys):
             a, b, c = (self.basis_elem(*k) for k in keys)
@@ -562,18 +510,19 @@ class HopfAlgebra:
         report.check(
             "associativity",
             "(ab)c = a(bc) on basis triples",
-            triples,
+            () if reduced else iproduct(basis, repeat=3),
             associativity_fails,
             lambda keys: {"triple": [key_json(k) for k in keys]},
-            checked=n_triples,
+            checked=len(basis) ** 3,
         )
 
         def delta_fails(keys):
             a, b = (self.basis_elem(*k) for k in keys)
             return self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
 
+        by_pair = translates and coproduct_translates
         verdicts: dict = {}
-        if translates and coproduct_translates:
+        if by_pair:
             gens = [next(iter(g.terms)) for g in self.generators()]
             xs, zs = gens[: self.m], gens[self.m :]
             if not any(delta_fails(p) for x in xs for z in zs for p in ((x, z), (z, x))):
@@ -585,14 +534,13 @@ class HopfAlgebra:
                 bad = verdicts[perms] = delta_fails([(self.ring.zero_exp, u) for u in perms])
             return bad
 
-        by_pair = scope == "sampled" or (translates and coproduct_translates)
         report.check(
             "comultiplicativity",
             "Delta(ab) = Delta(a)Delta(b) on basis pairs",
-            pairs,
+            iproduct(basis, repeat=2),
             (lambda keys: perm_pair_fails((keys[0][1], keys[1][1]))) if by_pair else delta_fails,
             _pair_witness,
-            checked=n_pairs,
+            checked=len(basis) ** 2,
         )
         report.check(
             "comultiplicativity-direct",
@@ -928,8 +876,6 @@ class AxiomReport:
     its own, so the work done to set a check up counts towards it."""
 
     instance: str
-    scope: str | None = None
-    seed: int | None = None
     checks: list = field(default_factory=list)
     timings: dict = field(default_factory=dict, compare=False, repr=False)
     _clock: float = field(default_factory=time.perf_counter, init=False, compare=False, repr=False)
@@ -966,12 +912,7 @@ class AxiomReport:
         return self.ok
 
     def to_json(self) -> dict:
-        out = {"instance": self.instance, "checks": self.checks, "ok": self.ok}
-        if self.scope is not None:
-            out["scope"] = self.scope
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return {"instance": self.instance, "checks": self.checks, "ok": self.ok}
 
 
 def embedding_map(h: HopfElem, target: HopfAlgebra) -> HopfElem:

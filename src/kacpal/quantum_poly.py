@@ -305,9 +305,7 @@ class QuantumPolyAlgebra:
         hopf = self.hopf
         if delta_terms is None:
             delta_terms = lambda h: hopf.coproduct(h).terms.items()  # noqa: E731
-        report = AxiomReport(
-            instance=f"A({self.a},{self.b}) over H({self.n},{self.m})", seed=seed
-        )
+        report = AxiomReport(instance=f"A({self.a},{self.b}) over H({self.n},{self.m})")
         hs = self.subalgebra_generators("full")
         rng = random.Random(seed)
         basis = hopf.basis_keys()

@@ -77,7 +77,7 @@ def test_criterion_01_kac_paljutkin_recovery():
 def test_criterion_02_hopf_axioms():
     with _Criterion(2, "Hopf axioms", budget=300.0):
         for n, m in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-            report = HopfAlgebra(n, m).verify_axioms(scope="all")
+            report = HopfAlgebra(n, m).verify_axioms()
             assert report.ok, (n, m, [c for c in report.checks if c["status"] != "pass"])
 
 

@@ -35,7 +35,7 @@ def test_verify_h8(capsys):
 
 
 def test_verify_default_scope_is_all(capsys):
-    """scope auto resolves to all at every dimension, here 162."""
+    """verify checks every basis element by default, here at dimension 162."""
     code, report = _run(capsys, ["verify", "3", "3"])
     assert code == 0
     assert report["data"]["scope"] == "all"
@@ -45,8 +45,8 @@ def test_verify_default_scope_is_all(capsys):
 
 
 def test_report_determinism(capsys):
-    code1, r1 = _run(capsys, ["verify", "2", "2", "--scope", "sampled:50", "--seed", "9"])
-    code2, r2 = _run(capsys, ["verify", "2", "2", "--scope", "sampled:50", "--seed", "9"])
+    code1, r1 = _run(capsys, ["verify", "2", "2"])
+    code2, r2 = _run(capsys, ["verify", "2", "2"])
     assert code1 == code2 == 0
     r1.pop("timings")
     r2.pop("timings")
@@ -209,6 +209,11 @@ USAGE_ERRORS = [
     "verify 2 2 --scope sampled:0",
     "verify 2 2 --scope sampled:1.5",
     "verify 2 2 --scope sampled:",
+    # verify has one scope, all, and no seed
+    "verify 2 2 --scope sampled",
+    "verify 2 2 --scope sampled:50",
+    "verify 2 2 --scope auto",
+    "verify 2 2 --seed 9",
     "invariants 2 2 1 0 --degree -1",
     "module-algebra-check 2 2 1 0 --degree -2",
     "twist-check 2 --search -3",
@@ -230,17 +235,15 @@ def test_usage_error_exit_2(capsys):
 
 def test_size_guard_exit_3(capsys):
     for argv in (
-        # dim H(4,4) = 6144: every verify scope sweeps all of B at least once
+        # verify proves P1 over all |B|^2 basis pairs: 392^2 (H(14,2)),
+        # 750^2 (H(5,3)), 1944^2 (H(3,4)), 3840^2 (H(2,5)) and 6144^2
+        # (H(4,4)) exceed 384^2; H(13,2), H(4,3) and H(2,4) do not
+        "verify 14 2",
         "verify 4 4 --scope all",
         "verify 4 4",
-        "verify 4 4 --scope sampled:1",
-        # comultiplicativity over the permutation pairs: 76M (H(4,3)), 2.2G
-        # (H(2,5)), 6.2G (H(5,3)) and 8.4G (H(3,4)) leg-term products exceed
-        # the guard; H(3,3) (5.3M) does not
-        "verify 4 3 --scope sampled:1",
         "verify 2 5",
         "verify 5 3 --scope all",
-        "verify 3 4 --scope sampled:1",
+        "verify 3 4",
         "export 4 4",
         # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
         "gamma-table 2 5",
@@ -260,10 +263,18 @@ def test_size_guard_exit_3(capsys):
 
 
 def test_basis_pairs_guard_names_pair_count(capsys):
-    for command in ("embed-check", "export"):
+    for command in ("verify", "embed-check", "export"):
         code, report = _run(capsys, [command, "3", "4"])
         assert code == 3
         assert str(1944**2) in report["error"]["message"]
+
+
+def test_verify_h82_passes_under_the_basis_pairs_guard(capsys):
+    """dim 128: 128^2 basis pairs are under the guard (about 3.5 s)."""
+    code, report = _run(capsys, ["verify", "8", "2"])
+    assert code == 0
+    assert report["ok"] is True
+    assert report["data"]["dim"] == 128
 
 
 def test_thread_cap_echoed(capsys, monkeypatch):
@@ -300,7 +311,7 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "verify 2 2 --scope sampled:50 --seed 9",
+    "verify 2 2",
     "twist-check 2 --search 10 --seed 3",
     "gamma-table 2 3",
     "rep-check 2 2 1 0",

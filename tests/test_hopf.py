@@ -123,13 +123,8 @@ def test_ring_embeds_in_h():
 
 
 def test_verify_axioms_h8_all_pairs():
-    report = HopfAlgebra(2, 2).verify_axioms(scope="all")
+    report = HopfAlgebra(2, 2).verify_axioms()
     assert report.ok, [c for c in report.checks if c["status"] != "pass"]
-
-
-def test_verify_axioms_sampled_mode():
-    report = HopfAlgebra(2, 3).verify_axioms(scope="sampled", seed=1, sample_size=200)
-    assert report.ok
 
 
 class _GammaDroppedHopf(HopfAlgebra):
@@ -167,7 +162,7 @@ def test_negative_control_gamma_mutation_breaks_associativity():
     c = H.z(1)
     assert H.hmul(H.hmul(a, b), c) != H.hmul(a, H.hmul(b, c))
     assert not H._associative_by_reduction()
-    report = H.verify_axioms(scope="all")
+    report = H.verify_axioms()
     assert not report.ok
     failed = {c["name"] for c in report.checks if c["status"] == "fail"}
     assert "associativity" in failed
@@ -199,7 +194,7 @@ def test_negative_control_translation_mutation_breaks_associativity():
         assert H.hmul(H.hmul(bar[w], bar[v]), bar[u]) == H.hmul(bar[w], H.hmul(bar[v], bar[u]))
     assert H._associative_by_reduction()
     assert not H._translation_law_holds()
-    report = H.verify_axioms(scope="all")
+    report = H.verify_axioms()
     assoc = _check(report, "associativity")
     assert assoc["status"] == "fail"
     assert assoc["witness"] == _first_nonassociative_triple(H)
@@ -215,18 +210,18 @@ class _LiteralHopf(HopfAlgebra):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
 def test_reduced_associativity_matches_literal_sweep(n, m):
-    reduced = HopfAlgebra(n, m).verify_axioms(scope="all")
-    literal = _LiteralHopf(n, m).verify_axioms(scope="all")
+    reduced = HopfAlgebra(n, m).verify_axioms()
+    literal = _LiteralHopf(n, m).verify_axioms()
     assert reduced.ok
     assert reduced.to_json() == literal.to_json()
     assert _check(reduced, "associativity")["checked"] == (n**m * factorial(m)) ** 3
 
 
 def test_reduced_report_on_failure_matches_literal_sweep():
-    reduced = _GammaDroppedHopf(2, 3).verify_axioms(scope="all")
+    reduced = _GammaDroppedHopf(2, 3).verify_axioms()
     literal = type("_LiteralGammaDropped", (_LiteralHopf, _GammaDroppedHopf), {})(2, 3)
     assert _check(reduced, "associativity")["status"] == "fail"
-    assert reduced.to_json() == literal.verify_axioms(scope="all").to_json()
+    assert reduced.to_json() == literal.verify_axioms().to_json()
 
 
 def _first_noncomultiplicative_pair(H):
@@ -243,7 +238,7 @@ def _first_noncomultiplicative_pair(H):
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
 def test_reduced_comultiplicativity_matches_literal_sweep(n, m):
     H = HopfAlgebra(n, m)
-    comult = _check(H.verify_axioms(scope="all"), "comultiplicativity")
+    comult = _check(H.verify_axioms(), "comultiplicativity")
     assert comult["status"] == "pass"
     assert comult["witness"] == _first_noncomultiplicative_pair(H) is None
     assert comult["checked"] == H.dim**2
@@ -254,7 +249,7 @@ def test_negative_control_gamma_mutation_breaks_comultiplicativity():
     comultiplicativity checks.  Before they shared one verdict through hmul,
     comultiplicativity read gamma from the word calculus and passed here."""
     H = _GammaDroppedHopf(2, 3)
-    report = H.verify_axioms(scope="all")
+    report = H.verify_axioms()
     direct = _check(report, "comultiplicativity-direct")
     assert direct["status"] == "fail"
     assert direct["witness"] == {"pair": [[2, 1, 3], [2, 1, 3]]}
@@ -285,7 +280,7 @@ def test_negative_control_translation_mutation_breaks_comultiplicativity():
     answered from the permutation pairs without checking P1."""
     H = _LeftTranslationMutatedHopf(2, 2)
     assert not H._translation_law_holds()
-    report = H.verify_axioms(scope="all")
+    report = H.verify_axioms()
     assert _check(report, "comultiplicativity-direct")["status"] == "pass"
     comult = _check(report, "comultiplicativity")
     assert comult["status"] == "fail"
@@ -457,13 +452,6 @@ def test_hopf_elem_json():
     ]
 
 
-def test_verify_axioms_rejects_unknown_scope_and_empty_sample():
-    H = HopfAlgebra(2, 2)
-    for scope, size in (("bogus", 5), ("sampled", 0), ("all", 0)):
-        with pytest.raises(ValueError, match="scope"):
-            H.verify_axioms(scope=scope, sample_size=size)
-
-
 class _LiteralCoalgebraHopf(HopfAlgebra):
     """The oracle: never take the exponent tables or the label reduction,
     so every permutation pair gets the HTensor verdict and every per-basis
@@ -523,7 +511,7 @@ def test_table_verdicts_match_htensor(cls, n, m):
 def test_reduced_report_matches_literal_coalgebra_sweep(cls, n, m):
     reduced = cls(n, m)
     literal = _literal(cls)(n, m)
-    assert reduced.verify_axioms(scope="all").to_json() == literal.verify_axioms(scope="all").to_json()
+    assert reduced.verify_axioms().to_json() == literal.verify_axioms().to_json()
     assert reduced.verify_integral().to_json() == literal.verify_integral().to_json()
 
 
@@ -577,11 +565,11 @@ def test_negative_control_twist_mutation_fails_with_literal_witness(cls):
     if cls is _SignFlippedTwistHopf:
         # no value of f_{s_1} is a root of unity, so no pair with s_1 is proved
         assert all(s1 not in pair for pair in H._comultiplicative_by_tables())
-    report = H.verify_axioms(scope="all")
+    report = H.verify_axioms()
     comult = _check(report, "comultiplicativity")
     assert comult["status"] == "fail"
     assert comult["witness"] == _first_noncomultiplicative_pair(H)
-    assert report.to_json() == _literal(cls)(2, 2).verify_axioms(scope="all").to_json()
+    assert report.to_json() == _literal(cls)(2, 2).verify_axioms().to_json()
 
 
 class _AntipodeBasisMutatedHopf(HopfAlgebra):
@@ -613,7 +601,7 @@ def _first_failing_basis_element(H, fails):
 def test_negative_control_antipode_mutation_fails_with_literal_witness(cls):
     H = cls(2, 3)
     assert H._antipode_translates() == (cls is _AntipodeWordMutatedHopf)
-    report = H.verify_axioms(scope="all")
+    report = H.verify_axioms()
 
     def antipode_fails(key):
         left = right = H.zero()
@@ -626,14 +614,14 @@ def test_negative_control_antipode_mutation_fails_with_literal_witness(cls):
     assert antipode["status"] == "fail"
     assert antipode["witness"] == _first_failing_basis_element(H, antipode_fails)
     assert antipode["checked"] == H.dim
-    assert report.to_json() == _literal(cls)(2, 3).verify_axioms(scope="all").to_json()
+    assert report.to_json() == _literal(cls)(2, 3).verify_axioms().to_json()
 
 
 def test_integral_report_does_not_depend_on_verify_axioms():
     for n, m in [(2, 2), (3, 2), (2, 3)]:
         before = HopfAlgebra(n, m).verify_integral().to_json()
         H = HopfAlgebra(n, m)
-        H.verify_axioms(scope="all")
+        H.verify_axioms()
         assert H._translates is True
         assert H.verify_integral().to_json() == before
 

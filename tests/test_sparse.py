@@ -162,7 +162,7 @@ def test_perturbed_cocycle_fails_associativity_with_triple(monkeypatch):
         return RingElem(g.ring, terms)
 
     monkeypatch.setattr(WordCalculus, "cocycle", perturbed)
-    report = HopfAlgebra(2, 2).verify_axioms(scope="all")
+    report = HopfAlgebra(2, 2).verify_axioms()
     assoc = next(c for c in report.checks if c["name"] == "associativity")
     assert assoc["status"] == "fail"
     assert len(assoc["witness"]["triple"]) == 3

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kacpal import (
     GroupAlgebra,
@@ -180,3 +182,39 @@ def test_strong_twists_are_the_bicharacters(n):
     assert not is_strong_twist(J).ok
     assert not is_superstrong(J).ok
     assert not antipode_conditions(J).ok
+
+
+def _values(J):
+    """J's n^2 values at the character pairs (x -> q^k, x -> q^l)."""
+    cyc, n = J.ring.cyc, J.ring.n
+    values = {}
+    for k in range(n):
+        for l in range(n):
+            v = cyc.zero
+            for ((i,), (j,)), c in J.terms.items():
+                v = v + c * cyc.q_pow(i * k + j * l)
+            values[k, l] = v
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@settings(max_examples=15, deadline=None)
+@given(tail=st.lists(st.integers(-3, 3).filter(bool), min_size=4, max_size=4))
+@example(tail=[1, 1, 1, 1])
+@example(tail=[-1, 1, -1, 1])
+def test_coboundary_twists_are_strong_exactly_when_bimultiplicative(n, tail):
+    """J = df, J(k, l) = f(k) f(l) / f(k + l) with f(0) = 1 and f nonzero,
+    is a twist; is_strong_twist passes exactly when J is multiplicative in
+    each argument, read off J's character values."""
+    B = GroupAlgebra(n, 1)
+    f = [B.cyc.scalar(c) for c in [1] + tail[: n - 1]]
+    J = _from_characters(B, lambda k, l: f[k] * f[l] / f[(k + l) % n])
+    assert is_twist(J).ok
+    v = _values(J)
+    bimultiplicative = all(
+        v[(a + b) % n, c] == v[a, c] * v[b, c] and v[c, (a + b) % n] == v[c, a] * v[c, b]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+    assert is_strong_twist(J).ok == bimultiplicative
