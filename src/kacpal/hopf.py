@@ -27,7 +27,9 @@ and comultiplicativity over all |B|^2 basis pairs from one verdict per
 permutation pair, read from exponent tables of J(w) and gamma(w, v) at
 characters.  With the matching laws for coproduct and antipode, the other
 per-basis checks run on the m! permutation labels.  Where a law fails, the
-literal sweep names the witness (see verify_axioms).
+literal sweep names the witness (see verify_axioms).  export reads its
+multiplication table from the (m!)^2 label products through the same law
+(product_table), which hmul applies term by term.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ from .symmetric import Perm, all_perms, canonical_word, cycle_perm, cycle_powers
 # (dim 1944) each ran past 60 s.  verify, whose P1 alone is |B|^2 hmul
 # calls, takes 3.4-3.5 s on H(8,2), 12.2-12.5 s on H(10,2), 49-58 s on
 # H(13,2) (dim 338, of which associativity/P1 is 43-53 s), 18.8-19.6 s on
-# H(4,3) and 16.1-16.4 s on H(2,4); it refuses H(14,2) (dim 392) in 0.24 s
+# H(4,3) and 16.1-16.4 s on H(2,4); it refuses H(14,2) (dim 392) in 0.24 s.
+# export, whose table comes from the label products, takes 4.2-4.7 s
+# (0.9 GB peak RSS) on H(2,4) and 6.2-7.0 s (1.4 GB) on H(4,3), two runs each
 BASIS_PAIRS_GUARD = 384**2
 
 
@@ -150,6 +154,42 @@ class HopfAlgebra:
                 for dg, cg in gamma_terms:
                     accumulate(out, (tuple((shifted[i] + dg[i]) % n for i in rng), wv), c * cg)
         return HopfElem(self, out)
+
+    def product_table(self) -> list[list[dict]]:
+        """hmul(a, b).to_json() for every basis pair, the pairs in
+        basis_keys order with b varying fastest, read from the (m!)^2
+        label products by the translation law: (x^alpha w-bar)(x^beta v-bar)
+        = (x^delta w-bar) v-bar = T_delta(w-bar v-bar), delta = alpha + w.beta.
+        One result list is built per (w, delta, v) and one term dict per
+        term, and every row that holds them shares them.  verify_axioms
+        checks the law (P1) through hmul."""
+        n, zero = self.n, self.ring.zero_exp
+        vectors = list(self.ring.exponent_vectors())
+        shared: dict = {}
+
+        def term(key, c) -> dict:
+            out = shared.get((key, c))
+            if out is None:
+                out = shared[key, c] = term_json(key, c)
+            return out
+
+        # translates[w, delta][j] = (x^delta w-bar) v_j-bar, v_j = perms[j]
+        translates = {}
+        for w in self.perms:
+            bar = self.basis_elem(zero, w)
+            templates = [self.hmul(bar, self.basis_elem(zero, v)).terms.items() for v in self.perms]
+            for delta in vectors:
+                shifted = (
+                    HopfElem(self, {(_shift(d, delta, n), p): c for (d, p), c in template})
+                    for template in templates
+                )
+                translates[w, delta] = [[term(*kv) for kv in h.sorted_terms()] for h in shifted]
+        table = []
+        for alpha in vectors:
+            for w in self.perms:
+                for beta in vectors:
+                    table.extend(translates[w, _shift(alpha, tuple(beta[i] for i in w.images), n)])
+        return table
 
     def j_of_word(self, w: Perm) -> KTensor:
         """J(w) by recursion over the canonical word; cached."""
@@ -739,6 +779,16 @@ def key_json(key) -> dict:
     return {"exponents": list(exps), "perm": list(w.one_line())}
 
 
+def label_json(key) -> dict:
+    """A basis key with the canonical word of its permutation."""
+    return dict(key_json(key), word=list(canonical_word(key[1])))
+
+
+def term_json(key, c) -> dict:
+    """One term of HopfElem.to_json: the labelled key and its coefficient."""
+    return dict(label_json(key), coeff=c.to_json())
+
+
 def _basis_witness(key) -> dict:
     return {"basis": key_json(key)}
 
@@ -788,15 +838,7 @@ class HopfElem(SparseElem):
         return out
 
     def to_json(self) -> list:
-        return [
-            {
-                "exponents": list(e),
-                "perm": list(w.one_line()),
-                "word": list(canonical_word(w)),
-                "coeff": c.to_json(),
-            }
-            for (e, w), c in self.sorted_terms()
-        ]
+        return [term_json(key, c) for key, c in self.sorted_terms()]
 
     def _monomial_repr(self, key) -> str:
         e, w = key

@@ -299,12 +299,16 @@ def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[list[i
     """V_{a,b} is inner-faithful over R iff the only subgroup of Z_n^m that
     acts as the identity is the trivial one.  rho is multiplicative on the
     group-likes, so the alpha with rho(x^alpha) = I form a subgroup K, whose
-    subgroups are the annihilating ones.  Returns (verdict, annihilating
+    subgroups are the annihilating ones.  rho(x^alpha) is diagonal with
+    entries q^{(M alpha)_r}, M = (a - b) I + b 11^T, and q has order n, so K
+    is the alpha with M alpha = 0 mod n.  Returns (verdict, annihilating
     subgroups as element lists); refuses n^m > SUBGROUP_GUARD, |K| > KERNEL_GUARD."""
-    n, m = params.n, params.m
-    rep = Rep(params)
-    ident = Mat.identity(rep.ctx, m)
-    kernel = [a for a in _elements_of_znm(n, m) if rep.rho_ring_monomial(a) == ident]
+    n, m, a, b = params.n, params.m, params.a, params.b
+    kernel = [
+        alpha
+        for alpha in _elements_of_znm(n, m)
+        if not any(((a - b) * x + b * sum(alpha)) % n for x in alpha)
+    ]
     if len(kernel) > KERNEL_GUARD:
         raise SizeGuardError(
             f"subgroup enumeration refused for |K| = {len(kernel)} > {KERNEL_GUARD}"

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import kacpal
+from kacpal import HopfAlgebra
 from kacpal.cli import main
+from kacpal.symmetric import canonical_word
 
 
 def _run(capsys, argv):
@@ -176,16 +179,44 @@ def test_module_algebra_check(capsys):
     assert report["ok"] is True
 
 
+def export_oracle(hopf) -> dict:
+    """The export tables built per basis pair and element through hmul,
+    coproduct, counit and antipode, in basis_keys order."""
+    keys = hopf.basis_keys()
+    labels = [
+        {"exponents": list(e), "perm": list(w.one_line()), "word": list(canonical_word(w))}
+        for e, w in keys
+    ]
+    elems = [hopf.basis_elem(*k) for k in keys]
+    return {
+        "dim": hopf.dim,
+        "basis": labels,
+        "mul": [
+            {"left": labels[i], "right": labels[j], "result": hopf.hmul(a, b).to_json()}
+            for i, a in enumerate(elems)
+            for j, b in enumerate(elems)
+        ],
+        "coproduct": [{"element": l, "result": hopf.coproduct(a).to_json()} for l, a in zip(labels, elems)],
+        "counit": [{"element": l, "result": hopf.counit(a).to_json()} for l, a in zip(labels, elems)],
+        "antipode": [{"element": l, "result": hopf.antipode(a).to_json()} for l, a in zip(labels, elems)],
+    }
+
+
 def test_export(capsys):
-    code, report = _run(capsys, ["export", "2", "2"])
-    assert code == 0
-    data = report["data"]
-    assert data["dim"] == 8
-    assert len(data["basis"]) == 8
-    assert len(data["mul"]) == 64
-    assert len(data["coproduct"]) == 8
-    assert len(data["counit"]) == 8
-    assert len(data["antipode"]) == 8
+    """Every row of the export tables equals its per-pair (or per-element)
+    oracle; a failure names the first wrong row."""
+    for n, m in ((2, 2), (3, 2), (4, 2), (2, 3)):
+        code, report = _run(capsys, ["export", str(n), str(m)])
+        assert code == 0
+        data = report["data"]
+        expected = export_oracle(HopfAlgebra(n, m))
+        assert sorted(data) == sorted(expected)
+        assert data["dim"] == expected["dim"] == n**m * factorial(m)
+        assert data["basis"] == expected["basis"]
+        for table in ("mul", "coproduct", "counit", "antipode"):
+            assert len(data[table]) == len(expected[table]), (n, m, table)
+            for i, (row, want) in enumerate(zip(data[table], expected[table])):
+                assert row == want, f"H({n},{m}) {table} row {i}: {want}"
 
 
 def test_embed_check(capsys):
@@ -255,6 +286,15 @@ def test_size_guard_exit_3(capsys):
         "embed-check 2 6",
         # a = b = 0 makes the kernel K all of Z_2^6: |K| = 64
         "inner-faithful 2 6 0 0 --bruteforce",
+        # dim H = 46080 (H(2,6)), 6144 (H(4,4)) and 4374 (H(9,3)) exceed
+        # 4000; H(2,5) (3840) and H(3,4) (1944) do not
+        "invariants 2 6 1 0",
+        "invariants 2 6 1 0 --degree 2",
+        "invariants 2 6 1 0 --subalgebra cyclic",
+        "invariants 4 4 1 0",
+        "invariants 9 3 1 0 --degree 0",
+        "module-algebra-check 2 6 1 0",
+        "module-algebra-check 4 4 1 0 --degree 1",
     ):
         code, report = _run(capsys, argv.split())
         assert code == 3, argv

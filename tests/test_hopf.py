@@ -172,6 +172,42 @@ def test_negative_control_gamma_mutation_breaks_associativity():
     assert assoc["checked"] == H.dim**3
 
 
+class _OneGammaTermDroppedHopf(HopfAlgebra):
+    """Negative control for product_table: drop the last gamma term of one
+    permutation pair."""
+
+    def __init__(self, n, m, pair):
+        super().__init__(n, m)
+        self.pair = pair
+
+    def _single_product(self, w, v):
+        wv, terms = super()._single_product(w, v)
+        return (wv, terms[:-1]) if (w, v) == self.pair else (wv, terms)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_product_table_follows_a_mutated_label_product(n, m):
+    """Dropping one gamma term of a non-identity pair (w, v) changes the
+    table on exactly the n^(2m) rows of that pair, and the table still
+    equals the per-pair hmul of the mutated algebra."""
+    plain = HopfAlgebra(n, m)
+    ident = Perm.identity(m)
+    pair = next(
+        (w, v)
+        for w, v in iproduct(plain.perms, repeat=2)
+        if ident not in (w, v) and len(plain._single_product(w, v)[1]) > 1
+    )
+    mutated = _OneGammaTermDroppedHopf(n, m, pair)
+    pairs = list(iproduct(plain.basis_keys(), repeat=2))
+    before, after = plain.product_table(), mutated.product_table()
+    changed = [i for i, (old, new) in enumerate(zip(before, after)) if old != new]
+    assert changed == [i for i, (ka, kb) in enumerate(pairs) if (ka[1], kb[1]) == pair]
+    assert len(changed) == n ** (2 * m)
+    assert len(after) == len(pairs)
+    for i, ((ka, kb), row) in enumerate(zip(pairs, after)):
+        assert row == mutated.hmul(mutated.basis_elem(*ka), mutated.basis_elem(*kb)).to_json(), i
+
+
 class _TranslationMutatedHopf(HopfAlgebra):
     """Negative control: flip the sign of w-bar (x^beta v-bar) whenever
     w != id and beta_1 = 1.  Every product of permutation labels is

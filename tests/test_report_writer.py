@@ -51,6 +51,18 @@ LEAF_LOOKALIKES = {
 }
 SHARED_LEAF = [0, 1, "w"]
 SHARED_DICT = {"exponents": SHARED_LEAF, "perm": [2, 1]}
+# export shares one term dict, and one result list, across the result
+# lists of many rows at the same depth
+SHARED_TERM = {"coeff": ["1/2", "0/1"], "exponents": [1, 0], "perm": [1, 0], "word": [1]}
+SHARED_RESULT = [SHARED_TERM, {"coeff": ["-1/2", "0/1"], "exponents": [0, 0], "perm": [1, 0], "word": [1]}]
+SHARED_TERMS = {
+    "mul": [
+        {"left": SHARED_DICT, "result": SHARED_RESULT},
+        {"left": SHARED_DICT, "result": [SHARED_TERM]},
+        {"left": {"exponents": [1]}, "result": SHARED_RESULT},
+        {"left": [SHARED_TERM], "result": [{"x": SHARED_TERM}, SHARED_TERM]},
+    ],
+}
 SHARING = {
     "basis": [SHARED_DICT, SHARED_DICT],
     "rows": [{"left": SHARED_DICT, "right": [SHARED_DICT, {"deep": SHARED_DICT}]}],
@@ -62,6 +74,7 @@ SHARING = {
 @given(trees_with_shared_objects())
 @example(LEAF_LOOKALIKES)
 @example(SHARING)
+@example(SHARED_TERMS)
 @example([[], {}, (), [[]], {"": {}}])
 def test_writer_matches_json_dumps(obj):
     assert report_text(obj) == oracle(obj)

@@ -232,6 +232,21 @@ def test_bruteforce_matches_full_subgroup_lattice(n, m):
             assert inner_faithful_bruteforce(RepParams(n, m, a, b)) == expected, (a, b)
 
 
+@pytest.mark.parametrize(
+    "n,m,a,b", [(2, 2, 1, 1), (4, 2, 1, 3), (5, 3, 1, 2), (4, 3, 2, 2), (6, 2, 0, 3), (2, 6, 1, 1)]
+)
+def test_bruteforce_kernel_matches_rho(n, m, a, b):
+    """The kernel K, read from M alpha = 0 mod n, is the set of alpha with
+    rho(x^alpha) = I; K is the largest annihilating subgroup."""
+    rep = Rep(RepParams(n, m, a, b))
+    ident = Mat.identity(rep.ctx, m)
+    kernel = [list(alpha) for alpha in iproduct(range(n), repeat=m)
+              if rep.rho_ring_monomial(alpha) == ident]
+    assert len(kernel) > 1
+    _, annihilating = inner_faithful_bruteforce(RepParams(n, m, a, b))
+    assert annihilating[-1] == kernel
+
+
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
 def test_criterion_implies_bruteforce(n, m):
     for a in range(n):
