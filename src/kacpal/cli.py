@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from itertools import product as iproduct
-from math import factorial
+from math import comb, factorial
 
 from . import __version__
 from .cocycle import reference_cocycle_table_m3
@@ -273,10 +273,29 @@ def _guard_dimension(what: str, n: int, m: int) -> None:
         raise SizeGuardError(f"{what} refused for dim H = {dim} > {DIMENSION_GUARD}")
 
 
+# bounds the degree work of invariants, comb(K + m, m) monomials of degree
+# <= K times the dim H terms of the integral that acts on each, which
+# DIMENSION_GUARD alone leaves to grow with K = 2n at m = 2.  On a 2-core
+# host with Python 3.11, one run each, invariants takes 16-32 us per unit:
+# 12 2 1 0 (work 93,600) 2.4 s, 16 2 1 0 (287,232) 6.8 s, 20 2 1 0
+# (688,800) 17.1 s, 2 5 1 0 (483,840) 7.9 s and 3 4 1 0 (408,240) 6.3 s
+DEGREE_WORK_GUARD = 500_000
+
+
+def _guard_degree_work(n: int, m: int, degree: int) -> None:
+    work = comb(degree + m, m) * n**m * factorial(m)
+    if work > DEGREE_WORK_GUARD:
+        raise SizeGuardError(
+            f"invariants refused for degree work {work} (monomials of degree <= {degree}"
+            f" times dim H) > {DEGREE_WORK_GUARD}"
+        )
+
+
 def _run_invariants(args, report):
     _guard_dimension("invariants", args.n, args.m)
-    hopf = HopfAlgebra(args.n, args.m)
     degree = args.degree if args.degree is not None else 2 * args.n
+    _guard_degree_work(args.n, args.m, degree)
+    hopf = HopfAlgebra(args.n, args.m)
     qpa = QuantumPolyAlgebra(hopf, args.a, args.b, degree_bound=max(degree, 2 * args.n))
     subalgebra = args.subalgebra
     if args.m == 2 and subalgebra == "cyclic":

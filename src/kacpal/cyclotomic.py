@@ -199,7 +199,7 @@ class CycScalar:
         return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     # -- field operations ----------------------------------------------------
 

@@ -394,18 +394,21 @@ def _character_values(cyc: CycContext, items, live: int, sign: int, scale: int =
     return [cyc.from_cyclic(v, den * scale) for v in _character_pass(vecs, cyc.n, sign)]
 
 
+def live_index(coords, live: list, n: int) -> int:
+    """The row-major index in Z_n^live of the coordinates coords[i], i in live."""
+    idx = 0
+    for i in live:
+        idx = idx * n + coords[i]
+    return idx
+
+
 def _unit_values(ring: GroupAlgebra, terms: dict, width: int) -> tuple[list, list]:
     """The live axes of the element with the given sparse terms, keyed by
     flat exponent tuples of that width, and its character values over
     Z_n^live.  Raises NotInvertibleError if one of them is zero."""
     n = ring.n
     live = [i for i in range(width) if any(key[i] for key in terms)]
-    items = []
-    for key, c in terms.items():
-        idx = 0
-        for i in live:
-            idx = idx * n + key[i]
-        items.append((idx, c))
+    items = [(live_index(key, live, n), c) for key, c in terms.items()]
     values = _character_values(ring.cyc, items, len(live), 1)
     if any(v.is_zero() for v in values):
         raise NotInvertibleError("element is not a unit of the group algebra")
@@ -454,7 +457,10 @@ def tensor_inverse(J: KTensor) -> KTensor:
     return KTensor(J.ring, J.arity, out)
 
 
-def check_tensor_invertible(J: KTensor) -> None:
+def check_tensor_invertible(J: KTensor) -> tuple[list, list]:
     """Raise NotInvertibleError unless J is a unit: compute the character
-    values without reconstructing the inverse."""
-    _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)
+    values without reconstructing the inverse.  Returns them with the live
+    axes of the flat exponent tuple, as the pair (live, values): the value
+    at a character chi of Z_n^(m * arity) is values[live_index(chi, live, n)],
+    since a dead axis does not change it."""
+    return _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)

@@ -9,7 +9,7 @@ import pytest
 
 import kacpal
 from kacpal import HopfAlgebra
-from kacpal.cli import main
+from kacpal.cli import _guard_degree_work, main
 from kacpal.symmetric import canonical_word
 
 
@@ -104,6 +104,16 @@ def test_twist_check_wide_embeddings(capsys):
     assert len(embedded) == 1 + 3 + 6 + 10 + 15
     assert all(c["status"] == "pass" for c in embedded)
     assert any(c["name"].startswith("embedded-twist(5,6,6)") for c in embedded)
+
+
+def test_twist_check_n8_to_m8(capsys):
+    # the strong verdict is read once from J's 64 character values and
+    # serves all 84 embeddings; superstrong is one pass over 8^4 quadruples
+    code, report = _run(capsys, ["twist-check", "8", "--max-m", "8"])
+    assert code == 0
+    assert report["ok"] is True
+    assert len(report["checks"]) == 4 + sum(m * (m - 1) // 2 for m in range(2, 9))
+    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_twist_search(capsys):
@@ -295,11 +305,25 @@ def test_size_guard_exit_3(capsys):
         "invariants 9 3 1 0 --degree 0",
         "module-algebra-check 2 6 1 0",
         "module-algebra-check 4 4 1 0 --degree 1",
+        # degree work comb(K + m, m) * dim H over 500,000: 1,411,200 for
+        # 24 2 1 0 (K = 48), 688,800 for 20 2 1 0 (K = 40), 644,808 and
+        # 641,520 for a degree past the default
+        "invariants 24 2 1 0",
+        "invariants 20 2 1 0",
+        "invariants 2 2 1 0 --degree 400",
+        "invariants 3 4 1 0 --degree 7",
     ):
         code, report = _run(capsys, argv.split())
         assert code == 3, argv
         assert report["error"]["type"] == "size-guard", argv
         assert report["checks"] == [], argv
+
+
+@pytest.mark.parametrize("n, m, degree", [(2, 2, 5), (3, 3, 12), (2, 4, 6), (2, 5, 4), (3, 4, 6), (18, 2, 36)])
+def test_degree_work_guard_admits(n, m, degree):
+    # the benchmark's invariants instances, the two largest H that
+    # DIMENSION_GUARD admits at their default degree, and 18 2 1 0
+    _guard_degree_work(n, m, degree)
 
 
 def test_basis_pairs_guard_names_pair_count(capsys):

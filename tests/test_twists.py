@@ -17,8 +17,19 @@ from kacpal import (
     is_twist,
 )
 from kacpal.errors import NotInvertibleError
+from kacpal.group_ring import check_tensor_invertible
 from kacpal.sparse import accumulate
-from kacpal.twists import search_central_converse, unit_tensor
+from kacpal.twists import (
+    _counits_hold,
+    _dense_embedded_twist,
+    _dense_superstrong,
+    _strong_holds,
+    _superstrong_holds,
+    _twist_holds,
+    character_table,
+    search_central_converse,
+    unit_tensor,
+)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -218,3 +229,133 @@ def test_coboundary_twists_are_strong_exactly_when_bimultiplicative(n, tail):
         for c in range(n)
     )
     assert is_strong_twist(J).ok == bimultiplicative
+
+
+def _random_unit(B, rng):
+    """A random invertible element of B (x) B with coefficients in -2..2."""
+    while True:
+        J = KTensor(B, 2, {
+            ((i,), (j,)): B.cyc.scalar(c)
+            for i in range(B.n)
+            for j in range(B.n)
+            if (c := rng.randrange(-2, 3))
+        })
+        try:
+            check_tensor_invertible(J)
+        except NotInvertibleError:
+            continue
+        return J
+
+
+def _oracle_family(n):
+    """Random units, coboundaries df with f(0) = 1, the bicharacters q^(ckl),
+    the canonical twist and the unit of B (x) B."""
+    B = GroupAlgebra(n, 1)
+    rng = random.Random(100 + n)
+    family = [("random", _random_unit(B, rng)) for _ in range(3)]
+    for _ in range(2):
+        f = [B.cyc.one] + [B.cyc.scalar(rng.choice([-3, -2, 2, 3])) for _ in range(n - 1)]
+        family.append(("coboundary", _from_characters(B, lambda k, l: f[k] * f[l] / f[(k + l) % n])))
+    for c in range(min(n, 3)):
+        family.append((f"bicharacter-{c}", _from_characters(B, lambda k, l: B.cyc.q_pow(c * k * l))))
+    family.append(("canonical", canonical_twist(B)))
+    family.append(("unit", unit_tensor(B, 2)))
+    return family
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_table_verdicts_match_the_dense_predicates(n):
+    """Every verdict on J's character table equals its dense predicate, and
+    every embedding into B^(x)m, m <= 4, is a twist exactly when J is strong."""
+    for kind, J in _oracle_family(n):
+        V = character_table(J)
+        ones = unit_tensor(J.ring, 1)
+        assert _counits_hold(V) == (J.counit_leg(0) == ones and J.counit_leg(1) == ones), kind
+        assert _twist_holds(V) == is_twist(J).ok, kind
+        strong = _dense_embedded_twist(J, 1, 2, 2, "").ok
+        assert _strong_holds(V) == strong, kind
+        assert is_strong_twist(J).ok == strong, kind
+        assert _superstrong_holds(V) == _dense_superstrong(J).ok, kind
+        assert is_superstrong(J).ok == _superstrong_holds(V), kind
+        for m in (2, 3, 4):
+            for i in range(1, m + 1):
+                for j in range(i + 1, m + 1):
+                    assert _dense_embedded_twist(J, i, j, m, "").ok == strong, (kind, i, j, m)
+                    assert embedded_twist(J, i, j, m).ok == strong, (kind, i, j, m)
+
+
+def test_superstrong_of_a_non_unit_is_dense():
+    # e_0 (x) 1 has no character table here (it is not a unit): the dense
+    # product decides, and it fails
+    B = GroupAlgebra(2, 1)
+    half = B.cyc.scalar(Fraction(1, 2))
+    J = KTensor(B, 2, {((0,), (0,)): half, ((1,), (0,)): half})
+    with pytest.raises(NotInvertibleError):
+        character_table(J)
+    assert is_superstrong(J) == _dense_superstrong(J)
+    assert not is_superstrong(J).ok
+
+
+def _dense_search(n, count, seed):
+    """search_central_converse with every sample classified by the dense
+    predicates."""
+    B = GroupAlgebra(n, 1)
+    rng = random.Random(seed)
+    out = {"invertible": 0, "twist_and_strong": 0, "strong_only": 0, "neither": 0}
+    separating = []
+    for _ in range(count):
+        terms = {}
+        for i in range(n):
+            for j in range(n):
+                c = rng.randrange(-2, 3)
+                if c:
+                    terms[((i,), (j,))] = B.cyc.scalar(c)
+        J = KTensor(B, 2, terms)
+        try:
+            twist_eq = is_twist(J).ok
+        except NotInvertibleError:
+            continue
+        out["invertible"] += 1
+        strong = _dense_embedded_twist(J, 1, 2, 2, "").ok
+        if twist_eq and not strong:
+            separating.append(J.to_json())
+        elif twist_eq:
+            out["twist_and_strong"] += 1
+        elif strong:
+            out["strong_only"] += 1
+        else:
+            out["neither"] += 1
+    return dict(out, n=n, samples=count, separating_candidates=separating, resolved=False)
+
+
+@pytest.mark.parametrize("n, count, seed", [(2, 2000, 3), (3, 300, 1), (4, 100, 2)])
+def test_converse_search_matches_dense_classification(n, count, seed):
+    assert search_central_converse(n, count, seed) == _dense_search(n, count, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_changed_coefficient_fails_with_the_dense_witness(n):
+    """Negative control: one coefficient of the canonical J moved by 2 (it
+    stays a unit, as |q^e| = 1 < 2) makes the table verdicts fail, and each
+    predicate then reports the dense condition and witness."""
+    B = GroupAlgebra(n, 1)
+    J0 = canonical_twist(B)
+    assert is_strong_twist(J0).ok and is_superstrong(J0).ok
+    terms = dict(J0.terms)
+    terms[(1,), (1,)] = terms[(1,), (1,)] + 2
+    J = KTensor(B, 2, terms)
+    V = character_table(J)
+    assert not _strong_holds(V) and not _superstrong_holds(V)
+    pairs = [
+        (is_strong_twist(J), _dense_embedded_twist(J, 1, 2, 2, "strong-twist:")),
+        (is_superstrong(J), _dense_superstrong(J)),
+    ]
+    for m in (2, 3):
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                prefix = f"embedded-twist({i},{j},{m}):"
+                pairs.append((embedded_twist(J, i, j, m), _dense_embedded_twist(J, i, j, m, prefix)))
+    for got, dense in pairs:
+        assert not got.ok
+        assert got.witness is not None
+        assert (got.condition, got.witness) == (dense.condition, dense.witness)
