@@ -264,6 +264,21 @@ def _oracle_family(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_character_table_is_the_values_at_character_pairs(n):
+    """The table read from check_tensor_invertible, with a dead axis (or
+    both) broadcast, equals J's values summed term by term."""
+    B = GroupAlgebra(n, 1)
+    two = B.cyc.scalar(2)
+    one_sided = [
+        KTensor(B, 2, {((0,), (0,)): two, ((1,), (0,)): B.cyc.one}),
+        KTensor(B, 2, {((0,), (0,)): two, ((0,), (n - 1,)): B.cyc.q}),
+    ]
+    for J in [J for _, J in _oracle_family(n)] + one_sided:
+        v = _values(J)
+        assert character_table(J) == [[v[a, b] for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_table_verdicts_match_the_dense_predicates(n):
     """Every verdict on J's character table equals its dense predicate, and
     every embedding into B^(x)m, m <= 4, is a twist exactly when J is strong."""
