@@ -22,7 +22,6 @@ from .cocycle import reference_cocycle_table_m3
 from .errors import NotInvertibleError, SizeGuardError
 from .group_ring import GroupAlgebra, canonical_twist, sigma
 from .hopf import AxiomReport, HopfAlgebra, embedding_check, guard_basis_pairs, label_json
-from .linalg import rref
 from .quantum_poly import QuantumPolyAlgebra
 from .reps import (
     RepParams,
@@ -282,12 +281,46 @@ def _guard_dimension(what: str, n: int, m: int) -> None:
 DEGREE_WORK_GUARD = 500_000
 
 
+# bounds the linear algebra of invariants, a kernel and an RREF in each
+# degree k <= K on the d_k = C(k + m - 1, m - 1) monomials of degree k,
+# priced as sum_k d_k^3, which the degree work leaves to grow like K^4 at
+# m = 2.  On a 2-core host with Python 3.11, one run each: 2 2 1 0
+# --degree 40 (741,321) takes 2.3 s, --degree 60 (3,575,881) 8.8 s, and
+# 2 3 1 0 --degree 16 (10,838,265) 5.1 s and --degree 20 (44,284,867) 19 s
+LINEAR_ALGEBRA_GUARD = 4_000_000
+
+
 def _guard_degree_work(n: int, m: int, degree: int) -> None:
     work = comb(degree + m, m) * n**m * factorial(m)
     if work > DEGREE_WORK_GUARD:
         raise SizeGuardError(
             f"invariants refused for degree work {work} (monomials of degree <= {degree}"
             f" times dim H) > {DEGREE_WORK_GUARD}"
+        )
+    cubes = sum(comb(k + m - 1, m - 1) ** 3 for k in range(degree + 1))
+    if cubes > LINEAR_ALGEBRA_GUARD:
+        raise SizeGuardError(
+            f"invariants refused for linear algebra {cubes} (the sum of d_k^3 over the"
+            f" monomial counts d_k of degrees k <= {degree}) > {LINEAR_ALGEBRA_GUARD}"
+        )
+
+
+# bounds the monomial-pair work of module-algebra-check: its 2m + 2 acting
+# elements times the C(K + 2m, 2m) monomial pairs of total degree <= K,
+# times n^m for the terms of Delta(h) that each case sums over.  On a 2-core
+# host with Python 3.11, one run each, a unit takes 10-70 us: 2 2 1 0
+# --degree 12 (43,680) 1.7 s, --degree 16 (116,280) 4.3 s, 3 3 1 0
+# --degree 6 (199,584) 9.1 s, 2 5 1 0 (384,384) 12.9 s, 3 4 1 0 (400,950)
+# 7.1 s and 8 3 1 0 (860,160) 52 s
+MODULE_WORK_GUARD = 500_000
+
+
+def _guard_module_work(n: int, m: int, degree: int) -> None:
+    work = (2 * m + 2) * comb(degree + 2 * m, 2 * m) * n**m
+    if work > MODULE_WORK_GUARD:
+        raise SizeGuardError(
+            f"module algebra check refused for work {work} (elements times monomial"
+            f" pairs of degree <= {degree} times n^m) > {MODULE_WORK_GUARD}"
         )
 
 
@@ -310,9 +343,9 @@ def _run_invariants(args, report):
     report["data"]["subalgebra"] = subalgebra
 
     def oracle_disagrees(k):
+        # both sides are RREF rows, and the RREF of a row space is unique
         mons = qpa.monomials(k)
-        vecs = [[f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in inv[k]]
-        return (rref(vecs, qpa.ctx)[0] if vecs else []) != oracle[k]
+        return [[f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in inv[k]] != oracle[k]
 
     _checks(report).check(
         "integral-projector-oracle",
@@ -322,13 +355,14 @@ def _run_invariants(args, report):
         lambda k: {"degree": k},
         checked=degree + 1,
     )
-    report["checks"].extend(qpa.containment_check(degree, subalgebra="ring").checks)
+    report["checks"].extend(qpa.containment_check(degree).checks)
 
 
 def _run_module_algebra(args, report):
     _guard_dimension("module algebra check", args.n, args.m)
-    hopf = HopfAlgebra(args.n, args.m)
     degree = args.degree if args.degree is not None else min(4, 2 * args.n)
+    _guard_module_work(args.n, args.m, degree)
+    hopf = HopfAlgebra(args.n, args.m)
     qpa = QuantumPolyAlgebra(hopf, args.a, args.b, degree_bound=max(degree, 2 * args.n))
     report["context"] = hopf.cyc.to_json()
     result = qpa.module_algebra_check(degree=degree, seed=args.seed)

@@ -61,10 +61,6 @@ class GroupAlgebra:
             c = self.cyc.scalar(c)
         return RingElem(self, {exps: c} if c else {})
 
-    def gen(self, i: int) -> "RingElem":
-        """x_i, the generator of the i-th tensor slot (1-based)."""
-        return self.monomial(slot_vector(self.m, i))
-
     def from_terms(self, terms: dict) -> "RingElem":
         return RingElem(self, {k: c for k, c in terms.items() if c})
 

@@ -1,5 +1,5 @@
 """Exact linear algebra over the cyclotomic field: reduced row echelon form,
-kernels, ranks, determinants and small dense matrices.
+kernels, determinants and small dense matrices.
 
 Everything is exact; pivoting picks the first nonzero entry, so results are
 deterministic and canonical (RREF bases are unique for a given row space).
@@ -61,10 +61,6 @@ def rref(rows: list[list[CycScalar]], ctx: CycContext) -> tuple[list[list[CycSca
     ncols = len(rows[0]) if rows else 0
     red, pivots, _ = _gauss_jordan(rows, ncols, ctx)
     return [[row.get(c, ctx.zero) for c in range(ncols)] for row in red], pivots
-
-
-def rank(rows: list[list[CycScalar]], ctx: CycContext) -> int:
-    return len(rref(rows, ctx)[0])
 
 
 def kernel_basis(rows: list[list[CycScalar]], ncols: int, ctx: CycContext) -> list[list[CycScalar]]:

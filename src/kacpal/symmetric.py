@@ -60,9 +60,6 @@ class Perm:
         """Image of i under the permutation, 1-based."""
         return self.images[i - 1] + 1
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
     def length(self) -> int:
         """Coxeter length = inversion count of the one-line notation."""
         img = self.images

@@ -312,6 +312,11 @@ def test_size_guard_exit_3(capsys):
         "invariants 20 2 1 0",
         "invariants 2 2 1 0 --degree 400",
         "invariants 3 4 1 0 --degree 7",
+        # linear algebra sum_k d_k^3 over 4,000,000: 11,029,041 at K = 80
+        "invariants 2 2 1 0 --degree 80",
+        # monomial-pair work over 500,000: 3,258,024 and 1,729,728
+        "module-algebra-check 2 2 1 0 --degree 40",
+        "module-algebra-check 3 3 1 0 --degree 10",
     ):
         code, report = _run(capsys, argv.split())
         assert code == 3, argv

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacpal import CycContext
-from kacpal.linalg import Mat, determinant, kernel_basis, rank, rref
+from kacpal.linalg import Mat, determinant, kernel_basis, rref
 
 
 def _rand_scalar(ctx, rng):
@@ -109,7 +109,7 @@ def test_sparse_elimination_matches_dense_reference(case):
     red, pivots = rref(rows, ctx)
     ref_red, ref_pivots = reference_rref(rows, ctx)
     assert (red, pivots) == (ref_red, ref_pivots)
-    assert rank(rows, ctx) == len(ref_red)
+    assert len(rref(rows, ctx)[0]) == len(ref_red)
     kern = kernel_basis(rows, ncols, ctx)
     ref_kern = []
     for fc in (c for c in range(ncols) if c not in ref_pivots):
@@ -131,7 +131,7 @@ def test_rref_known_system():
     rows = [[s(1), s(2), s(3)], [s(2), s(4), s(6)], [s(0), s(1), s(1)]]
     red, pivots = rref(rows, ctx)
     assert pivots == [0, 1]
-    assert rank(rows, ctx) == 2
+    assert len(rref(rows, ctx)[0]) == 2
     kern = kernel_basis(rows, 3, ctx)
     assert len(kern) == 1
     for row in rows:

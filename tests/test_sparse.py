@@ -5,7 +5,7 @@ import pytest
 
 from kacpal.cocycle import WordCalculus
 from kacpal.errors import ContextMismatchError
-from kacpal.group_ring import GroupAlgebra, KTensor, RingElem, canonical_twist
+from kacpal.group_ring import GroupAlgebra, KTensor, RingElem, canonical_twist, slot_vector
 from kacpal.hopf import AxiomReport, HopfAlgebra, HTensor
 from kacpal.quantum_poly import QuantumPolyAlgebra
 from kacpal.symmetric import Perm
@@ -13,8 +13,8 @@ from kacpal.symmetric import Perm
 
 def _ring():
     R = GroupAlgebra(3, 2)
-    x = R.gen(1) + R.one.scale(3) + R.monomial((2, 1), R.cyc.q)
-    y = R.gen(2).scale(2) - R.gen(1) + R.one
+    x = R.monomial(slot_vector(R.m, 1)) + R.one.scale(3) + R.monomial((2, 1), R.cyc.q)
+    y = R.monomial(slot_vector(R.m, 2)).scale(2) - R.monomial(slot_vector(R.m, 1)) + R.one
     return x, y, GroupAlgebra(3, 3).one, R.one
 
 
