@@ -308,10 +308,10 @@ def _guard_degree_work(n: int, m: int, degree: int) -> None:
 # bounds the monomial-pair work of module-algebra-check: its 2m + 2 acting
 # elements times the C(K + 2m, 2m) monomial pairs of total degree <= K,
 # times n^m for the terms of Delta(h) that each case sums over.  On a 2-core
-# host with Python 3.11, one run each, a unit takes 10-70 us: 2 2 1 0
-# --degree 12 (43,680) 1.7 s, --degree 16 (116,280) 4.3 s, 3 3 1 0
-# --degree 6 (199,584) 9.1 s, 2 5 1 0 (384,384) 12.9 s, 3 4 1 0 (400,950)
-# 7.1 s and 8 3 1 0 (860,160) 52 s
+# host with Python 3.11, one run each, a unit takes 7-27 us: 2 2 1 0
+# --degree 12 (43,680) 0.6 s, --degree 16 (116,280) 1.4 s, 3 3 1 0
+# --degree 6 (199,584) 2.7 s, 2 5 1 0 (384,384) 2.6 s, 3 4 1 0 (400,950)
+# 2.6 s and, with the guard lifted, 8 3 1 0 (860,160) 23 s
 MODULE_WORK_GUARD = 500_000
 
 
@@ -329,7 +329,7 @@ def _run_invariants(args, report):
     degree = args.degree if args.degree is not None else 2 * args.n
     _guard_degree_work(args.n, args.m, degree)
     hopf = HopfAlgebra(args.n, args.m)
-    qpa = QuantumPolyAlgebra(hopf, args.a, args.b, degree_bound=max(degree, 2 * args.n))
+    qpa = QuantumPolyAlgebra(hopf, args.a, args.b)
     subalgebra = args.subalgebra
     if args.m == 2 and subalgebra == "cyclic":
         subalgebra = "full"  # for m = 2 the cyclic subalgebra is all of H
@@ -363,7 +363,7 @@ def _run_module_algebra(args, report):
     degree = args.degree if args.degree is not None else min(4, 2 * args.n)
     _guard_module_work(args.n, args.m, degree)
     hopf = HopfAlgebra(args.n, args.m)
-    qpa = QuantumPolyAlgebra(hopf, args.a, args.b, degree_bound=max(degree, 2 * args.n))
+    qpa = QuantumPolyAlgebra(hopf, args.a, args.b)
     report["context"] = hopf.cyc.to_json()
     result = qpa.module_algebra_check(degree=degree, seed=args.seed)
     report["checks"].extend(result.checks)

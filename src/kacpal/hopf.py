@@ -550,13 +550,19 @@ class HopfAlgebra:
         )
 
         proved: set = set()  # the label pairs (w, v) the exponent tables decide
+        verdicts: dict = {}  # one HTensor verdict per pair, shared by both checks
 
         def delta_fails(keys):
             ka, kb = keys
             if (ka[1], kb[1]) in proved:
                 return False
-            a, b = elems[ka], elems[kb]
-            return self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
+            out = verdicts.get(keys)
+            if out is None:
+                a, b = elems[ka], elems[kb]
+                out = verdicts[keys] = (
+                    self.coproduct(self.hmul(a, b)) != self.coproduct(a) * self.coproduct(b)
+                )
+            return out
 
         if coproducts_translate:
             gens = [next(iter(g.terms)) for g in self.generators()]

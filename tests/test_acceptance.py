@@ -198,11 +198,11 @@ def test_criterion_09_inner_faithfulness():
 def test_criterion_10_module_algebra():
     with _Criterion(10, "module algebra"):
         for n, m in [(2, 2), (2, 3), (3, 2)]:
-            qpa = QuantumPolyAlgebra(HopfAlgebra(n, m), 1, 0, degree_bound=4)
+            qpa = QuantumPolyAlgebra(HopfAlgebra(n, m), 1, 0)
             report = qpa.module_algebra_check(degree=4, seed=0)
             assert report.ok, (n, m, [c for c in report.checks if c["status"] != "pass"])
         # negative control: dropping the twist from the coproduct must fail
-        qpa = QuantumPolyAlgebra(HopfAlgebra(2, 2), 1, 0, degree_bound=4)
+        qpa = QuantumPolyAlgebra(HopfAlgebra(2, 2), 1, 0)
 
         def naive(h):
             return [(((e, w), (e, w)), c) for (e, w), c in h.terms.items()]
@@ -215,7 +215,7 @@ def test_criterion_10_module_algebra():
 
 def test_criterion_11_invariants():
     with _Criterion(11, "invariant rings", budget=120.0):
-        qpa = QuantumPolyAlgebra(HopfAlgebra(2, 2), 1, 0, degree_bound=4)
+        qpa = QuantumPolyAlgebra(HopfAlgebra(2, 2), 1, 0)
         inv = qpa.invariants("full", 4)
         assert [len(inv[k]) for k in range(5)] == [1, 0, 1, 0, 2]
         assert inv[2] == [qpa.monomial((2, 0)) + qpa.monomial((0, 2))]
@@ -229,7 +229,7 @@ def test_criterion_11_invariants():
             vecs = [[f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in inv[k]]
             assert (rref(vecs, qpa.ctx)[0] if vecs else []) == oracle[k]
 
-        qpa3 = QuantumPolyAlgebra(HopfAlgebra(2, 3), 1, 0, degree_bound=4)
+        qpa3 = QuantumPolyAlgebra(HopfAlgebra(2, 3), 1, 0)
         inv3 = qpa3.invariants("cyclic", 4)
         assert inv3[2] == [
             qpa3.monomial((2, 0, 0)) + qpa3.monomial((0, 2, 0)) + qpa3.monomial((0, 0, 2))

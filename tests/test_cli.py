@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import factorial
@@ -397,6 +399,38 @@ def test_report_is_json_dumps_text(tmp_path, argv):
     main(["--out", str(path)] + argv.split())
     text = path.read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+# the report text minus its top-level "timings" member, which is the one
+# part of a report that varies from run to run
+TIMINGS = re.compile(rb'\n  "timings": \{\n(?:    [^\n]*\n)*  \},')
+
+# SHA-256 of each report with its timings removed, recorded before the
+# quantum polynomial algebra lost its degree bound; the graded engine must
+# reproduce them byte for byte
+MODULE_REPORT_DIGESTS = {
+    "invariants 2 3 1 0 --degree 4":
+        "73bfc537d6db3a2016995d30cf422ea9e37b2938530d8f2f53605e8f956a616f",
+    "invariants 3 3 1 0 --subalgebra cyclic --degree 4":
+        "8ddfa6c461690a039060460004ea2accc691b05cf664ba26144ffef676276997",
+    "invariants 3 2 2 1":
+        "08c83f57a0b78e42ce22cca35a4a6e41f72507fb58fdf872456be18a55bd24f3",
+    "module-algebra-check 2 2 1 0":
+        "75349b73993c1d617f78eeaa80362bb9d40d54b777cdf271edfe6d0ca0824f1c",
+    "module-algebra-check 2 3 1 0 --degree 3":
+        "a8f843ca055e1097d7ea31557eb010ca5744eb289a355952329504f628efb3b6",
+    "module-algebra-check 3 2 2 1":
+        "a1df61879449c0c94211f104226ae0ae9c81d17296f705c4fcbe5dc2831d5443",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MODULE_REPORT_DIGESTS))
+def test_module_algebra_reports_are_byte_identical(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert main(["--out", str(path)] + argv.split()) == 0
+    stripped, found = TIMINGS.subn(b"", path.read_bytes())
+    assert found == 1
+    assert hashlib.sha256(stripped).hexdigest() == MODULE_REPORT_DIGESTS[argv]
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -335,7 +335,7 @@ def test_negative_control_translation_mutation_breaks_comultiplicativity():
 
 def test_slot_out_of_range():
     H = HopfAlgebra(2, 2)
-    qpa = QuantumPolyAlgebra(H, 1, 0, degree_bound=4)
+    qpa = QuantumPolyAlgebra(H, 1, 0)
     for make in (H.x, qpa.u):
         with pytest.raises(ValueError, match="slot out of range"):
             make(0)
@@ -612,6 +612,23 @@ def test_negative_control_twist_mutation_fails_with_literal_witness(cls):
     assert comult["status"] == "fail"
     assert comult["witness"] == _first_noncomultiplicative_pair(H)
     assert report.to_json() == _literal(cls)(2, 2).verify_axioms().to_json()
+
+
+@pytest.mark.parametrize("cls, products", [(_ShiftedTwistHopf, 5), (_SignFlippedTwistHopf, 7)])
+def test_each_pair_gets_one_htensor_verdict(cls, products, monkeypatch):
+    # the label pairs the tables leave unproved are decided once and the
+    # verdict shared by comultiplicativity and comultiplicativity-direct
+    calls = []
+    original = HTensor.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    H = cls(2, 2)
+    monkeypatch.setattr(HTensor, "__mul__", counted)
+    H.verify_axioms()
+    assert len(calls) == products
 
 
 class _AntipodeBasisMutatedHopf(HopfAlgebra):

@@ -42,10 +42,10 @@ def _htensor():
 
 def _qpa():
     H = HopfAlgebra(2, 2)
-    A = QuantumPolyAlgebra(H, 1, 0, degree_bound=4)
+    A = QuantumPolyAlgebra(H, 1, 0)
     x = A.u(1) * A.u(2) + A.one().scale(2)
     y = A.u(2) * A.u(1) - A.u(1)
-    other = QuantumPolyAlgebra(H, 0, 1, degree_bound=4).u(1)  # other relations
+    other = QuantumPolyAlgebra(H, 0, 1).u(1)  # other relations
     return x, y, other, None
 
 
