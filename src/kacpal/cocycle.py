@@ -16,6 +16,7 @@ v starting from w; it is a unit of R with counit 1.
 from __future__ import annotations
 
 from .group_ring import GroupAlgebra, RingElem, sigma, t_of
+from .sparse import memoized
 from .symmetric import Perm, canonical_word
 
 
@@ -28,16 +29,11 @@ class WordCalculus:
         self.ring = ring
         self.m = ring.m
         self.t = {k: t_of(ring, k) for k in range(1, ring.m)}
-        self._shifted_t: dict = {}
-        self._gamma: dict = {}
+        self._memo: dict = {}
 
+    @memoized
     def shifted_t(self, u: Perm, k: int) -> RingElem:
-        key = (u, k)
-        out = self._shifted_t.get(key)
-        if out is None:
-            out = sigma(u, self.t[k])
-            self._shifted_t[key] = out
-        return out
+        return sigma(u, self.t[k])
 
     def step(self, coeff: RingElem, w: Perm, letter: int) -> tuple[RingElem, Perm]:
         """Multiply coeff * w-bar by z_letter on the right."""
@@ -62,14 +58,10 @@ class WordCalculus:
                 raise ValueError(f"letter {i} out of range")
         return self.fold(Perm.identity(self.m), letters)
 
+    @memoized
     def cocycle(self, w: Perm, v: Perm) -> RingElem:
         """gamma(w, v), the coefficient in w-bar v-bar = gamma(w, v) (wv)-bar."""
-        key = (w, v)
-        out = self._gamma.get(key)
-        if out is None:
-            out = self.fold(w, canonical_word(v))[0]
-            self._gamma[key] = out
-        return out
+        return self.fold(w, canonical_word(v))[0]
 
 
 def reference_cocycle_table_m3(ring: GroupAlgebra) -> dict:

@@ -11,8 +11,8 @@ J(s_i v) = J_i (sigma_i (x) sigma_i)(J(v)) over the canonical word of w.
 The antipode is computed operationally, S(x^alpha # w) = S(w-bar) x^{-alpha}
 with S(w-bar) the product of the generators of the reversed canonical word.
 
-Structure constants are evaluated lazily per product and memoized by the
-permutation pair; all values are exact.
+Structure constants are evaluated lazily and memoized per algebra
+(sparse.memoized); all values are exact.
 
 Every x^alpha is group-like and w-bar acts on exponents by the slot
 permutation (w.beta)_i = beta_{w(i)}, so a product of basis elements is a
@@ -20,15 +20,17 @@ translate of a product of permutation labels:
 
     (x^alpha w-bar)(x^beta v-bar) = T_{alpha + w.beta}(w-bar v-bar),
 
-with T_delta shifting every exponent by delta.  Exhaustive verification
-checks this law, and the matching laws for coproduct and antipode, once
-per algebra.  Where its laws hold, a check runs on its label cases:
-associativity's (m!)^3 label triples, comultiplicativity's (m!)^2 label
-pairs, decided from exponent tables of J(w) and gamma(w, v) at characters,
-and the m! labels of the per-basis checks.  Otherwise it runs on every
-basis case (see verify_axioms).  export reads its multiplication table from
-the (m!)^2 label products through the same law (product_table), which hmul
-applies term by term.
+with T_delta shifting every exponent by delta.  hmul computes every basis
+product this way (HopfAlgebra._translate), so the law holds by
+construction; exhaustive verification still checks it, and the matching
+laws for coproduct and antipode, once per algebra, to catch a subclass that
+overrides a structure map.  Where its laws hold, a check runs on its label
+cases: associativity's (m!)^3 label triples, comultiplicativity's (m!)^2
+label pairs, decided from exponent tables of J(w) and gamma(w, v) at
+characters, and the m! labels of the per-basis checks.  Otherwise it runs
+on every basis case (see verify_axioms).  export reads its table from the
+same translates (product_table), and embed-check checks the product on the
+(m!)^2 label pairs (embedding_check).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
 from itertools import product as iproduct
 from math import factorial
 
@@ -52,36 +53,25 @@ from .group_ring import (
     slot_vector,
     twist_Js,
 )
-from .sparse import SparseElem, accumulate, power_product
+from .sparse import SparseElem, accumulate, memoized, power_product
 from .symmetric import Perm, all_perms, canonical_word, cycle_perm, cycle_powers
 
-# bounds every sweep over all basis pairs (verify, embed-check, export).  On
-# a 2-core host with Python 3.11, one or two runs each: dim 384 (H(2,4),
-# H(4,3)) takes 18-32 s in embed-check, and H(5,3) (dim 750) and H(3,4)
-# (dim 1944) each ran past 60 s.  verify, whose P1 alone is |B|^2 hmul
-# calls, takes 3.4-3.5 s on H(8,2), 12.2-12.5 s on H(10,2), 49-58 s on
-# H(13,2) (dim 338, of which associativity/P1 is 43-53 s), 18.8-19.6 s on
-# H(4,3) and 16.1-16.4 s on H(2,4); it refuses H(14,2) (dim 392) in 0.24 s.
+# bounds the commands priced by basis pairs (verify, embed-check, export).
+# On a 2-core host with Python 3.11, one run each: embed-check (label pairs)
+# takes 0.3-0.4 s on dim 384 (H(2,4), H(4,3)) and, guard lifted, 2.7 s on
+# H(5,3) and 4.7 s on H(3,4), so the guard over-prices it.  verify, whose
+# P1 alone is |B|^2 hmul calls, takes 3.4-3.5 s on H(8,2), 12.2-12.5 s on
+# H(10,2), 49-58 s on H(13,2) (dim 338, of which associativity/P1 is
+# 43-53 s), 18.8-19.6 s on H(4,3) and 16.1-16.4 s on H(2,4); it refuses
+# H(14,2) (dim 392) in 0.24 s.
 # export, whose table comes from the label products, takes 4.2-4.7 s
 # (0.9 GB peak RSS) on H(2,4) and 6.2-7.0 s (1.4 GB) on H(4,3), two runs each
 BASIS_PAIRS_GUARD = 384**2
 
 
-def _law(check):
-    """A law of verify_axioms as a memoized verdict: a fact about the
-    algebra, checked once per algebra."""
-
-    @wraps(check)
-    def verdict(self) -> bool:
-        if check.__name__ not in self._laws:
-            self._laws[check.__name__] = check(self)
-        return self._laws[check.__name__]
-
-    return verdict
-
-
 class HopfAlgebra:
-    """Context object for H_{n,m}; holds the base ring and all memo tables."""
+    """Context object for H_{n,m}; holds the base ring and, in ``_memo``,
+    every memoized structure constant and law verdict of this algebra."""
 
     def __init__(self, n: int, m: int):
         if n < 2 or m < 2:
@@ -93,11 +83,7 @@ class HopfAlgebra:
         self.words = WordCalculus(self.ring)
         self.perms = all_perms(m)
         self.dim = n**m * factorial(m)
-        self._j_cache: dict[Perm, KTensor] = {}
-        self._sproduct: dict[tuple[Perm, Perm], tuple[Perm, list]] = {}
-        self._antipode_word: dict[Perm, "HopfElem"] = {}
-        self._antipode_basis: dict = {}
-        self._laws: dict[str, bool] = {}
+        self._memo: dict = {}
 
     # -- element constructors --------------------------------------------------
 
@@ -139,17 +125,29 @@ class HopfAlgebra:
     # -- structure constants ----------------------------------------------------
 
     def _single_product(self, w: Perm, v: Perm):
-        """Template for (x^0 # w)(x^0 # v): target permutation and the sparse
-        gamma(w, v) terms."""
-        key = (w, v)
-        out = self._sproduct.get(key)
-        if out is None:
-            g = self.words.cocycle(w, v)
-            out = (w * v, list(g.terms.items()))
-            self._sproduct[key] = out
-        return out
+        """The label product w-bar v-bar = gamma(w, v) (wv)-bar: its label and
+        the terms of gamma(w, v)."""
+        return w * v, list(self.words.cocycle(w, v).terms.items())
+
+    @memoized
+    def _translate(self, w: Perm, v: Perm, delta: tuple) -> dict:
+        """The terms of T_delta(w-bar v-bar) = x^delta gamma(w, v) (wv)-bar,
+        shifted from those at delta = 0, whose label object they share."""
+        if any(delta):
+            return _translated(self._translate(w, v, self.ring.zero_exp), delta, self.n)
+        wv, gamma_terms = self._single_product(w, v)
+        return {(e, wv): c for e, c in gamma_terms}
 
     def hmul(self, a: "HopfElem", b: "HopfElem") -> "HopfElem":
+        """ab = sum ca cb T_delta(wa-bar wb-bar), delta = ea + wa.eb, over the
+        term pairs (ca x^ea wa-bar, cb x^eb wb-bar) of a and b.
+
+        P1 of verify_axioms holds by construction.  On basis elements hmul
+        returns _translate(w, v, delta), delta = alpha + w.beta, reading
+        alpha and beta only through delta; that is w-bar v-bar =
+        _translate(w, v, 0) with every exponent shifted by delta, so
+        (x^alpha w-bar)(x^beta v-bar) = T_delta(w-bar v-bar) for every
+        (n, m).  verify_axioms still sweeps P1 to catch an override."""
         if a.algebra != self:
             raise ContextMismatchError("left factor from a different algebra")
         if b.algebra != self:
@@ -161,20 +159,19 @@ class HopfAlgebra:
             img = wa.images
             for (eb, wb), cb in b.terms.items():
                 c = ca * cb
-                shifted = tuple((ea[i] + eb[img[i]]) % n for i in rng)
-                wv, gamma_terms = self._single_product(wa, wb)
-                for dg, cg in gamma_terms:
-                    accumulate(out, (tuple((shifted[i] + dg[i]) % n for i in rng), wv), c * cg)
+                delta = tuple((ea[i] + eb[img[i]]) % n for i in rng)
+                for key, cg in self._translate(wa, wb, delta).items():
+                    accumulate(out, key, c * cg)
         return HopfElem(self, out)
 
     def product_table(self) -> list[list[dict]]:
         """hmul(a, b).to_json() for every basis pair, the pairs in
-        basis_keys order with b varying fastest, read from the (m!)^2
-        label products by the translation law: (x^alpha w-bar)(x^beta v-bar)
-        = (x^delta w-bar) v-bar = T_delta(w-bar v-bar), delta = alpha + w.beta.
-        One result list is built per (w, delta, v) and one term dict per
-        term, and every row that holds them shares them.  verify_axioms
-        checks the law (P1) through hmul."""
+        basis_keys order with b varying fastest, by the rule of hmul:
+        (x^alpha w-bar)(x^beta v-bar) = T_delta(w-bar v-bar), delta =
+        alpha + w.beta, w-bar v-bar = _translate(w, v, 0); the |B| m!
+        translates are not memoized, as the algebra would keep them.  One
+        result list per (w, delta, v) and one dict per term are shared by
+        every row that holds them."""
         n, zero = self.n, self.ring.zero_exp
         vectors = list(self.ring.exponent_vectors())
         shared: dict = {}
@@ -185,17 +182,15 @@ class HopfAlgebra:
                 out = shared[key, c] = term_json(key, c)
             return out
 
-        # translates[w, delta][j] = (x^delta w-bar) v_j-bar, v_j = perms[j]
-        translates = {}
-        for w in self.perms:
-            bar = self.basis_elem(zero, w)
-            templates = [self.hmul(bar, self.basis_elem(zero, v)).terms.items() for v in self.perms]
-            for delta in vectors:
-                shifted = (
-                    HopfElem(self, {(_shift(d, delta, n), p): c for (d, p), c in template})
-                    for template in templates
-                )
-                translates[w, delta] = [[term(*kv) for kv in h.sorted_terms()] for h in shifted]
+        # translates[w, delta][j] = T_delta(w-bar v_j-bar), v_j = perms[j]
+        translates = {
+            (w, delta): [
+                [term(*kv) for kv in sorted(_translated(self._translate(w, v, zero), delta, n).items())]
+                for v in self.perms
+            ]
+            for w in self.perms
+            for delta in vectors
+        }
         table = []
         for alpha in vectors:
             for w in self.perms:
@@ -203,22 +198,14 @@ class HopfAlgebra:
                     table.extend(translates[w, _shift(alpha, _act(w, beta), n)])
         return table
 
+    @memoized
     def j_of_word(self, w: Perm) -> KTensor:
-        """J(w) by recursion over the canonical word; cached."""
-        out = self._j_cache.get(w)
-        if out is None:
-            word = canonical_word(w)
-            if not word:
-                out = KTensor(
-                    self.ring, 2, {(self.ring.zero_exp,) * 2: self.cyc.one}
-                )
-            else:
-                i = word[0]
-                s_i = Perm.transposition(self.m, i)
-                rest = s_i * w
-                out = twist_Js(self.ring, i) * self.j_of_word(rest).sigma_all(s_i)
-            self._j_cache[w] = out
-        return out
+        """J(w) by recursion over the canonical word."""
+        word = canonical_word(w)
+        if not word:
+            return KTensor(self.ring, 2, {(self.ring.zero_exp,) * 2: self.cyc.one})
+        s_i = Perm.transposition(self.m, word[0])
+        return twist_Js(self.ring, word[0]) * self.j_of_word(s_i * w).sigma_all(s_i)
 
     def coproduct(self, h: "HopfElem") -> "HTensor":
         n = self.n
@@ -235,23 +222,18 @@ class HopfAlgebra:
     def counit(self, h: "HopfElem"):
         return sum(h.terms.values(), self.cyc.zero)
 
+    @memoized
     def antipode_word(self, w: Perm) -> "HopfElem":
         """S(w-bar): the product of generators of the reversed canonical word."""
-        out = self._antipode_word.get(w)
-        if out is None:
-            out = self.unit()
-            for i in reversed(canonical_word(w)):
-                out = self.hmul(out, self.z(i))
-            self._antipode_word[w] = out
+        out = self.unit()
+        for i in reversed(canonical_word(w)):
+            out = self.hmul(out, self.z(i))
         return out
 
+    @memoized
     def antipode_basis(self, e, w: Perm) -> "HopfElem":
-        out = self._antipode_basis.get((e, w))
-        if out is None:
-            neg = tuple((-x) % self.n for x in e)
-            out = self.hmul(self.antipode_word(w), self.basis_elem(neg, Perm.identity(self.m)))
-            self._antipode_basis[(e, w)] = out
-        return out
+        neg = tuple((-x) % self.n for x in e)
+        return self.hmul(self.antipode_word(w), self.basis_elem(neg, Perm.identity(self.m)))
 
     def antipode(self, h: "HopfElem") -> "HopfElem":
         out = self.zero()
@@ -310,28 +292,27 @@ class HopfAlgebra:
             keys = keys[: len(self.perms)]
         return keys if arity == 1 else iproduct(keys, repeat=arity)
 
-    @_law
+    @memoized
     def _translation_law_holds(self) -> bool:
-        """The product law of verify_axioms, G, P1 and P2, checked through
-        hmul on every basis pair."""
+        """The product law of verify_axioms: G read from _translate(w, v, 0),
+        P2 on the slot vectors, and P1 by comparing hmul on every basis pair
+        with _translate.  P1 holds for hmul by construction (see hmul); the
+        sweep is what catches a subclass that overrides hmul."""
         n, m, perms, zero = self.n, self.m, self.perms, self.ring.zero_exp
         units = [slot_vector(m, j) for j in range(1, m + 1)]
         if any(_act(w, _act(v, e)) != _act(w * v, e) for w in perms for v in perms for e in units):
             return False
         vectors = list(self.ring.exponent_vectors())
         for w, v in iproduct(perms, repeat=2):
-            template = self.hmul(self.basis_elem(zero, w), self.basis_elem(zero, v)).terms
-            if any(p != w * v for _, p in template):
+            if any(p != w * v for _, p in self._translate(w, v, zero)):
                 return False
-            # translates[delta] = T_delta(w-bar v-bar)
-            translates = {d: {(_shift(e, d, n), p): c for (e, p), c in template.items()} for d in vectors}
             for ea, eb in iproduct(vectors, repeat=2):
                 product = self.hmul(self.basis_elem(ea, w), self.basis_elem(eb, v))
-                if product.terms != translates[_shift(ea, _act(w, eb), n)]:
+                if product.terms != self._translate(w, v, _shift(ea, _act(w, eb), n)):
                     return False
         return True
 
-    @_law
+    @memoized
     def _coproduct_translates(self) -> bool:
         """D1 of verify_axioms, checked through coproduct on every basis
         element."""
@@ -347,7 +328,7 @@ class HopfAlgebra:
                     return False
         return True
 
-    @_law
+    @memoized
     def _antipode_translates(self) -> bool:
         """S0 and S1 of verify_axioms, checked through antipode and hmul on
         every basis element."""
@@ -743,6 +724,11 @@ def _shift(d, e, n: int) -> tuple:
     return tuple((a + b) % n for a, b in zip(d, e))
 
 
+def _translated(terms: dict, delta, n: int) -> dict:
+    """T_delta on the terms of an element of H: every exponent + delta."""
+    return {(_shift(e, delta, n), p): c for (e, p), c in terms.items()}
+
+
 def _act(w: Perm, e) -> tuple:
     """The slot action w.e, (w.e)_i = e_{w(i)}, on an exponent vector."""
     return tuple(e[i] for i in w.images)
@@ -955,10 +941,23 @@ def guard_basis_pairs(what: str, n: int, m: int) -> None:
 
 
 def embedding_check(n: int, m: int) -> AxiomReport:
-    """Verify that the generator map intertwines product, coproduct, counit
-    and antipode between H_{n,m} and H_{n,m+1}.  The product check runs
-    over all |B|^2 basis pairs, so it is guarded before either algebra is
-    built."""
+    """Verify that the generator map phi intertwines product, coproduct,
+    counit and antipode between H_{n,m} and H_{n,m+1}, guarded by the |B|^2
+    basis pairs that embedding-product covers before either is built.
+
+    embedding-product runs on the (m!)^2 label pairs and counts all |B|^2
+    basis pairs as checked.  Proof that phi(ab) = phi(a)phi(b) holds at
+    a = x^alpha w-bar, b = x^beta v-bar exactly when it holds at (w-bar,
+    v-bar).  Both algebras are plain HopfAlgebras, so P1 holds in each by
+    construction (see HopfAlgebra.hmul).  phi is linear and sends x^e u-bar
+    to x^(e,0) (u x 1)-bar, so phi(T_delta h) = T_(delta,0) phi(h).  With
+    delta = alpha + w.beta, P1 gives phi(ab) = T_(delta,0) phi(w-bar v-bar),
+    and since (w x 1).(beta, 0) = (w.beta, 0), P1 in H_{n,m+1} gives
+    phi(a)phi(b) = T_(delta,0)(phi(w-bar) phi(v-bar)).  T_(delta,0) is a
+    bijection on keys, so the two sides at (a, b) agree exactly when they
+    agree at the labels.  The labels (0, w) are the first m! keys of
+    basis_keys(), so the lex-first failing label pair is also the first
+    failing pair of the literal sweep over every basis pair."""
     guard_basis_pairs("embedding check", n, m)
     small = HopfAlgebra(n, m)
     big = HopfAlgebra(n, m + 1)
@@ -991,7 +990,7 @@ def embedding_check(n: int, m: int) -> AxiomReport:
     report.check(
         "embedding-product",
         "phi(ab) = phi(a)phi(b)",
-        iproduct(basis, repeat=2),
+        small._cases(True, 2),
         product_fails,
         _pair_witness,
         checked=len(basis) ** 2,

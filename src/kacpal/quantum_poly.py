@@ -12,8 +12,8 @@ Generators act by the degree-one module V_{a,b}.  The base ring R acts
 diagonally on the letters, so the action is computed in the weight basis:
 a basis element x^e w-bar sends a monomial to one scalar times one
 monomial, read off from values of J(w) at pairs of letter weights (see
-QuantumPolyAlgebra.act).  Those values are cached per (permutation, weight
-pair), and whole-operator matrices per (element, degree).
+QuantumPolyAlgebra.act).  Those values are memoized per (permutation,
+weight pair), and whole-operator matrices per (element, degree).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .group_ring import slot_vector
 from .hopf import AxiomReport, HopfAlgebra, HopfElem
 from .linalg import Mat, kernel_basis, rref
 from .reps import RepParams, inner_faithful_bruteforce, inner_faithful_criterion
-from .sparse import SparseElem, accumulate, power_product
+from .sparse import SparseElem, accumulate, memoized, power_product
 from .symmetric import Perm, canonical_word, cycle_perm, cycle_powers
 
 
@@ -67,9 +67,7 @@ class QuantumPolyAlgebra:
             for j in range(i + 1, self.m + 1):
                 self._r_exp[i, j] = lam * (j - i - 1) + mu
                 self._r_exp[j, i] = -self._r_exp[i, j]
-        self._j_value: dict = {}
-        self._line_action: dict = {}
-        self._op_cache: dict = {}
+        self._memo: dict = {}
 
     # -- relation data ---------------------------------------------------------
 
@@ -123,20 +121,18 @@ class QuantumPolyAlgebra:
             return self.ctx.one, k
         return self.ctx.p_pow(self.b * self.b), j
 
+    @memoized
     def line_action(self, w: Perm) -> list[tuple[CycScalar, int]]:
         """w-bar . u_j = scalar * u_{j'}; index j is 1-based (list entry j-1)."""
-        out = self._line_action.get(w)
-        if out is None:
-            out = []
-            word = canonical_word(w)
-            for j in range(1, self.m + 1):
-                c = self.ctx.one
-                cur = j
-                for k in reversed(word):
-                    c2, cur = self._z_on_letter(k, cur)
-                    c = c * c2
-                out.append((c, cur))
-            self._line_action[w] = out
+        out = []
+        word = canonical_word(w)
+        for j in range(1, self.m + 1):
+            c = self.ctx.one
+            cur = j
+            for k in reversed(word):
+                c2, cur = self._z_on_letter(k, cur)
+                c = c * c2
+            out.append((c, cur))
         return out
 
     def letter_weight(self, j: int) -> tuple[int, ...]:
@@ -144,18 +140,15 @@ class QuantumPolyAlgebra:
         x^d . u_j = q^{psi_j . d} u_j, with psi_j = a at slot j, b elsewhere."""
         return tuple(self.a if i == j - 1 else self.b for i in range(self.m))
 
+    @memoized
     def j_value(self, w: Perm, psi: tuple, psi2: tuple) -> CycScalar:
         """J_w(psi, psi') = sum c q^{psi.d1 + psi'.d2} over the terms
         c x^d1 (x) x^d2 of J(w): the scalar by which J(w) acts on a pair of
-        letters of weights psi and psi'.  Cached per (w, psi, psi')."""
-        key = (w, psi, psi2)
-        out = self._j_value.get(key)
-        if out is None:
-            out = self.ctx.zero
-            for (d1, d2), c in self.hopf.j_of_word(w).terms.items():
-                e = sum(map(operator.mul, psi, d1)) + sum(map(operator.mul, psi2, d2))
-                out = out + c * self.ctx.q_pow(e)
-            self._j_value[key] = out
+        letters of weights psi and psi'."""
+        out = self.ctx.zero
+        for (d1, d2), c in self.hopf.j_of_word(w).terms.items():
+            e = sum(map(operator.mul, psi, d1)) + sum(map(operator.mul, psi2, d2))
+            out = out + c * self.ctx.q_pow(e)
         return out
 
     def later_weights(self, weights: list) -> list:
@@ -195,7 +188,7 @@ class QuantumPolyAlgebra:
             h . f = prod_i c_{j_i} q^{(sum psi) . e} prod_{i<k} J_w(psi_i, psi_{i+1} + ... + psi_k)
                     normal_order(u_{j'_1} ... u_{j'_k}),
 
-        k - 1 cached values of J_w instead of the |J(w)|^(k-1) terms of the
+        k - 1 memoized values of J_w instead of the |J(w)|^(k-1) terms of the
         dense expansion.  (Comultiplying the left leg instead gives
         prod J_w(psi_1 + ... + psi_i, psi_{i+1}), the same value by the
         2-cocycle identity of J_w, which is coassociativity.)  On degree 0,
@@ -235,23 +228,19 @@ class QuantumPolyAlgebra:
     def monomials(self, k: int) -> list[tuple[int, ...]]:
         return monomials_of_degree(self.m, k)
 
+    @memoized
     def action_matrix(self, h: HopfElem, k: int) -> Mat:
         """The exact operator of h on the degree-k monomial space."""
-        key = (_elem_key(h), k)
-        out = self._op_cache.get(key)
-        if out is None:
-            mons = self.monomials(k)
-            index = {mon: i for i, mon in enumerate(mons)}
-            cols = []
-            for mon in mons:
-                res = self.act(h, self.monomial(mon))
-                col = [self.ctx.zero] * len(mons)
-                for e, c in res.terms.items():
-                    col[index[e]] = c
-                cols.append(col)
-            out = Mat(self.ctx, [list(row) for row in zip(*cols)])
-            self._op_cache[key] = out
-        return out
+        mons = self.monomials(k)
+        index = {mon: i for i, mon in enumerate(mons)}
+        cols = []
+        for mon in mons:
+            res = self.act(h, self.monomial(mon))
+            col = [self.ctx.zero] * len(mons)
+            for e, c in res.terms.items():
+                col[index[e]] = c
+            cols.append(col)
+        return Mat(self.ctx, [list(row) for row in zip(*cols)])
 
     # -- verification -----------------------------------------------------------
 
@@ -503,10 +492,6 @@ class QuantumPolyAlgebra:
             None,
         )
         return report
-
-
-def _elem_key(h: HopfElem):
-    return frozenset(h.terms.items())
 
 
 def _ij_witness(ij) -> dict:

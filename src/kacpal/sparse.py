@@ -5,13 +5,36 @@ context: exponent vectors for R = K[Z_n]^(tensor m), k-tuples of them for
 R^(tensor k), (exponents, Perm) pairs for H_{n,m}, pairs of those for
 H (x) H, and normal-ordered monomials for A_{a,b}.  Addition, negation,
 scaling, equality and hashing are the same for all of them and live here;
-each subclass keeps its own product.
+each subclass keeps its own product.  The one memo of structure
+constants, ``memoized``, lives here too.
 """
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .cyclotomic import CycScalar
 from .errors import ContextMismatchError
+
+_MISSING = object()
+
+
+def memoized(method):
+    """A method whose results are kept per instance, keyed by (method name,
+    *args) in the one flat dict ``self._memo``; not a shared functools
+    cache, since equal instances (HopfAlgebra compares (n, m) only) may
+    compute different values.  An override calling super() is not memoized."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        out = self._memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = self._memo[key] = method(self, *args)
+        return out
+
+    return cached
 
 
 def accumulate(out: dict, key, c) -> None:

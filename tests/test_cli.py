@@ -232,9 +232,12 @@ def test_export(capsys):
 
 
 def test_embed_check(capsys):
-    code, report = _run(capsys, ["embed-check", "2", "2"])
-    assert code == 0
-    assert report["ok"] is True
+    # H(2,4) has 384^2 basis pairs, at the guard; its label check takes
+    # about 0.3 s
+    for m in ("2", "4"):
+        code, report = _run(capsys, ["embed-check", "2", m])
+        assert code == 0
+        assert report["ok"] is True
 
 
 USAGE_ERRORS = [
@@ -290,7 +293,9 @@ def test_size_guard_exit_3(capsys):
         "export 4 4",
         # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
         "gamma-table 2 5",
-        # sweeps over all basis pairs: 1944^2, 750^2 and 46080^2 exceed 384^2
+        # guarded by basis pairs: export writes one row per pair, and
+        # embed-check counts every pair as checked; 1944^2, 750^2 and
+        # 46080^2 exceed 384^2
         "export 3 4",
         "export 5 3",
         "embed-check 3 4",

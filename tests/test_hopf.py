@@ -3,6 +3,8 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacpal import (
     HopfAlgebra,
@@ -18,8 +20,8 @@ from kacpal import (
 )
 from kacpal.errors import ContextMismatchError
 from kacpal.group_ring import KTensor, check_tensor_invertible, eps_ring, slot_vector
-from kacpal.hopf import HTensor, key_json
-from kacpal.symmetric import cycle_perm
+from kacpal.hopf import HopfElem, HTensor, key_json
+from kacpal.symmetric import canonical_word, cycle_perm
 from kacpal.quantum_poly import QuantumPolyAlgebra
 
 
@@ -471,6 +473,68 @@ def test_embedding_h22_into_h23():
     assert embedding_map(z2_rel, big) == big.z(1) * big.z(1)
 
 
+def _literal_embedding_product(n, m):
+    """The literal sweep of embedding-product over every basis pair of
+    H_{n,m}, as the check record embedding_check writes."""
+    small, big = HopfAlgebra(n, m), HopfAlgebra(n, m + 1)
+    basis = small.basis_keys()
+    witness = None
+    for keys in iproduct(basis, repeat=2):
+        a, b = (small.basis_elem(*k) for k in keys)
+        if embedding_map(small.hmul(a, b), big) != big.hmul(embedding_map(a, big), embedding_map(b, big)):
+            witness = {"pair": [key_json(k) for k in keys]}
+            break
+    return {
+        "name": "embedding-product",
+        "identity": "phi(ab) = phi(a)phi(b)",
+        "status": "pass" if witness is None else "fail",
+        "witness": witness,
+        "checked": len(basis) ** 2,
+    }
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_embedding_product_matches_literal_sweep(n, m):
+    assert _check(embedding_check(n, m), "embedding-product") == _literal_embedding_product(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3)])
+def test_negative_control_target_gamma_dropped_breaks_embedding_product(n, m, monkeypatch):
+    """Drop gamma(s_1, s_1) in H_{n,m+1} only: phi(z_1 z_1) != z_1 z_1 there,
+    and the label check names the literal sweep's first witness."""
+    original = HopfAlgebra._single_product
+
+    def dropped(self, w, v):
+        wv, terms = original(self, w, v)
+        if self.m == m + 1 and w == v == Perm.transposition(self.m, 1):
+            return wv, [(self.ring.zero_exp, self.cyc.one)]
+        return wv, terms
+
+    monkeypatch.setattr(HopfAlgebra, "_single_product", dropped)
+    product = _check(embedding_check(n, m), "embedding-product")
+    s1 = ((0,) * m, Perm.transposition(m, 1))
+    assert product["status"] == "fail"
+    assert product["witness"] == {"pair": [key_json(s1), key_json(s1)]}
+    assert product == _literal_embedding_product(n, m)
+
+
+def test_memo_returns_the_same_object_and_is_per_instance():
+    H = HopfAlgebra(2, 3)
+    s1 = Perm.transposition(3, 1)
+    assert H.j_of_word(s1) is H.j_of_word(s1)
+    assert H.words.cocycle(s1, s1) is H.words.cocycle(s1, s1)
+    qpa = QuantumPolyAlgebra(H, 1, 0)
+    assert qpa.action_matrix(H.z(1), 2) is qpa.action_matrix(H.z(1), 2)
+    zero = H.ring.zero_exp
+    t1 = {(e, Perm.identity(3)): c for e, c in t_of(H.ring, 1).terms.items()}
+    for order in ((HopfAlgebra, _GammaDroppedHopf), (_GammaDroppedHopf, HopfAlgebra)):
+        built = {cls: cls(2, 3) for cls in order}
+        assert built[HopfAlgebra] == built[_GammaDroppedHopf]
+        values = {cls: built[cls]._translate(s1, s1, zero) for cls in order}
+        assert values[HopfAlgebra] == t1
+        assert values[_GammaDroppedHopf] == {(zero, Perm.identity(3)): H.cyc.one}
+
+
 def test_context_mismatch():
     with pytest.raises(ContextMismatchError):
         HopfAlgebra(2, 2).unit() * HopfAlgebra(2, 3).unit()
@@ -729,3 +793,65 @@ def test_cyclic_subalgebra_dimension_needs_unit_coefficients():
         "witness": None,
         "checked": None,
     }
+
+
+def presentation_product(H, ka, kb):
+    """(x^alpha w-bar)(x^beta v-bar) from the presentation, independently of
+    hmul: move x^beta left past w-bar one letter z_k of canonical_word(w) at
+    a time, from the last letter, by z_k x_i = x_{s_k(i)} z_k (which swaps
+    slots k and k+1 of the exponents), then fold w-bar z_{k_1} ... z_{k_l}
+    over canonical_word(v) with the word calculus."""
+    (alpha, w), (beta, v) = ka, kb
+    beta = list(beta)
+    for k in reversed(canonical_word(w)):
+        beta[k - 1], beta[k] = beta[k], beta[k - 1]
+    gamma, wv = H.words.fold(w, canonical_word(v))
+    return HopfElem(
+        H,
+        {
+            (tuple((a + b + g) % H.n for a, b, g in zip(alpha, beta, e)), wv): c
+            for e, c in gamma.terms.items()
+        },
+    )
+
+
+def _presentation_mismatches(H):
+    return [
+        (ka, kb)
+        for ka, kb in iproduct(H.basis_keys(), repeat=2)
+        if H.hmul(H.basis_elem(*ka), H.basis_elem(*kb)) != presentation_product(H, ka, kb)
+    ]
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_hmul_matches_presentation_on_every_basis_pair(n, m):
+    assert _presentation_mismatches(HopfAlgebra(n, m)) == []
+
+
+_SAMPLED = [HopfAlgebra(3, 3), HopfAlgebra(2, 4)]
+
+
+@pytest.mark.parametrize("H", _SAMPLED, ids=lambda H: f"H({H.n},{H.m})")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hmul_matches_presentation_on_sampled_pairs(H, data):
+    ka, kb = (data.draw(st.sampled_from(H.basis_keys())) for _ in range(2))
+    assert H.hmul(H.basis_elem(*ka), H.basis_elem(*kb)) == presentation_product(H, ka, kb)
+
+
+class _RightShiftHopf(HopfAlgebra):
+    """Negative control: shift by alpha + v.beta in place of alpha + w.beta."""
+
+    def hmul(self, a, b):
+        out = self.zero()
+        for (ea, wa), ca in a.terms.items():
+            for (eb, wb), cb in b.terms.items():
+                delta = tuple((x + eb[i]) % self.n for x, i in zip(ea, wb.images))
+                out = out + HopfElem(self, self._translate(wa, wb, delta)).scale(ca * cb)
+        return out
+
+
+def test_negative_control_right_shift_fails_presentation_and_p1():
+    H = _RightShiftHopf(2, 2)
+    assert len(_presentation_mismatches(H)) == 16
+    assert not H._translation_law_holds()
