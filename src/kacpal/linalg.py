@@ -1,8 +1,11 @@
 """Exact linear algebra over the cyclotomic field: reduced row echelon form,
-kernels, determinants and small dense matrices.
+kernels, determinants, an incremental echelon basis, and small matrices
+whose products touch only their nonzero entries.
 
 Everything is exact; pivoting picks the first nonzero entry, so results are
 deterministic and canonical (RREF bases are unique for a given row space).
+Elimination runs on sparse {column: nonzero entry} rows, through one step,
+`_subtract`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,18 @@ from __future__ import annotations
 from operator import add, sub
 
 from .cyclotomic import CycContext, CycScalar
+
+
+def _subtract(row: dict, f: CycScalar, prow: dict, skip: int) -> None:
+    """row -= f * prow in place, over prow's entries outside column skip;
+    entries that cancel are deleted."""
+    for j, y in prow.items():
+        if j != skip:
+            v = row[j] - f * y if j in row else -(f * y)
+            if v:
+                row[j] = v
+            else:
+                del row[j]
 
 
 def _gauss_jordan(rows, ncols: int, ctx: CycContext):
@@ -41,16 +56,8 @@ def _gauss_jordan(rows, ncols: int, ctx: CycContext):
             for j, x in prow.items():
                 prow[j] = x * inv
         for row in work:
-            if row is prow or c not in row:
-                continue
-            f = row.pop(c)
-            for j, y in prow.items():
-                if j != c:
-                    v = row[j] - f * y if j in row else -(f * y)
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
+            if row is not prow and c in row:
+                _subtract(row, row.pop(c), prow, c)
         pivots.append(c)
     return work[: len(pivots)], pivots, det
 
@@ -86,18 +93,45 @@ def determinant(mat: list[list[CycScalar]], ctx: CycContext) -> CycScalar:
     return det if len(pivots) == len(mat) else ctx.zero
 
 
+class Echelon(dict):
+    """Incremental reduced echelon basis of a row space, as a map from each
+    pivot column to its row.  Each row is a sparse {column: entry} dict
+    with entry one at its own pivot and zero at every other pivot, so a new
+    row is reduced by one subtraction per pivot column it holds, and no
+    subtraction brings a pivot column back."""
+
+    def insert(self, row: dict) -> bool:
+        """Reduce row in place against the basis.  When it is not in the
+        span, clear its new pivot from the other rows, add it and return
+        True."""
+        for c in [c for c in row if c in self]:
+            _subtract(row, row.pop(c), self[c], c)
+        if not row:
+            return False
+        c = min(row)
+        inv = row[c].inv()
+        self[c] = row = {j: x * inv for j, x in row.items()}
+        for prow in self.values():
+            if prow is not row and c in prow:
+                _subtract(prow, prow.pop(c), row, c)
+        return True
+
+
 # ---------------------------------------------------------------------------
-# small dense matrices over the cyclotomic field
+# small matrices over the cyclotomic field
 
 
 class Mat:
-    """Immutable dense matrix with exact entries."""
+    """Immutable matrix with exact entries, stored dense; products skip
+    zero entries."""
 
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: CycContext, rows):
         self.ctx = ctx
         self.rows = tuple(tuple(r) for r in rows)
+        if len({len(r) for r in self.rows}) > 1:
+            raise ValueError(f"ragged rows of widths {sorted({len(r) for r in self.rows})}")
 
     @staticmethod
     def identity(ctx: CycContext, n: int) -> "Mat":
@@ -121,8 +155,16 @@ class Mat:
             k2, m = other.shape
             if k != k2:
                 raise ValueError(f"shape mismatch: {n}x{k} times {k2}x{m}")
-            cols = list(zip(*other.rows))
-            return Mat(self.ctx, [[_dot(self.ctx, row, col) for col in cols] for row in self.rows])
+            nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+            out = []
+            for row in self.rows:
+                acc = {}
+                for a, nz in zip(row, nonzero):
+                    if a:
+                        for j, b in nz:
+                            acc[j] = acc[j] + a * b if j in acc else a * b
+                out.append([acc.get(j, self.ctx.zero) for j in range(m)])
+            return Mat(self.ctx, out)
         return self.scale(other)
 
     def __add__(self, other: "Mat"):
@@ -173,10 +215,3 @@ class Mat:
     def __repr__(self):
         return "Mat[" + "; ".join(", ".join(repr(x) for x in row) for row in self.rows) + "]"
 
-
-def _dot(ctx: CycContext, u, v) -> CycScalar:
-    out = ctx.zero
-    for a, b in zip(u, v):
-        if a and b:
-            out = out + a * b
-    return out

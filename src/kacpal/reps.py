@@ -1,7 +1,7 @@
 """The m-dimensional modules V_{a,b}: matrix construction, relation checks,
-simplicity via multiplicative span closure, exact isomorphism testing, and
-inner-faithfulness over the base ring (gcd criterion plus the brute-force
-subgroup oracle).
+simplicity via an incremental multiplicative span closure, exact isomorphism
+testing, and inner-faithfulness over the base ring (gcd criterion plus the
+brute-force subgroup oracle).
 
 Matrices act on coordinate columns, so rho(h1 h2) = rho(h1) rho(h2) for the
 left module structure."""
@@ -16,7 +16,7 @@ from math import gcd
 from .cyclotomic import CycContext
 from .errors import SizeGuardError
 from .hopf import AxiomReport, HopfElem
-from .linalg import Mat, kernel_basis, rref
+from .linalg import Echelon, Mat, kernel_basis, rref
 from .symmetric import Perm, canonical_word
 
 SUBGROUP_GUARD = 4096
@@ -163,32 +163,28 @@ def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
 
 
 def is_simple(params: RepParams) -> bool:
-    """Multiplicative span closure: the module is certified simple when the
-    algebra generated by the X_i and Z_k matrices has dimension m^2."""
+    """Multiplicative span closure: the module is simple when the algebra
+    generated by the X_i and Z_k matrices is all of M_m (Burnside).  Each
+    product of an accepted matrix and a generator is reduced once against
+    the echelon basis of the accepted ones, and is accepted when it leaves
+    their span.  The verdict is certified by one rref: the first m^2
+    accepted matrices have rank m^2."""
     rep = Rep(params)
     m = params.m
     ctx = rep.ctx
     gens = rep.xs + rep.zs
-    basis_rows: list = []
+    span = Echelon()
 
-    def insert(mat: Mat) -> bool:
-        red, _ = rref(basis_rows + [mat.flatten()], ctx)
-        if len(red) > len(basis_rows):
-            basis_rows[:] = red
-            return True
-        return False
+    def accept(mat: Mat) -> bool:
+        return span.insert({c: x for c, x in enumerate(mat.flatten()) if x})
 
-    insert(Mat.identity(ctx, m))
     frontier = [Mat.identity(ctx, m)]
-    while frontier and len(basis_rows) < m * m:
-        new_frontier = []
-        for u in frontier:
-            for g in gens:
-                v = u * g
-                if insert(v):
-                    new_frontier.append(v)
-        frontier = new_frontier
-    return len(basis_rows) == m * m
+    accepted = [u for u in frontier if accept(u)]
+    while frontier and len(accepted) < m * m:
+        frontier = [v for u in frontier for v in (u * g for g in gens) if accept(v)]
+        accepted += frontier
+    red, _ = rref([u.flatten() for u in accepted[: m * m]], ctx)
+    return len(red) == m * m
 
 
 def modules_isomorphic(p1: RepParams, p2: RepParams) -> bool:

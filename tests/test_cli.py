@@ -438,6 +438,34 @@ def test_module_algebra_reports_are_byte_identical(tmp_path, argv):
     assert hashlib.sha256(stripped).hexdigest() == MODULE_REPORT_DIGESTS[argv]
 
 
+# SHA-256 of each rep-check report with its timings removed, recorded before
+# matrix products went sparse and the span closure incremental; 3 5 1 1 is
+# the one module here that is not simple
+REP_REPORT_DIGESTS = {
+    "rep-check 2 2 1 0":
+        "e92d88a5326ec28cbf2945a5d3640ab35b2b1a29120100198d0625e8f49f1209",
+    "rep-check 3 5 1 0":
+        "4428210c4416ce439d9dae8d89086687d2f71d0bed47431146e21d20db4eda4d",
+    "rep-check 3 5 1 1":
+        "857e9d86a2ef7c3923c9328543fad027a8ab1389b06f97eeb7fd62c374340f4d",
+    "rep-check 4 4 2 1":
+        "e05e57cae74a1e01da467d7822c42e329ade0ce7fcb0f0d409713c3087856117",
+    "rep-check 3 7 1 0":
+        "a208095912fac8403d71b5338b6392f70ba7484adb84d997b161d15e7e2ab785",
+    "rep-check 2 10 1 0":
+        "9e8c3ca62348473c63b81b4efffe98a23a8a431d13ae8d6ffbc4d4426d918a2e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REP_REPORT_DIGESTS))
+def test_rep_reports_are_byte_identical(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert main(["--out", str(path)] + argv.split()) == 0
+    stripped, found = TIMINGS.subn(b"", path.read_bytes())
+    assert found == 1
+    assert hashlib.sha256(stripped).hexdigest() == REP_REPORT_DIGESTS[argv]
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     import kacpal.cli
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacpal import CycContext
-from kacpal.linalg import Mat, determinant, kernel_basis, rref
+from kacpal.linalg import Echelon, Mat, determinant, kernel_basis, rref
 
 
 def _rand_scalar(ctx, rng):
@@ -196,6 +196,63 @@ def test_mat_ops():
     assert not b.is_invertible()
 
 
+def dense_product(a, b, ctx):
+    """Triple loop over every entry pair, zeros included."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = ctx.zero
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            out[-1].append(acc)
+    return out
+
+
+def _random_matrix(ctx, rng, rows, cols, kind):
+    """kind: monomial (one nonzero per row), dense, or sparse with a zero
+    row and a zero column."""
+    if kind == "monomial":
+        mat = [[ctx.zero] * cols for _ in range(rows)]
+        for row in mat:
+            row[rng.randrange(cols)] = ctx.root(rng.randrange(ctx.N))
+        return mat
+    mat = [[_rand_scalar(ctx, rng) for _ in range(cols)] for _ in range(rows)]
+    if kind == "holes":
+        mat[rng.randrange(rows)] = [ctx.zero] * cols
+        dead = rng.randrange(cols)
+        for row in mat:
+            row[dead] = ctx.zero
+    return mat
+
+
+def test_sparse_product_matches_dense_reference():
+    rng = random.Random(19)
+    kinds = ("monomial", "dense", "holes")
+    for n in (2, 3, 4, 5):
+        ctx = CycContext(n)
+        for trial in range(24):
+            rows, inner, cols = (rng.randrange(1, 6) for _ in range(3))
+            if trial % 4 == 0:
+                rows = inner = cols  # square
+            a = _random_matrix(ctx, rng, rows, inner, kinds[trial % 3])
+            b = _random_matrix(ctx, rng, inner, cols, kinds[trial // 3 % 3])
+            assert (Mat(ctx, a) * Mat(ctx, b)).rows == tuple(map(tuple, dense_product(a, b, ctx)))
+
+
+def test_echelon_insert_tracks_rank():
+    ctx = CycContext(3)
+    one, p = ctx.one, ctx.p
+    span = Echelon()
+    assert span.insert({0: one, 2: p})
+    assert span.insert({1: p})
+    assert not span.insert({0: p, 1: p, 2: p * p})  # p * first + second
+    assert not span.insert({})
+    assert span.insert({2: one})
+    assert sorted(span) == [0, 1, 2]
+    assert span == {c: {c: one} for c in range(3)}  # the identity
+
+
 def test_negative_matrix_power_raises():
     ctx = CycContext(2)
     a = Mat(ctx, [[ctx.one, ctx.p], [ctx.zero, ctx.one]])
@@ -217,6 +274,8 @@ def test_shape_mismatches_raise():
         determinant([[one, one]], ctx)
     with pytest.raises(ValueError, match="width"):
         Mat(ctx, [[one, one]]).det()
+    with pytest.raises(ValueError, match="ragged"):
+        Mat(ctx, [[one, zero], [one]])
     a, b = Mat.identity(ctx, 2), Mat.identity(ctx, 3)
     with pytest.raises(ValueError, match="shape mismatch"):
         a + b

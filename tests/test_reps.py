@@ -3,6 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from kacpal import reps
 from kacpal import (
     HopfAlgebra,
     Rep,
@@ -18,7 +19,7 @@ from kacpal import (
 )
 from kacpal.cyclotomic import CycContext
 from kacpal.errors import SizeGuardError
-from kacpal.linalg import Mat, determinant
+from kacpal.linalg import Echelon, Mat, determinant, rref
 
 
 def test_matrices_n2_m2():
@@ -87,6 +88,62 @@ def test_simplicity_iff_a_neq_b(n, m):
     for a in range(n):
         for b in range(n):
             assert is_simple(RepParams(n, m, a, b)) == (a != b), (n, m, a, b)
+
+
+def closure_oracle(params):
+    """The former span closure: re-run rref on the whole basis plus each
+    candidate, and accept the candidate when the rank grows."""
+    rep = Rep(params)
+    m, ctx = params.m, rep.ctx
+    basis_rows = []
+
+    def insert(mat):
+        red, _ = rref(basis_rows + [mat.flatten()], ctx)
+        if len(red) > len(basis_rows):
+            basis_rows[:] = red
+            return True
+        return False
+
+    insert(Mat.identity(ctx, m))
+    frontier = [Mat.identity(ctx, m)]
+    while frontier and len(basis_rows) < m * m:
+        new_frontier = []
+        for u in frontier:
+            for g in rep.xs + rep.zs:
+                v = u * g
+                if insert(v):
+                    new_frontier.append(v)
+        frontier = new_frontier
+    return len(basis_rows) == m * m
+
+
+def test_is_simple_matches_closure_oracle():
+    verdicts = []
+    for n, m in iproduct(range(2, 6), range(2, 6)):
+        for a, b in iproduct(range(n), repeat=2):
+            params = RepParams(n, m, a, b)
+            verdict = is_simple(params)
+            assert verdict == closure_oracle(params), (n, m, a, b)
+            verdicts.append(verdict)
+    assert (len(verdicts), sum(verdicts)) == (216, 160)
+
+
+class _AcceptAll(Echelon):
+    def insert(self, row):
+        return True
+
+
+class _RejectAll(Echelon):
+    def insert(self, row):
+        return False
+
+
+@pytest.mark.parametrize("reducer", [_AcceptAll, _RejectAll])
+def test_broken_reducer_cannot_certify_simplicity(monkeypatch, reducer):
+    params = RepParams(3, 5, 1, 0)
+    assert is_simple(params)
+    monkeypatch.setattr(reps, "Echelon", reducer)
+    assert not is_simple(params)
 
 
 def test_modules_isomorphic_identity_params():
