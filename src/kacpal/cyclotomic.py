@@ -110,11 +110,11 @@ class CycContext:
     def scalar(self, value) -> "CycScalar":
         """Embed an int or Fraction as a constant; anything else, a float
         above all, is a TypeError."""
-        if not isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
+            return CycScalar(self, (int(value),) + (0,) * (self.degree - 1), 1)
+        if not isinstance(value, Fraction):
             raise TypeError(f"scalar needs an int or Fraction, not {type(value).__name__}")
-        f = Fraction(value)
-        nums = [f.numerator] + [0] * (self.degree - 1)
-        return CycScalar(self, tuple(nums), f.denominator)
+        return CycScalar(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def from_cyclic(self, vec, den: int) -> "CycScalar":
         """(sum_e vec[e] zeta_N^e) / den for an integer vector of length at
@@ -188,7 +188,7 @@ class CycScalar:
 
     def _coerce(self, other) -> "CycScalar":
         if isinstance(other, CycScalar):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError("scalars from different cyclotomic fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -207,6 +207,10 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not any(other.nums):
+            return self
+        if not any(self.nums):
+            return other
         a, b = self, other
         d = a.den * b.den // gcd(a.den, b.den)
         fa, fb = d // a.den, d // b.den
@@ -230,16 +234,30 @@ class CycScalar:
         return other - self
 
     def __mul__(self, other):
+        """The product, by the cheapest exact rule that applies.  A factor
+        c/d with nums[1:] all zero is rational, and then the product is the
+        other factor's coefficients times c over the product of the
+        denominators, with no fold: a rational factor commutes with the
+        reduction mod Phi_N.  When that factor is 1 (c = d = 1) the product
+        is the other factor itself.  Both rules give the reduced form the
+        fold would, since the stored form is unique.  Only a product of two
+        irrational factors takes the schoolbook product and the fold."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a is the rational factor if either is
+        a, b = (other, self) if any(self.nums[1:]) else (self, other)
+        if not any(a.nums[1:]):
+            c = a.nums[0]
+            if c == 1 and a.den == 1:
+                return b
+            return CycScalar(self.ctx, tuple(c * x for x in b.nums), a.den * b.den)
         # the schoolbook product has length 2 phi(N) - 1 < N: one fold
         d = self.ctx.degree
-        a, b = self.nums, other.nums
         prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self.nums):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(other.nums):
                     if bj:
                         prod[i + j] += ai * bj
         return self.ctx.from_cyclic(prod, self.den * other.den)

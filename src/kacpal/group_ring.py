@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
-from operator import add
 
 from .cyclotomic import CycContext, CycScalar
 from .errors import ContextMismatchError, NotInvertibleError
@@ -345,8 +344,9 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
 # * A separable integer pass.  Over a common denominator D each coefficient
 #   is an integer vector in Z[x]/(x^N - 1), N = 2n, where multiplying by
 #   q^e = zeta_N^{2e} is a cyclic rotation by 2e.  One n-point pass per live
-#   axis costs O(live * n^(live+1) * N) integer adds in all, and each of the
-#   n^live results is folded modulo Phi_N once (CycContext.from_cyclic).
+#   axis costs at most live * n^(live+1) * N integer adds in all, one per
+#   nonzero coefficient moved, and each of the n^live results is folded
+#   modulo Phi_N once (CycContext.from_cyclic).
 #   The inverse runs the same pass with sign -1 over the values chi(a)^{-1},
 #   with denominator lcm(their denominators) * n^live.
 
@@ -354,7 +354,10 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
 def _character_pass(vecs: list, n: int, sign: int) -> list:
     """For vecs indexed row-major by beta in Z_n^k (len(vecs) = n^k), the
     array of sum_beta vecs[beta] x^{2 sign chi.beta} in Z[x]/(x^2n - 1)
-    indexed row-major by chi: one n-point pass per axis, where x^r rotates."""
+    indexed row-major by chi: one n-point pass per axis.  Multiplying by x^r
+    moves the coefficient at x^t to x^((t + r) mod 2n), so each output
+    vector is built by adding the nonzero integers of its fiber at their
+    rotated places; zero vectors and zero coefficients cost nothing."""
     N = 2 * n
     zero = [0] * N
     stride = 1
@@ -363,13 +366,19 @@ def _character_pass(vecs: list, n: int, sign: int) -> list:
         out = [zero] * len(vecs)
         for base in range(0, len(vecs), block):
             for off in range(base, base + stride):
-                fiber = [(e, vecs[off + e * stride]) for e in range(n)]
-                fiber = [(e, v) for e, v in fiber if any(v)]
+                fiber = []
+                for e in range(n):
+                    nz = [(t, c) for t, c in enumerate(vecs[off + e * stride]) if c]
+                    if nz:
+                        fiber.append((e, nz))
+                if not fiber:
+                    continue
                 for k in range(n):
-                    acc = zero
-                    for e, v in fiber:
-                        r = (2 * sign * k * e) % N
-                        acc = list(map(add, acc, v[-r:] + v[:-r]))
+                    acc = [0] * N
+                    for e, nz in fiber:
+                        r = 2 * sign * k * e
+                        for t, c in nz:
+                            acc[(t + r) % N] += c
                     out[off + k * stride] = acc
         vecs = out
         stride = block

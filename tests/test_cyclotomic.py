@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -228,6 +229,14 @@ def _frac_sub(a, b):
     return out
 
 
+def _from_fractions(ctx, coeffs):
+    """The stored form of sum_e coeffs[e] zeta^e, coeffs of length degree."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return CycScalar(ctx, tuple(int(c * den) for c in coeffs), den)
+
+
 def reference_inv(a):
     """a^-1 by the extended Euclidean algorithm on polynomials over Q: the
     slow, independent path (s a = gcd(a, Phi_N), a nonzero constant)."""
@@ -243,11 +252,7 @@ def reference_inv(a):
     if len(r0) != 1:
         raise ArithmeticError("gcd with Phi_N is not constant")
     coeffs = [c / r0[0] for c in s0] + [Fraction(0)] * ctx.degree
-    coeffs = coeffs[: ctx.degree]
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return CycScalar(ctx, tuple(int(c * den) for c in coeffs), den)
+    return _from_fractions(ctx, coeffs[: ctx.degree])
 
 
 def assert_inverse_matches_reference(a):
@@ -316,3 +321,132 @@ def test_reflected_ops_with_foreign_types_raise_type_error(other):
         other / one
     assert 3 - one == CycContext(2).scalar(2)
     assert 3 / (one * 2) == CycContext(2).scalar(Fraction(3, 2))
+
+
+# -- products and sums against Fraction polynomials reduced mod Phi_N -----------
+
+
+def reference_mul(a, b):
+    """a b as the product of Fraction polynomials, reduced mod Phi_N by long
+    division: no CycScalar arithmetic."""
+    ctx = a.ctx
+    _, rem = _frac_divmod(_frac_mul(a.to_fractions(), b.to_fractions()), [Fraction(c) for c in ctx.phi])
+    return _from_fractions(ctx, (rem + [Fraction(0)] * ctx.degree)[: ctx.degree])
+
+
+def reference_add(a, b):
+    return _from_fractions(a.ctx, [x + y for x, y in zip(a.to_fractions(), b.to_fractions())])
+
+
+def check_against_reference(a, b):
+    """Both orders of a b and a + b, stored form included; a failure names the pair."""
+    for got, want in ((a * b, reference_mul(a, b)), (b * a, reference_mul(a, b)),
+                      (a + b, reference_add(a, b)), (b + a, reference_add(a, b))):
+        assert (got.nums, got.den) == (want.nums, want.den), f"pair {a!r}, {b!r}: {got!r} != {want!r}"
+
+
+@st.composite
+def weighted_scalars(draw, ctx):
+    """Scalars of ctx drawn towards the trivial cases of the fast paths: one,
+    zero, rationals and (rational multiples of) roots of unity, and general
+    elements otherwise."""
+    kind = draw(st.sampled_from(["one", "zero", "rational", "root", "root", "general"]))
+    if kind == "one":
+        return ctx.one
+    if kind == "zero":
+        return ctx.zero
+    r = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+    if kind == "rational":
+        return ctx.scalar(r)
+    if kind == "root":
+        root = ctx.root(draw(st.integers(0, ctx.N - 1)))
+        return root if draw(st.booleans()) else root * r
+    nums = draw(st.lists(st.integers(-40, 40), min_size=ctx.degree, max_size=ctx.degree))
+    return CycScalar(ctx, tuple(nums), draw(st.integers(1, 12)))
+
+
+@st.composite
+def scalar_pairs(draw):
+    ctx = CycContext(draw(st.integers(2, 6)))
+    return draw(weighted_scalars(ctx)), draw(weighted_scalars(ctx))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scalar_pairs())
+def test_products_and_sums_match_fraction_reference(pair):
+    check_against_reference(*pair)
+
+
+def _control_pairs():
+    """One pair per fast path and one for the fold, for n = 2..6."""
+    pairs = []
+    for n in range(2, 7):
+        ctx = CycContext(n)
+        half, big = ctx.scalar(Fraction(-3, 4)), CycScalar(ctx, tuple(range(1, ctx.degree + 1)), 6)
+        pairs += [(ctx.one, big), (ctx.zero, big), (half, big), (big, half), (half, ctx.p * 5),
+                  (ctx.scalar(Fraction(2, 3)), ctx.scalar(Fraction(9, 4))), (ctx.p + 1, big), (ctx.q, ctx.p)]
+    return pairs
+
+
+def test_control_pairs_match_fraction_reference():
+    for a, b in _control_pairs():
+        check_against_reference(a, b)
+
+
+def test_rational_path_dropping_a_denominator_fails_oracle(monkeypatch):
+    original = CycScalar.__mul__
+
+    def drops_den(self, other):
+        other = self._coerce(other)
+        a, b = (other, self) if any(self.nums[1:]) else (self, other)
+        if not any(a.nums[1:]) and a.den != 1:
+            return CycScalar(self.ctx, tuple(a.nums[0] * x for x in b.nums), b.den)  # a.den dropped
+        return original(self, other)
+
+    monkeypatch.setattr(CycScalar, "__mul__", drops_den)
+    ctx = CycContext(3)
+    a, b = ctx.scalar(Fraction(-3, 4)), ctx.p * 5
+    with pytest.raises(AssertionError, match=r"pair -3/4, 5\*z"):
+        check_against_reference(a, b)
+
+
+def test_context_mismatch_on_every_fast_path():
+    # the coercion runs before any fast path, so one, zero and rationals
+    # from Q(zeta_4) still refuse a scalar of Q(zeta_6), on either side
+    four, six = CycContext(2), CycContext(3)
+    for a in (four.one, four.zero, four.scalar(Fraction(1, 2)), four.p, four.p + 1):
+        for b in (six.p, six.one, six.zero, six.scalar(7)):
+            for x, y in ((a, b), (b, a)):
+                for op in (operator.mul, operator.add, operator.sub, operator.truediv):
+                    with pytest.raises(ContextMismatchError):
+                        op(x, y)
+
+
+def test_equal_contexts_that_are_distinct_objects_mix():
+    first, second = CycContext(3), CycContext(3)
+    assert first is not second
+    assert first.one * second.p == second.p
+    assert first.zero + second.p == second.p
+    assert first.scalar(2) * second.p == second.p + second.p
+    assert first.p * second.p == first.q
+
+
+def test_int_and_fraction_coercion_on_both_sides():
+    ctx = CycContext(4)
+    a = ctx.p * 3 + 1
+    half = Fraction(1, 2)
+    for c in (0, 1, -2, half, Fraction(-5, 3)):
+        want = reference_mul(a, ctx.scalar(c))
+        assert a * c == want and c * a == want, c
+        want = reference_add(a, ctx.scalar(c))
+        assert a + c == want and c + a == want, c
+    assert (a * 1) is a and (a + 0) is a
+    assert ctx.scalar(True) == ctx.one and ctx.scalar(False) == ctx.zero
+    assert type(ctx.scalar(True).nums[0]) is int
+    for x in (a, ctx.one, ctx.zero, ctx.scalar(half)):
+        for bad in (0.5, 1.0):
+            for op in (operator.mul, operator.add):
+                with pytest.raises(TypeError):
+                    op(x, bad)
+                with pytest.raises(TypeError):
+                    op(bad, x)

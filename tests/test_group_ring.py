@@ -23,12 +23,15 @@ from kacpal import (
     twist_Js,
 )
 from kacpal import group_ring
+from kacpal.cyclotomic import CycScalar
 from kacpal.errors import ContextMismatchError, NotInvertibleError
 from kacpal.group_ring import (
+    _character_values,
     antipode_ring,
     check_tensor_invertible,
     delta_ring,
     eps_ring,
+    live_index,
     slot_vector,
 )
 
@@ -389,3 +392,116 @@ def test_negative_control_wrong_axis(monkeypatch):
     for case in _control_cases():
         with pytest.raises(AssertionError):
             check_against_reference(*case)
+
+
+# ---------------------------------------------------------------------------
+# the character pass against term-by-term sums, on general coefficients
+
+
+def term_by_term_values(cyc, items, live, sign, scale=1):
+    """[sum_i c_i q^{sign chi.beta_i} / scale for chi in Z_n^live], one scalar
+    product per character and term."""
+    betas = list(iproduct(range(cyc.n), repeat=live))
+    out = []
+    for chi in betas:
+        v = cyc.zero
+        for idx, c in items:
+            v = v + c * cyc.q_pow(sign * sum(x * y for x, y in zip(chi, betas[idx])))
+        out.append(v * cyc.scalar(Fraction(1, scale)))
+    return out
+
+
+def general_coefficients(cyc):
+    """Elements of Q(zeta_2n) with every coordinate drawn, over a denominator."""
+    return st.builds(
+        lambda nums, d: CycScalar(cyc, tuple(nums), d),
+        st.lists(st.integers(-9, 9), min_size=cyc.degree, max_size=cyc.degree),
+        st.integers(1, 8),
+    )
+
+
+@st.composite
+def character_cases(draw):
+    """(cyc, items, live, sign, scale) with n^live <= 64."""
+    n = draw(st.integers(2, 5))
+    live = draw(st.integers(1, {2: 6, 3: 3, 4: 3, 5: 2}[n]))
+    cyc = GroupAlgebra(n, 1).cyc
+    items = draw(st.dictionaries(st.integers(0, n**live - 1), general_coefficients(cyc), min_size=1, max_size=6))
+    return cyc, sorted(items.items()), live, draw(st.sampled_from([1, -1])), draw(st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(character_cases())
+def test_character_values_match_term_by_term_sums(case):
+    assert _character_values(*case) == term_by_term_values(*case)
+
+
+@st.composite
+def elements_with_dead_axes(draw):
+    """(n, width, terms) with general coefficients and at least one axis on
+    which every key is zero."""
+    n = draw(st.integers(2, 5))
+    width = draw(st.integers(2, MAX_WIDTH[n]))
+    dead = draw(st.integers(0, width - 1))
+    cyc = GroupAlgebra(n, 1).cyc
+    key = st.tuples(*[st.just(0) if i == dead else st.integers(0, n - 1) for i in range(width)])
+    return n, width, draw(st.dictionaries(key, general_coefficients(cyc), min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_with_dead_axes())
+def test_values_with_dead_axes_and_inverse_round_trip(case):
+    n, width, terms = case
+    R = GroupAlgebra(n, width)
+    a = R.from_terms(terms)
+    J = as_tensor(n, width, a.terms)
+    everywhere = range(width)
+    want = term_by_term_values(R.cyc, [(live_index(key, everywhere, n), c) for key, c in a.terms.items()], width, 1)
+    if not all(want):
+        with pytest.raises(NotInvertibleError):
+            check_tensor_invertible(J)
+        with pytest.raises(NotInvertibleError):
+            ring_inverse(a)
+        return
+    live, values = check_tensor_invertible(J)
+    chis = iproduct(range(n), repeat=width)
+    assert all(values[live_index(chi, live, n)] == v for chi, v in zip(chis, want))
+    assert ring_inverse(a) * a == R.one
+    one = KTensor(J.ring, J.arity, {(J.ring.zero_exp,) * J.arity: R.cyc.one})
+    assert tensor_inverse(J) * J == one
+
+
+def rotating_pass(skip_axis=None):
+    """The character pass written per entry, with the rotation left out on
+    axis skip_axis (0 is the axis of stride 1) when it is given."""
+
+    def run(vecs, n, sign):
+        N, stride, axis = 2 * n, 1, 0
+        while stride < len(vecs):
+            out = [[0] * N for _ in vecs]
+            for idx, v in enumerate(vecs):
+                e = idx // stride % n
+                for k in range(n):
+                    r = 0 if axis == skip_axis else 2 * sign * k * e
+                    for t, c in enumerate(v):
+                        out[idx + (k - e) * stride][(t + r) % N] += c
+            vecs, stride, axis = out, stride * n, axis + 1
+        return vecs
+
+    return run
+
+
+def _transform_control_cases():
+    out = []
+    for n in (2, 3, 5):
+        cyc = GroupAlgebra(n, 1).cyc
+        items = [(0, cyc.scalar(Fraction(7, 2))), (1, cyc.p * 3 - 1), (n + 1, CycScalar(cyc, (2,) * cyc.degree, 3))]
+        out += [(cyc, items, 2, sign, 2) for sign in (1, -1)]
+    return out
+
+
+@pytest.mark.parametrize("skip_axis, fails", [(None, False), (0, True), (1, True)])
+def test_pass_skipping_the_rotation_on_one_axis_fails(monkeypatch, skip_axis, fails):
+    monkeypatch.setattr(group_ring, "_character_pass", rotating_pass(skip_axis))
+    verdicts = [_character_values(*case) == term_by_term_values(*case) for case in _transform_control_cases()]
+    assert verdicts == [not fails] * len(verdicts)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -325,13 +326,54 @@ def test_rho_is_multiplicative():
         assert rep.rho(h1 * h2) == rep.rho(h1) * rep.rho(h2)
 
 
+def dense_rho_t(rep, k):
+    """The former rho_t: (1/n) sum_{s,t} q^{-st} X_k^s X_{k+1}^t through n^2
+    dense products of m x m matrices."""
+    n, ctx = rep.params.n, rep.ctx
+    acc = Mat.zeros(ctx, rep.params.m, rep.params.m)
+    xk_pows = [rep.x(k) ** s for s in range(n)]
+    xk1_pows = [rep.x(k + 1) ** t for t in range(n)]
+    for s in range(n):
+        for t in range(n):
+            acc = acc + (xk_pows[s] * xk1_pows[t]).scale(ctx.q_pow(-s * t))
+    return acc.scale(ctx.scalar(Fraction(1, n)))
+
+
 def test_z_square_equals_rho_t():
-    for n, m in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        H_ring = HopfAlgebra(n, m).ring
-        for a, b in [(1, 0), (2 % n, 1)]:
+    for n, m in iproduct(range(2, 6), repeat=2):
+        H = HopfAlgebra(n, m)
+        ts = [H.from_ring(t_of(H.ring, k)) for k in range(1, m)]
+        for a, b in iproduct(range(n), repeat=2):
             rep = Rep(RepParams(n, m, a, b))
-            for k in range(1, m):
-                assert rep.z(k) ** 2 == rep.rho_t(k)
-                # and rho_t agrees with rho of the ring element t_k
-                H = HopfAlgebra(n, m)
-                assert rep.rho_t(k) == rep.rho(H.from_ring(t_of(H_ring, k)))
+            for k, t in enumerate(ts, start=1):
+                got = rep.rho_t(k)
+                assert got == rep.z(k) ** 2, (n, m, a, b, k)
+                assert got == rep.rho(t), (n, m, a, b, k)
+                assert got == dense_rho_t(rep, k), (n, m, a, b, k)
+
+
+class _MovedRhoT(Rep):
+    """rho(t_k) with the exponent of one diagonal entry moved by one, at k = bad."""
+
+    def __init__(self, params, bad):
+        super().__init__(params)
+        self.bad = bad
+
+    def rho_t(self, k):
+        out = super().rho_t(k)
+        if k != self.bad:
+            return out
+        rows = [list(r) for r in out.rows]
+        rows[k][k] = rows[k][k] * self.ctx.q
+        return Mat(self.ctx, rows)
+
+
+@pytest.mark.parametrize("n,m,bad", [(2, 3, 2), (3, 4, 1), (3, 5, 4), (5, 3, 2)])
+def test_moved_rho_t_exponent_fails_z_square_naming_k(n, m, bad):
+    params = RepParams(n, m, 1, 0)
+    assert verify_rep(params, Rep(params)).ok
+    report = verify_rep(params, _MovedRhoT(params, bad))
+    failed = [c for c in report.checks if c["status"] == "fail"]
+    assert [(c["name"], c["witness"]) for c in failed] == [("z-square", {"k": bad})]
+
+
