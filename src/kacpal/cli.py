@@ -20,7 +20,7 @@ from math import comb, factorial
 from . import __version__
 from .cocycle import reference_cocycle_table_m3
 from .errors import NotInvertibleError, SizeGuardError
-from .group_ring import GroupAlgebra, canonical_twist, sigma
+from .group_ring import GroupAlgebra, canonical_twist
 from .hopf import AxiomReport, HopfAlgebra, embedding_check, guard_basis_pairs, label_json
 from .quantum_poly import QuantumPolyAlgebra
 from .reps import (
@@ -157,14 +157,42 @@ def _run_twist_check(args, report):
         )
 
 
-# bounds the (m!)^2 cells of gamma-table: (4!)^2 = 576 run, (5!)^2 = 14400 do not
-GAMMA_CELLS_GUARD = 5000
+# bounds the work of gamma-table, priced as the (m!)^3 n^m cells of
+# cocycle-identity (one per triple and character) times n, since a cell
+# costs more as n grows: most of the time goes to associativity-oracle,
+# whose products carry more gamma terms.  On a 2-core host with Python 3.11, one
+# run each, in process, with the guard lifted: 2 4 (work 442,368) takes
+# 5.0 s, 3 3 (17,496) 0.15 s, 8 3 (884,736) 5.5 s, 11 3 (3,162,456) 23 s,
+# 12 3 (4,478,976) 25 s, 80 2 (4,096,000) 3.2 s, 79 2 (3,944,312) 9.3 s
+# and 3 4 (3,359,232) 45 s, while 16 3 (14,155,776) takes 91 s; 4 4 (the
+# same work) is refused untimed
+GAMMA_WORK_GUARD = 4_000_000
 
 
 def _run_gamma_table(args, report):
-    cells = factorial(args.m) ** 2
-    if cells > GAMMA_CELLS_GUARD:
-        raise SizeGuardError(f"gamma table refused for (m!)^2 = {cells} > {GAMMA_CELLS_GUARD}")
+    """The (m!)^2 cocycle values gamma(w, v) and three checks on them.
+
+    cocycle-counit and cocycle-identity are decided on the exponent tables
+    g_{w,v} of HopfAlgebra.gamma_exponents, gamma(w, v)(psi) = zeta^g(psi)
+    with zeta = zeta_2n.  R is commutative and n is invertible in K, so an
+    element of R is fixed by its values at the n^m characters psi, and
+    psi(sigma_w(r)) = (w.psi)(r) (HopfAlgebra.character_action).  Hence
+    eps(gamma(w, v)) = 1 iff g_{w,v}(0) = 0, and sigma_w(gamma(v, u))
+    gamma(w, vu) = gamma(w, v) gamma(wv, u) iff, at every psi,
+    g_{v,u}(w.psi) + g_{w,vu}(psi) = g_{w,v}(psi) + g_{wv,u}(psi) mod 2n.
+    Where a table is None, cocycle-identity fails and cocycle-counit falls
+    back to the exact test eps(gamma(w, v)) = 1, since a value that is not
+    a root of unity at another character says nothing of the value at
+    psi = 0.  On this command's algebra no table
+    is None.  Each gamma(w, v) is a product of shifted t_k, sigma_u(t_k),
+    whose value at psi is t_k(u.psi), and t_k(psi) = (1/n) sum_{i,j}
+    q^{-ij} q^{psi_k i + psi_{k+1} j} = q^{psi_k psi_{k+1}}, since the sum
+    over j vanishes unless i = psi_{k+1}; so every value of gamma is a power
+    of q = zeta^2, and every term carries the label wv.
+    associativity-oracle multiplies the labels through hmul."""
+    work = factorial(args.m) ** 3 * args.n ** (args.m + 1)
+    if work > GAMMA_WORK_GUARD:
+        raise SizeGuardError(f"gamma table refused for (m!)^3 n^(m+1) = {work} > {GAMMA_WORK_GUARD}")
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
     perms = hopf.perms
@@ -186,9 +214,24 @@ def _run_gamma_table(args, report):
     def words(perms):
         return {key: list(canonical_word(p)) for key, p in zip("wvu", perms)}
 
+    exponents, N = hopf.gamma_exponents, hopf.cyc.N
+
+    def counit_fails(wv):
+        g = exponents(*wv)
+        if g is None:
+            return hopf.counit(hopf.from_ring(gamma(*wv))) != hopf.cyc.one
+        return g[0] != 0
+
     def cocycle_fails(wvu):
         w, v, u = wvu
-        return sigma(w, gamma(v, u)) * gamma(w, v * u) != gamma(w, v) * gamma(w * v, u)
+        tables = exponents(v, u), exponents(w, v * u), exponents(w, v), exponents(w * v, u)
+        if None in tables:
+            return True
+        g_vu, g_w_vu, g_wv, g_wv_u = tables
+        act = hopf.character_action(w)
+        return any(
+            (g_vu[act[a]] + g_w_vu[a] - g_wv[a] - g_wv_u[a]) % N for a in range(len(act))
+        )
 
     def associativity_fails(wvu):
         a, b, c = (hopf.basis_elem(hopf.ring.zero_exp, p) for p in wvu)
@@ -199,7 +242,7 @@ def _run_gamma_table(args, report):
         "cocycle-counit",
         "eps(gamma(w,v)) = 1",
         iproduct(perms, repeat=2),
-        lambda wv: hopf.counit(hopf.from_ring(gamma(*wv))) != hopf.cyc.one,
+        counit_fails,
         words,
         checked=len(perms) ** 2,
     )

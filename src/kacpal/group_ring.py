@@ -14,11 +14,21 @@ i.e. sigma_w moves the content of slot w(i) into slot i.  With this formula
 sigma_w . sigma_v = sigma_{w*v} holds for the left-to-right permutation
 product (w*v)(i) = v(w(i)) implemented in kacpal.symmetric, which is what
 makes the crossed product associative; see symmetric.py for the discussion.
+
+The arithmetic of exponent vectors in Z_n^m is written once, in three
+helpers that the structure maps of group_ring, hopf, quantum_poly and reps
+call: exp_add (d + e mod n, the exponent of x^d x^e), exp_neg (-e mod n,
+of (x^e)^-1) and slot_act (the slot action on exponents, sigma_w(x^e) =
+x^(w.e) with (w.e)_i = e_{w(i)}).  A character psi of Z_n^m
+sends x^e to q^(psi.e); then psi(sigma_w(x^e)) = (w.psi)(x^e) for the
+character w.psi = slot_act(w^-1, psi), which is how the Sigma_m action is
+read on character tables (HopfAlgebra.character_action).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 from math import lcm
 
@@ -26,6 +36,21 @@ from .cyclotomic import CycContext, CycScalar
 from .errors import ContextMismatchError, NotInvertibleError
 from .sparse import SparseElem, accumulate, power_product
 from .symmetric import Perm
+
+
+def exp_add(d, e, n: int) -> tuple[int, ...]:
+    """The exponent vector d + e mod n: the product x^d x^e = x^(d + e)."""
+    return tuple([(a + b) % n for a, b in zip(d, e)])
+
+
+def exp_neg(e, n: int) -> tuple[int, ...]:
+    """The exponent vector -e mod n: the inverse (x^e)^-1 = x^(-e)."""
+    return tuple([-a % n for a in e])
+
+
+def slot_act(w: Perm, e) -> tuple:
+    """The slot action w.e, (w.e)_i = e_{w(i)}: sigma_w(x^e) = x^(w.e)."""
+    return tuple([e[i] for i in w.images])
 
 
 def slot_vector(m: int, i: int, e: int = 1) -> tuple[int, ...]:
@@ -47,9 +72,8 @@ class GroupAlgebra:
         self.m = m
         self.cyc = CycContext(n)
         self.zero = RingElem(self, {})
-        zero_exp = (0,) * m
-        self.one = RingElem(self, {zero_exp: self.cyc.one})
-        self.zero_exp = zero_exp
+        self.zero_exp = (0,) * m
+        self.one = RingElem(self, {self.zero_exp: self.cyc.one})
 
     def monomial(self, exps, coeff=None) -> "RingElem":
         exps = tuple(e % self.n for e in exps)
@@ -110,7 +134,7 @@ class RingElem(SparseElem):
         out: dict = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                accumulate(out, tuple((a + b) % n for a, b in zip(ka, kb)), ca * cb)
+                accumulate(out, exp_add(ka, kb, n), ca * cb)
         return RingElem(self.ring, out)
 
     def __pow__(self, e: int):
@@ -140,18 +164,15 @@ def delta_ring(a: RingElem) -> "KTensor":
 
 def antipode_ring(a: RingElem) -> RingElem:
     n = a.ring.n
-    return RingElem(a.ring, {tuple((-e) % n for e in k): c for k, c in a.terms.items()})
+    return RingElem(a.ring, {exp_neg(k, n): c for k, c in a.terms.items()})
 
 
 def sigma(w: Perm, a: RingElem) -> RingElem:
-    """Slot action: sigma_w(x^alpha)_i = alpha_{w(i)}."""
+    """Slot action: sigma_w(x^alpha) = x^(w.alpha), (w.alpha)_i = alpha_{w(i)};
+    a bijection on keys, so no two terms meet."""
     if w.size != a.ring.m:
         raise ContextMismatchError("permutation degree does not match tensor length")
-    img = w.images
-    out: dict = {}
-    for k, c in a.terms.items():
-        accumulate(out, tuple(k[img[i]] for i in range(len(k))), c)
-    return RingElem(a.ring, out)
+    return RingElem(a.ring, {slot_act(w, k): c for k, c in a.terms.items()})
 
 
 def idempotent(B: GroupAlgebra, k: int) -> RingElem:
@@ -206,9 +227,7 @@ class KTensor(SparseElem):
         out: dict = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                k = tuple(
-                    tuple((a + b) % n for a, b in zip(la, lb)) for la, lb in zip(ka, kb)
-                )
+                k = tuple([exp_add(la, lb, n) for la, lb in zip(ka, kb)])
                 accumulate(out, k, ca * cb)
         return KTensor(self.ring, self.arity, out)
 
@@ -233,9 +252,7 @@ class KTensor(SparseElem):
 
     def antipode_leg(self, leg: int) -> "KTensor":
         n = self.ring.n
-        return self._relabel(
-            lambda k: k[:leg] + (tuple((-e) % n for e in k[leg]),) + k[leg + 1 :], self.arity
-        )
+        return self._relabel(lambda k: k[:leg] + (exp_neg(k[leg], n),) + k[leg + 1 :], self.arity)
 
     def unit_leg(self, position: int) -> "KTensor":
         """Insert a trivial leg (tensor with 1) at the given position."""
@@ -244,8 +261,7 @@ class KTensor(SparseElem):
 
     def sigma_all(self, w: Perm) -> "KTensor":
         """(sigma_w (x) ... (x) sigma_w) applied to every leg."""
-        img = w.images
-        return self._relabel(lambda k: tuple(tuple(leg[i] for i in img) for leg in k), self.arity)
+        return self._relabel(lambda k: tuple([slot_act(w, leg) for leg in k]), self.arity)
 
     def tensor(self, other: "KTensor") -> "KTensor":
         if other.ring != self.ring:
@@ -261,7 +277,7 @@ class KTensor(SparseElem):
         n = self.ring.n
         out: dict = {}
         for k, c in self.terms.items():
-            accumulate(out, tuple(sum(leg[i] for leg in k) % n for i in range(self.ring.m)), c)
+            accumulate(out, reduce(lambda a, b: exp_add(a, b, n), k, self.ring.zero_exp), c)
         return RingElem(self.ring, out)
 
     def to_json(self) -> list:
@@ -314,19 +330,10 @@ def t_of(R: GroupAlgebra, k: int) -> RingElem:
 
 
 def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
-    """Closed form t_k^{-1} = (1/n) sum q^{-ij} x_k^i x_{k+1}^{-j}."""
-    if not 1 <= k <= R.m - 1:
-        raise ValueError("transposition index out of range")
-    n = R.n
-    inv_n = R.cyc.scalar(Fraction(1, n))
-    out: dict = {}
-    for i in range(n):
-        for j in range(n):
-            key = [0] * R.m
-            key[k - 1] = i
-            key[k] = (-j) % n
-            accumulate(out, tuple(key), R.cyc.q_pow(-i * j) * inv_n)
-    return RingElem(R, out)
+    """Closed form t_k^{-1} = mu_R((id (x) S_R)(J_{s_k})) = (1/n) sum q^{-ij}
+    x_k^i x_{k+1}^{-j}: its value at a character psi is q^{-psi_k psi_{k+1}},
+    the inverse of t_k's."""
+    return twist_Js(R, k).antipode_leg(1).multiply_legs()
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ laws for coproduct and antipode, once per algebra, to catch a subclass that
 overrides a structure map.  Where its laws hold, a check runs on its label
 cases: associativity's (m!)^3 label triples, comultiplicativity's (m!)^2
 label pairs, decided from exponent tables of J(w) and gamma(w, v) at
-characters, and the m! labels of the per-basis checks.  Otherwise it runs
-on every basis case (see verify_axioms).  export reads its table from the
+characters (gamma_exponents and j_exponents, one memoized source that
+gamma-table reads too), and the m! labels of the per-basis checks.
+Otherwise it runs on every basis case (see verify_axioms).  export reads its table from the
 same translates (product_table), and embed-check checks the product on the
 (m!)^2 label pairs (embedding_check).
 """
@@ -49,7 +50,11 @@ from .group_ring import (
     KTensor,
     RingElem,
     _character_values,
+    exp_add,
+    exp_neg,
+    live_index,
     ring_inverse,
+    slot_act,
     slot_vector,
     twist_Js,
 )
@@ -153,13 +158,11 @@ class HopfAlgebra:
         if b.algebra != self:
             raise ContextMismatchError("right factor from a different algebra")
         n = self.n
-        rng = range(self.m)
         out: dict = {}
         for (ea, wa), ca in a.terms.items():
-            img = wa.images
             for (eb, wb), cb in b.terms.items():
                 c = ca * cb
-                delta = tuple((ea[i] + eb[img[i]]) % n for i in rng)
+                delta = exp_add(ea, slot_act(wa, eb), n)
                 for key, cg in self._translate(wa, wb, delta).items():
                     accumulate(out, key, c * cg)
         return HopfElem(self, out)
@@ -195,7 +198,7 @@ class HopfAlgebra:
         for alpha in vectors:
             for w in self.perms:
                 for beta in vectors:
-                    table.extend(translates[w, _shift(alpha, _act(w, beta), n)])
+                    table.extend(translates[w, exp_add(alpha, slot_act(w, beta), n)])
         return table
 
     @memoized
@@ -212,11 +215,7 @@ class HopfAlgebra:
         out: dict = {}
         for (e, w), c in h.terms.items():
             for (d1, d2), cj in self.j_of_word(w).terms.items():
-                key = (
-                    (tuple((e[i] + d1[i]) % n for i in range(self.m)), w),
-                    (tuple((e[i] + d2[i]) % n for i in range(self.m)), w),
-                )
-                accumulate(out, key, c * cj)
+                accumulate(out, ((exp_add(e, d1, n), w), (exp_add(e, d2, n), w)), c * cj)
         return HTensor(self, out)
 
     def counit(self, h: "HopfElem"):
@@ -232,8 +231,8 @@ class HopfAlgebra:
 
     @memoized
     def antipode_basis(self, e, w: Perm) -> "HopfElem":
-        neg = tuple((-x) % self.n for x in e)
-        return self.hmul(self.antipode_word(w), self.basis_elem(neg, Perm.identity(self.m)))
+        neg = self.basis_elem(exp_neg(e, self.n), Perm.identity(self.m))
+        return self.hmul(self.antipode_word(w), neg)
 
     def antipode(self, h: "HopfElem") -> "HopfElem":
         out = self.zero()
@@ -300,7 +299,8 @@ class HopfAlgebra:
         sweep is what catches a subclass that overrides hmul."""
         n, m, perms, zero = self.n, self.m, self.perms, self.ring.zero_exp
         units = [slot_vector(m, j) for j in range(1, m + 1)]
-        if any(_act(w, _act(v, e)) != _act(w * v, e) for w in perms for v in perms for e in units):
+        if any(slot_act(w, slot_act(v, e)) != slot_act(w * v, e)
+               for w, v, e in iproduct(perms, perms, units)):
             return False
         vectors = list(self.ring.exponent_vectors())
         for w, v in iproduct(perms, repeat=2):
@@ -308,7 +308,7 @@ class HopfAlgebra:
                 return False
             for ea, eb in iproduct(vectors, repeat=2):
                 product = self.hmul(self.basis_elem(ea, w), self.basis_elem(eb, v))
-                if product.terms != self._translate(w, v, _shift(ea, _act(w, eb), n)):
+                if product.terms != self._translate(w, v, exp_add(ea, slot_act(w, eb), n)):
                     return False
         return True
 
@@ -321,7 +321,7 @@ class HopfAlgebra:
             base = self.coproduct(self.basis_elem(zero, w)).terms
             for e in self.ring.exponent_vectors():
                 shifted = {
-                    ((_shift(d1, e, n), w1), (_shift(d2, e, n), w2)): c
+                    ((exp_add(d1, e, n), w1), (exp_add(d2, e, n), w2)): c
                     for ((d1, w1), (d2, w2)), c in base.items()
                 }
                 if self.coproduct(self.basis_elem(e, w)).terms != shifted:
@@ -338,48 +338,74 @@ class HopfAlgebra:
             if any(u != w.inverse() for _, u in s_w.terms):
                 return False
             for e in self.ring.exponent_vectors():
-                neg = self.basis_elem(tuple(-x for x in e), ident)
+                neg = self.basis_elem(exp_neg(e, n), ident)
                 if self.antipode(self.basis_elem(e, w)) != self.hmul(s_w, neg):
                     return False
         return True
 
+    # -- structure constants on characters -------------------------------------
+
+    @memoized
+    def character_index(self) -> dict:
+        """The row-major index of each character psi of Z_n^m, keyed by its
+        exponent vector; psi sends x^beta to q^(psi.beta)."""
+        return {psi: k for k, psi in enumerate(self.ring.exponent_vectors())}
+
+    @memoized
+    def character_sum(self) -> list:
+        """plus[a][b], the index of psi_a + psi_b."""
+        index = self.character_index()
+        return [[index[exp_add(p, r, self.n)] for r in index] for p in index]
+
+    @memoized
+    def character_action(self, w: Perm) -> list:
+        """act[a], the index of w.psi_a = slot_act(w^-1, psi_a), so that
+        psi(sigma_w(r)) = (w.psi)(r) for every r in R."""
+        index, inverse = self.character_index(), w.inverse()
+        return [index[slot_act(inverse, psi)] for psi in index]
+
+    def _exponents(self, terms: dict, width: int) -> list | None:
+        """The exponents e, row-major over the characters of Z_n^width, with
+        value zeta_2n^e at each, of the element of K[Z_n^width] with the
+        given terms; None when a value is not a root of unity."""
+        exponent = {self.cyc.root(e): e for e in range(self.cyc.N)}
+        items = [(live_index(key, range(width), self.n), c) for key, c in terms.items()]
+        values = [exponent.get(c) for c in _character_values(self.cyc, items, width, 1)]
+        return None if None in values else values
+
+    @memoized
+    def gamma_exponents(self, w: Perm, v: Perm) -> list | None:
+        """g_{w,v}, with gamma(w, v)(psi) = zeta_2n^g[a] at the character
+        psi of index a, read from _translate(w, v, 0); that is hmul(w-bar,
+        v-bar) wherever P1 holds, which is where verify_axioms reads these
+        tables; every term carries the label wv.  None when a value is not
+        a root of unity."""
+        terms = self._translate(w, v, self.ring.zero_exp)
+        return self._exponents({e: c for (e, _), c in terms.items()}, self.m)
+
+    @memoized
+    def j_exponents(self, w: Perm) -> list | None:
+        """f_w, with J(w)(psi, psi') = zeta_2n^f[a n^m + b] at the characters
+        psi, psi' of indices a, b, read through coproduct(w-bar) =
+        J(w)(w-bar (x) w-bar).  None when a term has a label other than w
+        or a value is not a root of unity."""
+        terms = self.coproduct(self.basis_elem(self.ring.zero_exp, w)).terms
+        if any(w1 != w or w2 != w for (_, w1), (_, w2) in terms):
+            return None
+        return self._exponents({d1 + d2: c for ((d1, _), (d2, _)), c in terms.items()}, 2 * self.m)
+
     def _comultiplicative_by_tables(self) -> set:
         """The permutation pairs (w, v) at which the exponent identity of
-        verify_axioms holds, from tables read through coproduct and hmul.
-        A pair is left out when an identity fails, when a value is not a
-        root of unity, or when a term carries an unexpected label."""
-        n, m, N, zero = self.n, self.m, self.cyc.N, self.ring.zero_exp
-        vectors = list(self.ring.exponent_vectors())
-        index = {e: k for k, e in enumerate(vectors)}
-        size = len(vectors)
-        exponent = {self.cyc.root(e): e for e in range(N)}
-
-        def table(items, live: int) -> list | None:
-            """Exponents e with value zeta_2n^e at every character, row-major."""
-            values = [exponent.get(c) for c in _character_values(self.cyc, items, live, 1)]
-            return None if None in values else values
-
-        # f[w](psi, psi') from Delta(w-bar), flattened as psi * n^m + psi'
-        f = {}
-        for w in self.perms:
-            terms = self.coproduct(self.basis_elem(zero, w)).terms
-            f[w] = None
-            if all(w1 == w == w2 for (_, w1), (_, w2) in terms):
-                items = [(index[d1] * size + index[d2], c) for ((d1, _), (d2, _)), c in terms.items()]
-                f[w] = table(items, 2 * m)
-        # act[w][psi] = w.psi with (w.psi)_j = psi_{w^-1(j)}, so that
-        # psi(sigma_w(x^beta)) = (w.psi)(x^beta)
-        act = {w: [index[_act(w.inverse(), psi)] for psi in vectors] for w in self.perms}
-        plus = [[index[tuple((a + b) % n for a, b in zip(p, r))] for r in vectors] for p in vectors]
+        verify_axioms holds on gamma_exponents and j_exponents; a pair with
+        a None table is left out."""
+        N, size, plus = self.cyc.N, self.n**self.m, self.character_sum()
         proved = set()
         for w, v in iproduct(self.perms, repeat=2):
-            terms = self.hmul(self.basis_elem(zero, w), self.basis_elem(zero, v)).terms
-            if any(p != w * v for _, p in terms):
-                continue
-            g = table([(index[e], c) for (e, _), c in terms.items()], m)
-            fw, fv, fwv, aw = f[w], f[v], f[w * v], act[w]
+            g = self.gamma_exponents(w, v)
+            fw, fv, fwv = (self.j_exponents(u) for u in (w, v, w * v))
             if g is None or fw is None or fv is None or fwv is None:
                 continue
+            aw = self.character_action(w)
             if not any(
                 (g[plus[a][b]] + fwv[a * size + b] - fw[a * size + b]
                  - fv[aw[a] * size + aw[b]] - g[a] - g[b]) % N
@@ -456,10 +482,13 @@ class HopfAlgebra:
         pairs (x_i, z_k) and (z_k, x_i), which run the HTensor product, a
         label pair may be decided from integer tables instead.  A character
         psi of Z_n^m sends x^beta to q^{psi.beta}.  Read Delta(w-bar) =
-        J(w)(w-bar (x) w-bar) through coproduct and w-bar v-bar =
-        gamma(w, v)(wv)-bar through hmul; the character transform gives
-        J(w)(psi, psi') = zeta^{f_w(psi, psi')} and gamma(w, v)(psi) =
-        zeta^{g(psi)}, zeta = zeta_2n, where every value is a root of unity.
+        J(w)(w-bar (x) w-bar) through coproduct (j_exponents) and w-bar
+        v-bar = gamma(w, v)(wv)-bar from _translate(w, v, 0)
+        (gamma_exponents), which is hmul(w-bar, v-bar) because the product
+        law, P1 included, holds wherever the tables are read; the character
+        transform gives J(w)(psi, psi') = zeta^{f_w(psi, psi')} and
+        gamma(w, v)(psi) = zeta^{g(psi)}, zeta = zeta_2n, where every value
+        is a root of unity.
         The pair passes when, at every pair of characters, with
         (w.psi)_j = psi_{w^-1(j)},
 
@@ -719,19 +748,9 @@ class HopfAlgebra:
         return f"HopfAlgebra(n={self.n}, m={self.m})"
 
 
-def _shift(d, e, n: int) -> tuple:
-    """The exponent vector d + e mod n."""
-    return tuple((a + b) % n for a, b in zip(d, e))
-
-
 def _translated(terms: dict, delta, n: int) -> dict:
     """T_delta on the terms of an element of H: every exponent + delta."""
-    return {(_shift(e, delta, n), p): c for (e, p), c in terms.items()}
-
-
-def _act(w: Perm, e) -> tuple:
-    """The slot action w.e, (w.e)_i = e_{w(i)}, on an exponent vector."""
-    return tuple(e[i] for i in w.images)
+    return {(exp_add(e, delta, n), p): c for (e, p), c in terms.items()}
 
 
 def key_json(key) -> dict:

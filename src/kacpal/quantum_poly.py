@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .cyclotomic import CycScalar
 from .errors import ContextMismatchError
-from .group_ring import slot_vector
+from .group_ring import exp_add, slot_vector
 from .hopf import AxiomReport, HopfAlgebra, HopfElem
 from .linalg import Mat, kernel_basis, rref
 from .reps import RepParams, inner_faithful_bruteforce, inner_faithful_criterion
@@ -154,11 +154,10 @@ class QuantumPolyAlgebra:
     def later_weights(self, weights: list) -> list:
         """psi_{i+1} + ... + psi_k (mod n) for each i < k: the total weight
         of the letters after letter i."""
-        n = self.n
         out = []
         tail = (0,) * self.m
         for psi in reversed(weights[1:]):
-            tail = tuple((t + x) % n for t, x in zip(tail, psi))
+            tail = exp_add(tail, psi, self.n)
             out.append(tail)
         return out[::-1]
 

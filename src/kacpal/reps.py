@@ -15,6 +15,7 @@ from math import gcd
 
 from .cyclotomic import CycContext
 from .errors import SizeGuardError
+from .group_ring import exp_add
 from .hopf import AxiomReport, HopfElem
 from .linalg import Echelon, Mat, kernel_basis, rref
 from .symmetric import Perm, canonical_word
@@ -283,14 +284,11 @@ def _subgroups_within(elems: list, n: int, m: int) -> list[frozenset]:
     abelian, so H and g generate H + <g>, which depends only on the coset
     g + H: one g per coset is closed."""
 
-    def add(u, v) -> tuple:
-        return tuple((a + b) % n for a, b in zip(u, v))
-
     def close(H: frozenset, g: tuple) -> frozenset:
         multiples = [g]  # g, 2g, ..., 0: the cyclic group <g>
         while any(multiples[-1]):
-            multiples.append(add(multiples[-1], g))
-        return frozenset(add(h, c) for h in H for c in multiples)
+            multiples.append(exp_add(multiples[-1], g, n))
+        return frozenset(exp_add(h, c, n) for h in H for c in multiples)
 
     trivial = frozenset({(0,) * m})
     found = {trivial}
@@ -301,7 +299,7 @@ def _subgroups_within(elems: list, n: int, m: int) -> list[frozenset]:
             covered = set(H)
             for g in elems:
                 if g not in covered:
-                    covered.update(add(g, h) for h in H)
+                    covered.update(exp_add(g, h, n) for h in H)
                     K = close(H, g)
                     if K not in found:
                         found.add(K)

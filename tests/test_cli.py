@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product as iproduct
 from math import factorial
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import pytest
 import kacpal
 from kacpal import HopfAlgebra
 from kacpal.cli import _guard_degree_work, main
-from kacpal.symmetric import canonical_word
+from kacpal.cocycle import WordCalculus
+from kacpal.group_ring import sigma
+from kacpal.symmetric import Perm, canonical_word
 
 
 def _run(capsys, argv):
@@ -291,7 +294,10 @@ def test_size_guard_exit_3(capsys):
         "verify 5 3 --scope all",
         "verify 3 4",
         "export 4 4",
-        # (5!)^2 = 14400 cocycle cells exceed the guard; (4!)^2 = 576 do not
+        # gamma-table work (m!)^3 n^(m+1) over 4,000,000: 14,155,776 for
+        # H(4,4) and 110,592,000 for H(2,5); H(3,4) (3,359,232) and H(2,4)
+        # (442,368) run
+        "gamma-table 4 4",
         "gamma-table 2 5",
         # guarded by basis pairs: export writes one row per pair, and
         # embed-check counts every pair as checked; 1944^2, 750^2 and
@@ -464,6 +470,113 @@ def test_rep_reports_are_byte_identical(tmp_path, argv):
     stripped, found = TIMINGS.subn(b"", path.read_bytes())
     assert found == 1
     assert hashlib.sha256(stripped).hexdigest() == REP_REPORT_DIGESTS[argv]
+
+
+# SHA-256 of each Hopf-layer report with its timings removed, recorded
+# before gamma-table and the comultiplicativity tables moved onto one table
+# source (HopfAlgebra.gamma_exponents and j_exponents)
+HOPF_REPORT_DIGESTS = {
+    "verify 2 2": "097ed30bc4f85721fc554103bf3809dccd5a7d117787fec910b7508d2a7018a0",
+    "verify 2 3": "18894f94aaf98314d9825ed8fa8c151e13622b9e15aa94fc2c78533d6a3eb746",
+    "verify 3 3": "cc6615e621a08b7f8fb04cc144fafd80c4e8b8462154cd7b12e1ee66fa259a08",
+    "gamma-table 2 2": "6da56af7912f2650b9d162d9c4dcd8d2adc029b109390c895574b08638c86df6",
+    "gamma-table 2 3": "311bb520b03a149c5e8a907a4479f898ef42fb0fcd91053b2b35f9182507c56b",
+    "gamma-table 3 3": "0a603172fe9f977498ad2e7759fb5fc3efab1b665766c0d24bd401acde8619b6",
+    "embed-check 2 3": "cffd316ca64b65c23c056580200092de287e94c5b5577e3242272ab17407c6d8",
+    "export 2 2": "b8f1651e177e04b83058e4492d94b2495a064e2ab59e4c4987fef3274c05fa59",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HOPF_REPORT_DIGESTS))
+def test_hopf_reports_are_byte_identical(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert main(["--out", str(path)] + argv.split()) == 0
+    stripped, found = TIMINGS.subn(b"", path.read_bytes())
+    assert found == 1
+    assert hashlib.sha256(stripped).hexdigest() == HOPF_REPORT_DIGESTS[argv]
+
+
+def _character_unit(ring, psi, e):
+    """The unit of R with value zeta^e at the character psi and 1 at every
+    other character: 1 + (zeta^e - 1) times the idempotent of psi."""
+    cyc = ring.cyc
+    scale = (cyc.root(e) - cyc.one) / cyc.scalar(ring.n**ring.m)
+    idempotent = ring.from_terms(
+        {beta: scale * cyc.q_pow(-sum(p * b for p, b in zip(psi, beta)))
+         for beta in ring.exponent_vectors()}
+    )
+    return ring.one + idempotent
+
+
+def _mutate_cocycle(monkeypatch, w, v, change):
+    """Replace gamma(w, v) by change(gamma(w, v)) in every WordCalculus."""
+    original = WordCalculus.cocycle
+
+    def mutated(self, a, b):
+        out = original(self, a, b)
+        return change(out) if (a, b) == (w, v) else out
+
+    monkeypatch.setattr(WordCalculus, "cocycle", mutated)
+
+
+def test_gamma_table_character_unit_mutation_fails_with_ringelem_witness(capsys, monkeypatch):
+    # gamma(s_1, s_1) of H(2,3) times a unit with value zeta at one
+    # character: every value stays a root of unity, so the table identity
+    # decides exactly what the RingElem identity does
+    s1 = Perm.transposition(3, 1)
+    psi = (1, 0, 0)
+    _mutate_cocycle(monkeypatch, s1, s1, lambda g: g * _character_unit(g.ring, psi, 1))
+    code, report = _run(capsys, ["gamma-table", "2", "3"])
+    assert code == 1
+    H = HopfAlgebra(2, 3)
+    gamma = H.words.cocycle
+    expected = next(
+        (w, v, u)
+        for w, v, u in iproduct(H.perms, repeat=3)
+        if sigma(w, gamma(v, u)) * gamma(w, v * u) != gamma(w, v) * gamma(w * v, u)
+    )
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cocycle-identity"]["status"] == "fail"
+    assert checks["cocycle-identity"]["witness"] == {
+        key: list(canonical_word(p)) for key, p in zip("wvu", expected)
+    }
+    assert checks["associativity-oracle"]["status"] == "fail"
+
+
+def test_gamma_table_dropped_term_fails_cocycle_identity(capsys, monkeypatch):
+    # t_1 = (1 + x_1 + x_2 - x_1 x_2)/2 without its x_1 x_2 term has the
+    # value 3/2 at the trivial character, which is not a root of unity
+    s1 = Perm.transposition(3, 1)
+
+    def drop(g):
+        terms = dict(g.terms)
+        del terms[max(terms)]
+        return g.ring.from_terms(terms)
+
+    _mutate_cocycle(monkeypatch, s1, s1, drop)
+    code, report = _run(capsys, ["gamma-table", "2", "3"])
+    assert code == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cocycle-identity"]["status"] == "fail"
+
+
+def test_gamma_table_counit_reads_only_the_trivial_character(capsys, monkeypatch):
+    # gamma(s_1, s_1) of H(2,3) times 1 + 2(x_1 - 1): the value at the
+    # trivial character stays 1, the value -3 at psi_1 = 1 is not a root
+    # of unity, so the table is None but eps(gamma) = 1 still holds
+    s1 = Perm.transposition(3, 1)
+
+    def scale(g):
+        x1 = g.ring.monomial((1, 0, 0))
+        two = g.ring.cyc.scalar(2)
+        return g * (g.ring.one + (x1 - g.ring.one) * two)
+
+    _mutate_cocycle(monkeypatch, s1, s1, scale)
+    code, report = _run(capsys, ["gamma-table", "2", "3"])
+    assert code == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cocycle-counit"]["status"] == "pass"
+    assert checks["cocycle-identity"]["status"] == "fail"
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -678,6 +678,54 @@ def test_negative_control_twist_mutation_fails_with_literal_witness(cls):
     assert report.to_json() == _literal(cls)(2, 2).verify_axioms().to_json()
 
 
+def _value_at(H, terms, psi):
+    """sum c q^{psi.beta} over the terms c x^beta of an element of R."""
+    return sum(
+        (c * H.cyc.q_pow(sum(p * b for p, b in zip(psi, beta))) for beta, c in terms.items()),
+        H.cyc.zero,
+    )
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_character_tables_match_term_sums(n, m):
+    """zeta^f_w and zeta^g_{w,v} against sums over the terms of J(w) (through
+    QuantumPolyAlgebra.j_value) and of gamma(w, v), at every character."""
+    H = HopfAlgebra(n, m)
+    qpa = QuantumPolyAlgebra(H, 1, 0)
+    chars = list(H.character_index())
+    size = len(chars)
+    for w in H.perms:
+        f = H.j_exponents(w)
+        for (a, psi), (b, psi2) in iproduct(enumerate(chars), repeat=2):
+            assert H.cyc.root(f[a * size + b]) == qpa.j_value(w, psi, psi2)
+        for v in H.perms:
+            g = H.gamma_exponents(w, v)
+            terms = H.words.cocycle(w, v).terms
+            assert [H.cyc.root(e) for e in g] == [_value_at(H, terms, psi) for psi in chars]
+
+
+class _MislabelledCoproductHopf(HopfAlgebra):
+    """Negative control: Delta(s_1-bar) with one right leg relabelled by
+    the identity."""
+
+    def coproduct(self, h):
+        out = super().coproduct(h)
+        if any(w == Perm.transposition(self.m, 1) for _, w in h.terms):
+            terms = dict(out.terms)
+            k1, (e2, _) = key = max(terms)
+            terms[k1, (e2, Perm.identity(self.m))] = terms.pop(key)
+            out = HTensor(self, terms)
+        return out
+
+
+def test_j_exponents_are_none_off_the_roots_or_labels():
+    s1 = Perm.transposition(2, 1)
+    assert _SignFlippedTwistHopf(2, 2).j_exponents(s1) is None
+    H = _MislabelledCoproductHopf(2, 2)
+    assert H.j_exponents(s1) is None
+    assert H.j_exponents(Perm.identity(2)) == [0] * 16
+
+
 @pytest.mark.parametrize("cls, products", [(_ShiftedTwistHopf, 5), (_SignFlippedTwistHopf, 7)])
 def test_each_pair_gets_one_htensor_verdict(cls, products, monkeypatch):
     # the label pairs the tables leave unproved are decided once and the
