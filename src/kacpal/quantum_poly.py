@@ -50,8 +50,8 @@ class QuantumPolyAlgebra:
         self.hopf = hopf
         self.n = hopf.n
         self.m = hopf.m
-        self.a = a % self.n
-        self.b = b % self.n
+        self.params = RepParams(self.n, self.m, a, b)
+        self.a, self.b = self.params.a, self.params.b
         if self.a == self.b:
             warnings.warn(
                 "a = b mod n: the module-algebra statement assumes a != b",
@@ -113,32 +113,20 @@ class QuantumPolyAlgebra:
 
     # -- the H-action --------------------------------------------------------------
 
-    def _z_on_letter(self, k: int, j: int) -> tuple[CycScalar, int]:
-        """z_k . u_j from the degree-one module."""
-        if j == k:
-            return self.ctx.q_pow(self.a * self.b), k + 1
-        if j == k + 1:
-            return self.ctx.one, k
-        return self.ctx.p_pow(self.b * self.b), j
-
     @memoized
     def line_action(self, w: Perm) -> list[tuple[CycScalar, int]]:
-        """w-bar . u_j = scalar * u_{j'}; index j is 1-based (list entry j-1)."""
+        """w-bar . u_j = scalar * u_{j'} from the degree-one module, the
+        z_line exponents of the letters of w added up; index j is 1-based
+        (list entry j-1)."""
         out = []
         word = canonical_word(w)
         for j in range(1, self.m + 1):
-            c = self.ctx.one
-            cur = j
+            e, cur = 0, j
             for k in reversed(word):
-                c2, cur = self._z_on_letter(k, cur)
-                c = c * c2
-            out.append((c, cur))
+                e_k, cur = self.params.z_line(k, cur)
+                e += e_k
+            out.append((self.ctx.root(e), cur))
         return out
-
-    def letter_weight(self, j: int) -> tuple[int, ...]:
-        """The character psi_j of Z_n^m by which R acts on u_j:
-        x^d . u_j = q^{psi_j . d} u_j, with psi_j = a at slot j, b elsewhere."""
-        return tuple(self.a if i == j - 1 else self.b for i in range(self.m))
 
     @memoized
     def j_value(self, w: Perm, psi: tuple, psi2: tuple) -> CycScalar:
@@ -211,7 +199,7 @@ class QuantumPolyAlgebra:
                     c_line, j2 = lines[j - 1]
                     scalar = scalar * c_line
                     new_letters.append(j2)
-                weights = [self.letter_weight(j2) for j2 in new_letters]
+                weights = [self.params.weight(j2) for j2 in new_letters]
                 for psi, tail in zip(weights, self.later_weights(weights)):
                     scalar = scalar * self.j_value(w, psi, tail)
                 # the x^e parts of h, read at the total weight of the word
@@ -333,10 +321,8 @@ class QuantumPolyAlgebra:
             gens += [(f"z{k}", hopf.z(k)) for k in range(1, self.m)]
         elif subalgebra == "cyclic":
             gens.append(("theta", hopf.basis_elem(hopf.ring.zero_exp, cycle_perm(self.m))))
-        elif subalgebra == "ring":
-            pass
         else:
-            raise ValueError("subalgebra must be full, cyclic or ring")
+            raise ValueError("subalgebra must be full or cyclic")
         return gens
 
     def _subalgebra_integral(self, subalgebra: str) -> HopfElem:
@@ -344,8 +330,7 @@ class QuantumPolyAlgebra:
         of the corresponding subalgebra."""
         if subalgebra == "full":
             return self.hopf.integral()
-        labels = [Perm.identity(self.m)] if subalgebra == "ring" else cycle_powers(self.m)
-        return self.hopf.integral(labels)
+        return self.hopf.integral(cycle_powers(self.m))
 
     def invariants(self, subalgebra: str, degree: int) -> dict[int, list["QpaElem"]]:
         """Exact basis (reduced echelon form) of the invariant space in each
@@ -391,19 +376,27 @@ class QuantumPolyAlgebra:
         return self.action_matrix(lam, k).scale(self.hopf.counit(lam).inv())
 
     def containment_check(self, degree: int) -> AxiomReport:
-        """Exponent divisibility of the computed invariants of the base ring
-        R, and for n even the commutation u_i^n u_j^n = u_j^n u_i^n through
-        normal_order scalars."""
+        """Exponent divisibility of the invariants of the base ring R, and
+        for n even the commutation u_i^n u_j^n = u_j^n u_i^n through
+        normal_order scalars.
+
+        The R-invariants of degree k are spanned by the monomials u^e of
+        weight sum_j e_j psi_j = 0 mod n.  A group-like acts on a product
+        letter by letter, and x^d . u_j = q^{psi_j . d} u_j, so x^d sends
+        the normal-ordered monomial u^e to q^{(sum_j e_j psi_j) . d} u^e:
+        R acts diagonally on the monomials, and u^e is fixed by every x^d
+        (q has order n) exactly when its weight is zero mod n.  Taken in
+        monomials(k) order these are the reduced echelon basis of the joint
+        kernel of (x_i - 1), so no linear algebra is needed."""
         report = AxiomReport(instance=f"A({self.a},{self.b}) over H({self.n},{self.m})")
-        params = RepParams(self.n, self.m, self.a, self.b)
-        criterion = inner_faithful_criterion(params)
-        inv = self.invariants("ring", degree)
+        criterion = inner_faithful_criterion(self.params)
+        psis = [self.params.weight(j) for j in range(1, self.m + 1)]
         bad = []
-        for k, basis in inv.items():
-            for f in basis:
-                for exps in f.terms:
-                    if any(e % self.n for e in exps):
-                        bad.append({"degree": k, "exponents": list(exps)})
+        for k in range(degree + 1):
+            for exps in self.monomials(k):
+                weight = [sum(map(operator.mul, exps, col)) for col in zip(*psis)]
+                if not any(x % self.n for x in weight) and any(e % self.n for e in exps):
+                    bad.append({"degree": k, "exponents": list(exps)})
         if criterion:
             report.add(
                 "exponent-divisibility",
@@ -476,8 +469,7 @@ class QuantumPolyAlgebra:
             ok,
             None if ok else {"matrix": mat.to_json()},
         )
-        params = RepParams(self.n, self.m, self.a, self.b)
-        ring_ok, annihilating = inner_faithful_bruteforce(params)
+        ring_ok, annihilating = inner_faithful_bruteforce(self.params)
         report.add(
             "ring-faithful",
             "only the trivial subgroup of Z_n^m acts trivially",

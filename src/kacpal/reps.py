@@ -1,13 +1,14 @@
 """The m-dimensional modules V_{a,b}: matrix construction, relation checks,
-simplicity via an incremental multiplicative span closure, exact isomorphism
-testing, and inner-faithfulness over the base ring (gcd criterion plus the
-brute-force subgroup oracle).
+simplicity via an incremental multiplicative span closure, isomorphism by
+Hom dimensions, and inner-faithfulness over the base ring (gcd criterion
+plus the brute-force subgroup oracle).
 
 Matrices act on coordinate columns, so rho(h1 h2) = rho(h1) rho(h2) for the
 left module structure."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -31,6 +32,12 @@ KERNEL_GUARD = 63
 
 @dataclass
 class RepParams:
+    """V_{a,b} over H(n, m), with a and b reduced mod n: the one definition
+    of the module, as integers.  V has the lines e_1, ..., e_m (1-based);
+    the base ring acts on each line by a character and each z_k moves lines
+    by a monomial matrix.  Rep builds the matrices from these integers, and
+    QuantumPolyAlgebra reads them as the action on the letters u_j."""
+
     n: int
     m: int
     a: int
@@ -40,35 +47,41 @@ class RepParams:
         self.a %= self.n
         self.b %= self.n
 
+    def weight(self, j: int) -> tuple[int, ...]:
+        """psi_j, the character of Z_n^m on line j: x^d e_j = q^{psi_j . d} e_j,
+        with a at slot j and b elsewhere (row j of M_{m,a,b})."""
+        return tuple(self.a if i == j else self.b for i in range(1, self.m + 1))
+
+    def z_line(self, k: int, j: int) -> tuple[int, int]:
+        """(e, j') with z_k e_j = zeta_2n^e e_j': z_k sends e_k to q^{ab} e_{k+1},
+        e_{k+1} to e_k, and scales every other line by p^{b^2}."""
+        if j == k:
+            return 2 * self.a * self.b, k + 1
+        if j == k + 1:
+            return 0, k
+        return self.b * self.b, j
+
 
 class Rep:
     """V_{a,b}: the generator matrices X_i and Z_k over Q(zeta_2n)."""
 
     def __init__(self, params: RepParams):
         self.params = params
-        n, m, a, b = params.n, params.m, params.a, params.b
-        self.ctx = CycContext(n)
-        ctx = self.ctx
+        m = params.m
+        self.ctx = ctx = CycContext(params.n)
+        lines = range(1, m + 1)
         self.xs = []
-        for i in range(1, m + 1):
-            rows = [
-                [
-                    (ctx.q_pow(a) if i == r + 1 else ctx.q_pow(b)) if r == c else ctx.zero
-                    for c in range(m)
-                ]
-                for r in range(m)
-            ]
+        for i in lines:
+            rows = [[ctx.zero] * m for _ in lines]
+            for j in lines:
+                rows[j - 1][j - 1] = ctx.q_pow(params.weight(j)[i - 1])
             self.xs.append(Mat(ctx, rows))
         self.zs = []
-        p_b2 = ctx.p_pow(b * b)
-        q_ab = ctx.q_pow(a * b)
         for k in range(1, m):
-            rows = [[ctx.zero] * m for _ in range(m)]
-            for r in range(m):
-                if r not in (k - 1, k):
-                    rows[r][r] = p_b2
-            rows[k - 1][k] = ctx.one
-            rows[k][k - 1] = q_ab
+            rows = [[ctx.zero] * m for _ in lines]
+            for j in lines:
+                e, j2 = params.z_line(k, j)
+                rows[j2 - 1][j - 1] = ctx.root(e)
             self.zs.append(Mat(ctx, rows))
 
     def x(self, i: int) -> Mat:
@@ -205,18 +218,14 @@ def is_simple(params: RepParams) -> bool:
     return len(red) == m * m
 
 
-def modules_isomorphic(p1: RepParams, p2: RepParams) -> bool:
-    """Exact test for an invertible intertwiner T with T rho1(g) = rho2(g) T
-    over all generators g."""
-    if (p1.n, p1.m) != (p2.n, p2.m):
-        raise ValueError("modules over different algebras")
-    r1, r2 = Rep(p1), Rep(p2)
-    m = p1.m
+def _hom_dim(r1: Rep, r2: Rep) -> int:
+    """dim Hom_H(V1, V2): the dimension of the space of T with
+    T rho1(g) = rho2(g) T over the generators g, which generate H."""
+    m = r1.params.m
     ctx = r1.ctx
-    gens = list(zip(r1.xs + r1.zs, r2.xs + r2.zs))
     # unknowns T[i][j], row-major; equation T A - B T = 0 per generator (A, B)
     rows = []
-    for A, B in gens:
+    for A, B in zip(r1.xs + r1.zs, r2.xs + r2.zs):
         for i in range(m):
             for j in range(m):
                 row = [ctx.zero] * (m * m)
@@ -224,30 +233,30 @@ def modules_isomorphic(p1: RepParams, p2: RepParams) -> bool:
                     row[i * m + k] = row[i * m + k] + A[k, j]
                     row[k * m + j] = row[k * m + j] - B[i, k]
                 rows.append(row)
-    space = kernel_basis(rows, m * m, ctx)
-    if not space:
-        return False
-    mats = [Mat(ctx, [v[i * m : (i + 1) * m] for i in range(m)]) for v in space]
-    for T in mats:
-        if T.is_invertible():
-            return True
-    if is_simple(p1) and is_simple(p2):
-        # a nonzero intertwiner between simple modules is invertible
-        return True
-    # det is a polynomial of degree m^2 in the combination coefficients; it is
-    # identically zero iff it vanishes on a full grid of side m^2 + 1
-    grid = range(m * m + 1)
-    total = (m * m + 1) ** len(mats)
-    if total > 200000:
-        raise SizeGuardError("intertwiner combination grid too large")
-    for coeffs in iproduct(grid, repeat=len(mats)):
-        T = Mat.zeros(ctx, m, m)
-        for c, M in zip(coeffs, mats):
-            if c:
-                T = T + M.scale(c)
-        if T.is_invertible():
-            return True
-    return False
+    return len(kernel_basis(rows, m * m, ctx))
+
+
+def modules_isomorphic(p1: RepParams, p2: RepParams) -> bool:
+    """V1 and V2 are isomorphic iff dim Hom(V1, V2) = dim End V1 = dim End V2.
+
+    H(n, m) is semisimple: its integral has eps(Lambda) = m! != 0, which is
+    Maschke's theorem for Hopf algebras (Montgomery, Hopf algebras and
+    their actions on rings, CBMS 82, 2.2).  So V1 = sum a_i S_i and
+    V2 = sum b_i S_i over the simple modules S_i, Hom(S_i, S_j) = 0 for
+    i != j, and with d_i = dim End S_i >= 1
+
+        dim Hom(V1, V2) = sum a_i b_i d_i,
+        dim End V1 = sum a_i^2 d_i,  dim End V2 = sum b_i^2 d_i.
+
+    When the three are equal, sum d_i (a_i - b_i)^2 = dim End V1 +
+    dim End V2 - 2 dim Hom(V1, V2) = 0, so a_i = b_i for every i; the
+    converse is clear.  dim Hom = 0 decides non-isomorphism without the
+    two End dimensions, since End V1 holds the identity."""
+    if (p1.n, p1.m) != (p2.n, p2.m):
+        raise ValueError("modules over different algebras")
+    r1, r2 = Rep(p1), Rep(p2)
+    hom = _hom_dim(r1, r2)
+    return hom > 0 and hom == _hom_dim(r1, r1) == _hom_dim(r2, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +322,16 @@ def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[list[i
     acts as the identity is the trivial one.  rho is multiplicative on the
     group-likes, so the alpha with rho(x^alpha) = I form a subgroup K, whose
     subgroups are the annihilating ones.  rho(x^alpha) is diagonal with
-    entries q^{(M alpha)_r}, M = (a - b) I + b 11^T, and q has order n, so K
-    is the alpha with M alpha = 0 mod n.  Returns (verdict, annihilating
-    subgroups as element lists); refuses n^m > SUBGROUP_GUARD, |K| > KERNEL_GUARD."""
-    n, m, a, b = params.n, params.m, params.a, params.b
+    entries q^{psi_j . alpha}, psi_j = RepParams.weight(j) the rows of
+    M_{m,a,b}, and q has order n, so K is the alpha with psi_j . alpha = 0
+    mod n for every j.  Returns (verdict, annihilating subgroups as element
+    lists); refuses n^m > SUBGROUP_GUARD, |K| > KERNEL_GUARD."""
+    n, m = params.n, params.m
+    weights = [params.weight(j) for j in range(1, m + 1)]
     kernel = [
         alpha
         for alpha in _elements_of_znm(n, m)
-        if not any(((a - b) * x + b * sum(alpha)) % n for x in alpha)
+        if not any(sum(map(operator.mul, psi, alpha)) % n for psi in weights)
     ]
     if len(kernel) > KERNEL_GUARD:
         raise SizeGuardError(

@@ -201,7 +201,7 @@ def test_left_comb_gives_the_same_scalar(n, m, a, b):
     # comultiplying the left leg instead of the right one is no fault: the
     # two products agree by the 2-cocycle identity of J_w (coassociativity)
     qpa = _qpa(n, m, a, b)
-    weights = [qpa.letter_weight(j) for j in range(1, m + 1)]
+    weights = [qpa.params.weight(j) for j in range(1, m + 1)]
 
     def add(x, y):
         return tuple((s + t) % n for s, t in zip(x, y))
@@ -468,6 +468,78 @@ def test_containment_check():
     assert {"exponent-divisibility", "r-power", "un-commute"} <= names
 
 
+def ring_invariant_monomials(qpa, degree):
+    """The monomials of degree <= degree that every x_i fixes under
+    reference_act, which reads a and b, not RepParams.weight."""
+    H = qpa.hopf
+    one = qpa.ctx.one
+    return [
+        mon
+        for k in range(degree + 1)
+        for mon in qpa.monomials(k)
+        if all(
+            reference_act(qpa, H.x(i), qpa.monomial(mon)).terms == {mon: one}
+            for i in range(1, qpa.m + 1)
+        )
+    ]
+
+
+def weight_zero_monomials(qpa, degree):
+    """The monomials u^e of degree <= degree with sum_j e_j psi_j = 0 mod n."""
+    psis = [qpa.params.weight(j) for j in range(1, qpa.m + 1)]
+    return [
+        mon
+        for k in range(degree + 1)
+        for mon in qpa.monomials(k)
+        if not any(sum(e * psi[i] for e, psi in zip(mon, psis)) % qpa.n for i in range(qpa.m))
+    ]
+
+
+def _all_qpas(groups):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [_qpa(n, m, a, b) for n, m in groups for a in range(n) for b in range(n)]
+
+
+RING_INVARIANT_GROUPS = [(2, 2), (3, 2), (2, 3), (4, 2)]
+
+
+def test_ring_invariants_are_the_weight_zero_monomials():
+    for qpa in _all_qpas(RING_INVARIANT_GROUPS):
+        degree = 2 * qpa.n
+        oracle = ring_invariant_monomials(qpa, degree)
+        assert weight_zero_monomials(qpa, degree) == oracle, (qpa.n, qpa.m, qpa.a, qpa.b)
+        # containment_check reports the invariants with an exponent not divisible by n
+        div = next(c for c in qpa.containment_check(degree).checks
+                   if c["name"] == "exponent-divisibility")
+        offending = [
+            {"degree": sum(mon), "exponents": list(mon)}
+            for mon in oracle if any(e % qpa.n for e in mon)
+        ]
+        assert (div["witness"] or {}).get("offending", []) == offending
+
+
+def test_shifted_weight_disagrees_with_ring_invariants(monkeypatch):
+    weight = RepParams.weight
+
+    def shifted(self, j):
+        psi = weight(self, j)
+        return ((psi[0] + 1) % self.n,) + psi[1:]
+
+    monkeypatch.setattr(RepParams, "weight", shifted)
+    first = {}
+    for qpa in _all_qpas(RING_INVARIANT_GROUPS):
+        oracle = ring_invariant_monomials(qpa, 2 * qpa.n)
+        weight_zero = weight_zero_monomials(qpa, 2 * qpa.n)
+        mons = [mon for k in range(2 * qpa.n + 1) for mon in qpa.monomials(k)]
+        first[qpa.n, qpa.m, qpa.a, qpa.b] = next(
+            (mon for mon in mons if (mon in oracle) != (mon in weight_zero)), None
+        )
+    assert first[2, 2, 1, 0] == (1, 0)
+
+
 def test_containment_negative_demo_a_equals_b():
     # gcd(det M_{2,1,1}, 2) = 2: odd-exponent base-ring invariants appear
     import warnings
@@ -475,9 +547,7 @@ def test_containment_negative_demo_a_equals_b():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         qpa = _qpa(2, 2, 1, 1)
-    inv = qpa.invariants("ring", 2)
-    u1u2 = qpa.monomial((1, 1))
-    assert any(f == u1u2 for f in inv[2])
+    assert (1, 1) in ring_invariant_monomials(qpa, 2)
     report = qpa.containment_check(2)
     # reported, not asserted, when the gcd criterion fails
     div = next(c for c in report.checks if c["name"] == "exponent-divisibility")

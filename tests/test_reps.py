@@ -31,6 +31,57 @@ def test_matrices_n2_m2():
     assert rep.z(1) == Mat(ctx, [[ctx.zero, ctx.one], [ctx.one, ctx.zero]])
 
 
+def literal_matrices(n, m, a, b):
+    """X_i and Z_k written out from the paper, 1-based: X_i has q^a at (i, i)
+    and q^b elsewhere on the diagonal; Z_k has p^{b^2} on the diagonal
+    outside {k, k+1}, 1 at (k, k+1) and q^{ab} at (k+1, k)."""
+    ctx = CycContext(n)
+    q, p = ctx.q, ctx.p
+
+    def mat(entry):
+        return Mat(ctx, [[entry(r, c) for c in range(1, m + 1)] for r in range(1, m + 1)])
+
+    xs = [
+        mat(lambda r, c, i=i: (q ** (a if r == i else b)) if r == c else ctx.zero)
+        for i in range(1, m + 1)
+    ]
+
+    def z_entry(k, r, c):
+        if (r, c) == (k, k + 1):
+            return ctx.one
+        if (r, c) == (k + 1, k):
+            return q ** (a * b)
+        return p ** (b * b) if r == c and r not in (k, k + 1) else ctx.zero
+
+    zs = [mat(lambda r, c, k=k: z_entry(k, r, c)) for k in range(1, m)]
+    return xs, zs
+
+
+def test_rep_matches_literal_matrices():
+    for n, m in iproduct(range(2, 6), repeat=2):
+        for a, b in iproduct(range(n), repeat=2):
+            rep = Rep(RepParams(n, m, a, b))
+            assert (rep.xs, rep.zs) == literal_matrices(n, m, a, b), (n, m, a, b)
+
+
+@pytest.mark.parametrize("n,m,a,b", [(2, 2, 1, 0), (3, 3, 2, 1), (4, 3, 1, 0)])
+def test_moved_z_line_exponent_fails_literal_and_z_square(monkeypatch, n, m, a, b):
+    z_line = RepParams.z_line
+
+    def moved(self, k, j):
+        e, j2 = z_line(self, k, j)
+        return (e + 1 if j == k else e), j2
+
+    monkeypatch.setattr(RepParams, "z_line", moved)
+    params = RepParams(n, m, a, b)
+    rep = Rep(params)
+    xs, zs = literal_matrices(n, m, a, b)
+    assert rep.xs == xs
+    assert rep.zs != zs
+    failed = {c["name"]: c["witness"] for c in verify_rep(params).checks if c["status"] == "fail"}
+    assert failed.get("z-square") == {"k": 1}
+
+
 def test_braid_product_block_value():
     # Z_k Z_{k+1} Z_k = p^{b^2} [[0,0,1],[0,q^{ab},0],[q^{2ab},0,0]] on the block
     for n, a, b in [(3, 1, 0), (3, 2, 1), (2, 1, 1)]:
@@ -125,6 +176,9 @@ def test_is_simple_matches_closure_oracle():
             params = RepParams(n, m, a, b)
             verdict = is_simple(params)
             assert verdict == closure_oracle(params), (n, m, a, b)
+            # semisimple: V is simple iff End V is the scalars
+            rep = Rep(params)
+            assert verdict == (reps._hom_dim(rep, rep) == 1), (n, m, a, b)
             verdicts.append(verdict)
     assert (len(verdicts), sum(verdicts)) == (216, 160)
 
@@ -170,6 +224,56 @@ def test_modules_isomorphic_m2_informational():
     # the classification is stated only for m >= 3; at m = 2 the swap
     # intertwiner makes V_{1,0} and V_{0,1} isomorphic
     assert modules_isomorphic(RepParams(2, 2, 1, 0), RepParams(2, 2, 0, 1))
+
+
+def character(rep):
+    """tr rho(h) at every basis element h of H(n, m)."""
+    n, m = rep.params.n, rep.params.m
+    hopf = HopfAlgebra(n, m)
+    out = []
+    for e, w in hopf.basis_keys():
+        mat = rep.rho_ring_monomial(e) * rep.rho_word(w)
+        out.append(sum((mat[i, i] for i in range(m)), rep.ctx.zero))
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_modules_isomorphic_matches_characters(n, m):
+    # H(n, m) is semisimple over a field of characteristic 0, so two
+    # modules are isomorphic iff their characters agree on a basis
+    params = [RepParams(n, m, a, b) for a, b in iproduct(range(n), repeat=2)]
+    chars = {(p.a, p.b): character(Rep(p)) for p in params}
+    for p1, p2 in iproduct(params, repeat=2):
+        expected = chars[p1.a, p1.b] == chars[p2.a, p2.b]
+        assert modules_isomorphic(p1, p2) == expected, (n, m, p1, p2)
+
+
+class _NegatedParams(RepParams):
+    """Marks the module whose Z_k are all negated: every defining relation
+    of H(n, m) still holds."""
+
+
+def _rep_or_negated(params):
+    rep = Rep(params)
+    if isinstance(params, _NegatedParams):
+        rep.zs = [z.scale(-1) for z in rep.zs]
+    return rep
+
+
+@pytest.mark.parametrize("n,m,a,b,hom,ends", [(2, 3, 1, 0, 0, (1, 1)), (3, 3, 2, 2, 1, (2, 2))])
+def test_negated_z_is_not_isomorphic(monkeypatch, n, m, a, b, hom, ends):
+    # at V_{2,2} of H(3, 3) a nonzero intertwiner exists, but the End
+    # dimensions show that it is not invertible
+    plain, negated = RepParams(n, m, a, b), _NegatedParams(n, m, a, b)
+    r1, r2 = _rep_or_negated(negated), _rep_or_negated(plain)
+    assert verify_rep(negated, r1).ok
+    assert reps._hom_dim(r1, r2) == hom
+    assert (reps._hom_dim(r1, r1), reps._hom_dim(r2, r2)) == ends
+    assert character(r1) != character(r2)
+    monkeypatch.setattr(reps, "Rep", _rep_or_negated)
+    assert not modules_isomorphic(negated, plain)
+    assert not modules_isomorphic(plain, negated)
+    assert modules_isomorphic(negated, _NegatedParams(n, m, a, b))
 
 
 def test_det_m_formulas():
