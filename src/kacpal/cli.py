@@ -418,7 +418,7 @@ def _run_export(args, report):
     report["context"] = hopf.cyc.to_json()
     # each label is built once and shared by every row that names it, as
     # product_table shares its result terms; the report writer renders a
-    # shared flat dict once
+    # shared container once per depth
     basis = [(hopf.basis_elem(*key), label_json(key)) for key in hopf.basis_keys()]
     labels = [label for _, label in basis]
     data = report["data"]
@@ -546,88 +546,91 @@ def report_text(report) -> str:
     it, byte for byte.  With ``indent`` set, ``json.dumps`` runs the
     pure-Python encoder, which took over half of ``export 2 3``.
 
-    Two memos last for one call.  A list of plain ints and strings (a
+    Three memos last for one call.  A list of plain ints and strings (a
     coefficient, an exponent vector, a word) is rendered once per values
     and depth; testing ``type(x) is int`` keeps True, 1 and 1.0, which hash
-    equal, out of one key.  A flat dict (every value a scalar or such a
-    list) is rendered once per object and depth, so a label dict that
-    ``export`` shares across rows is rendered once; ids stay valid because
-    the report holds every object for the whole call.  Other containers are
-    rendered each time they are reached: most are reached once, and storing
-    their text would hold the report's text twice."""
+    equal, out of one key.  Any other list or dict is rendered once per
+    object and depth: its first rendering is kept as a span of chunks, and
+    the text of that span is kept when the object is reached again, as
+    ``export`` shares one label dict across rows; ids stay valid because
+    the report holds every object for the whole call, and a container
+    reached once keeps no text.  A dict whose keys are all of type str has
+    its sorted ``"key": `` prefixes cached by its tuple of keys; no such
+    tuple equals one that holds True, 1 or 1.0.  A str or int is written
+    before any other test."""
     chunks: list[str] = []
     emit = chunks.append
     leaf_lists: dict = {}
-    flat_dicts: dict = {}
+    rendered: dict = {}  # (id, depth): the (start, end) chunk span, then its text
+    key_prefixes: dict = {}
 
-    def write(o, depth: int) -> bool:
-        """Append the text of o; true when o is a scalar or a leaf list."""
-        if isinstance(o, (list, tuple)):
-            return write_list(o, depth)
-        if isinstance(o, dict):
-            write_dict(o, depth)
-            return False
-        text = _scalar_text(o)
-        if text is None:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        emit(text)
-        return True
-
-    def write_list(o, depth: int) -> bool:
+    def write(o, depth: int) -> None:
+        t = type(o)
+        if t is str:
+            emit(_JSON_STR(o))
+            return
+        if t is int:
+            emit(int.__repr__(o))
+            return
+        if not isinstance(o, (list, tuple, dict)):
+            text = _scalar_text(o)
+            if text is None:
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            emit(text)
+            return
         if not o:
-            emit("[]")
-            return True
+            emit("{}" if isinstance(o, dict) else "[]")
+            return
         pad = "\n" + "  " * (depth + 1)
-        if all(type(x) is int or type(x) is str for x in o):
+        if t is not dict and all(type(x) is int or type(x) is str for x in o):
             key = (tuple(o), depth)
             text = leaf_lists.get(key)
             if text is None:
                 items = [_JSON_STR(x) if type(x) is str else int.__repr__(x) for x in o]
                 text = leaf_lists[key] = f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
             emit(text)
-            return True
-        sep = "[" + pad
-        for x in o:
-            emit(sep)
-            write(x, depth + 1)
-            sep = "," + pad
-        emit(f"\n{'  ' * depth}]")
-        return False
-
-    def write_dict(o, depth: int) -> None:
-        memo_key = (id(o), depth)
-        text = flat_dicts.get(memo_key)
-        if text is not None:
-            emit(text)
             return
-        if not o:
-            emit("{}")
+        memo_key = (id(o), depth)
+        done = rendered.get(memo_key)
+        if done is not None:
+            if type(done) is tuple:
+                done = rendered[memo_key] = "".join(chunks[done[0]: done[1]])
+            emit(done)
             return
         start = len(chunks)
-        flat = True
-        pad = "\n" + "  " * (depth + 1)
-        sep = "{" + pad
-        for key, value in sorted(o.items()):
-            if isinstance(key, str):
-                key = _JSON_STR(key)
-            else:
-                text = _scalar_text(key)
-                if text is None:
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                key = f'"{text}"'
-            emit(f"{sep}{key}: ")
-            flat = write(value, depth + 1) and flat
-            sep = "," + pad
-        emit(f"\n{'  ' * depth}}}")
-        if flat:
-            text = flat_dicts[memo_key] = "".join(chunks[start:])
-            del chunks[start:]
-            emit(text)
+        if isinstance(o, dict):
+            shape = tuple(o)
+            prefixes = key_prefixes.get(shape)
+            if prefixes is None:
+                prefixes = [(key, f"{_key_text(key)}: ") for key in sorted(shape)]
+                if all(type(key) is str for key in shape):
+                    key_prefixes[shape] = prefixes
+            sep, close = "{" + pad, "}"
+            for key, prefix in prefixes:
+                emit(sep + prefix)
+                write(o[key], depth + 1)
+                sep = "," + pad
+        else:
+            sep, close = "[" + pad, "]"
+            for x in o:
+                emit(sep)
+                write(x, depth + 1)
+                sep = "," + pad
+        emit(f"\n{'  ' * depth}{close}")
+        rendered[memo_key] = (start, len(chunks))
 
     write(report, 0)
     return "".join(chunks)
+
+
+def _key_text(key) -> str:
+    """JSON text of a dict key, in the form of ``json.dumps``."""
+    if isinstance(key, str):
+        return _JSON_STR(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return f'"{text}"'
 
 
 def entry() -> None:

@@ -127,6 +127,12 @@ class HopfAlgebra:
             (exps, w) for exps in self.ring.exponent_vectors() for w in self.perms
         ]
 
+    @memoized
+    def basis_elems(self) -> dict:
+        """Each basis element, keyed by its basis key, built once for the
+        sweeps over the basis."""
+        return {key: self.basis_elem(*key) for key in self.basis_keys()}
+
     # -- structure constants ----------------------------------------------------
 
     def _single_product(self, w: Perm, v: Perm):
@@ -267,8 +273,10 @@ class HopfAlgebra:
         ok = eps_lam == self.cyc.scalar(factorial(self.m))
         report.add("integral-counit", "eps(Lambda) = m!", ok, None if ok else {"eps": eps_lam.to_json()})
 
+        elems = self.basis_elems()
+
         def invariance_fails(key):
-            h = self.basis_elem(*key)
+            h = elems[key]
             return self.hmul(h, lam) != lam or self.hmul(lam, h) != lam
 
         report.check(
@@ -302,12 +310,12 @@ class HopfAlgebra:
         if any(slot_act(w, slot_act(v, e)) != slot_act(w * v, e)
                for w, v, e in iproduct(perms, perms, units)):
             return False
-        vectors = list(self.ring.exponent_vectors())
+        vectors, elems = list(self.ring.exponent_vectors()), self.basis_elems()
         for w, v in iproduct(perms, repeat=2):
             if any(p != w * v for _, p in self._translate(w, v, zero)):
                 return False
             for ea, eb in iproduct(vectors, repeat=2):
-                product = self.hmul(self.basis_elem(ea, w), self.basis_elem(eb, v))
+                product = self.hmul(elems[ea, w], elems[eb, v])
                 if product.terms != self._translate(w, v, exp_add(ea, slot_act(w, eb), n)):
                     return False
         return True
@@ -316,15 +324,15 @@ class HopfAlgebra:
     def _coproduct_translates(self) -> bool:
         """D1 of verify_axioms, checked through coproduct on every basis
         element."""
-        n, zero = self.n, self.ring.zero_exp
+        n, zero, elems = self.n, self.ring.zero_exp, self.basis_elems()
         for w in self.perms:
-            base = self.coproduct(self.basis_elem(zero, w)).terms
+            base = self.coproduct(elems[zero, w]).terms
             for e in self.ring.exponent_vectors():
                 shifted = {
                     ((exp_add(d1, e, n), w1), (exp_add(d2, e, n), w2)): c
                     for ((d1, w1), (d2, w2)), c in base.items()
                 }
-                if self.coproduct(self.basis_elem(e, w)).terms != shifted:
+                if self.coproduct(elems[e, w]).terms != shifted:
                     return False
         return True
 
@@ -333,13 +341,13 @@ class HopfAlgebra:
         """S0 and S1 of verify_axioms, checked through antipode and hmul on
         every basis element."""
         n, zero, ident = self.n, self.ring.zero_exp, Perm.identity(self.m)
+        elems = self.basis_elems()
         for w in self.perms:
-            s_w = self.antipode(self.basis_elem(zero, w))
+            s_w = self.antipode(elems[zero, w])
             if any(u != w.inverse() for _, u in s_w.terms):
                 return False
             for e in self.ring.exponent_vectors():
-                neg = self.basis_elem(exp_neg(e, n), ident)
-                if self.antipode(self.basis_elem(e, w)) != self.hmul(s_w, neg):
+                if self.antipode(elems[e, w]) != self.hmul(s_w, elems[exp_neg(e, n), ident]):
                     return False
         return True
 
@@ -537,7 +545,7 @@ class HopfAlgebra:
 
         products_translate = self._translation_law_holds()
         coproducts_translate = products_translate and self._coproduct_translates()
-        elems = {key: self.basis_elem(*key) for key in basis}
+        elems = self.basis_elems()
         products: dict = {}  # shared by the triples: the (m!)^2 label products on the labels
 
         def product(ka, kb) -> "HopfElem":
@@ -600,15 +608,15 @@ class HopfAlgebra:
         def coassociativity_fails(key):
             lhs: dict = {}
             rhs: dict = {}
-            for (k1, k2), c in self.coproduct(self.basis_elem(*key)).terms.items():
-                for (k1a, k1b), c1 in self.coproduct(self.basis_elem(*k1)).terms.items():
+            for (k1, k2), c in self.coproduct(elems[key]).terms.items():
+                for (k1a, k1b), c1 in self.coproduct(elems[k1]).terms.items():
                     accumulate(lhs, (k1a, k1b, k2), c * c1)
-                for (k2a, k2b), c2 in self.coproduct(self.basis_elem(*k2)).terms.items():
+                for (k2a, k2b), c2 in self.coproduct(elems[k2]).terms.items():
                     accumulate(rhs, (k1, k2a, k2b), c * c2)
             return lhs != rhs
 
         def counit_fails(key):
-            h = self.basis_elem(*key)
+            h = elems[key]
             left: dict = {}
             right: dict = {}
             for (k1, k2), c in self.coproduct(h).terms.items():
@@ -619,18 +627,14 @@ class HopfAlgebra:
         def antipode_fails(key):
             left = self.zero()
             right = self.zero()
-            for ((e1, w1), (e2, w2)), c in self.coproduct(self.basis_elem(*key)).terms.items():
-                left = left + self.hmul(
-                    self.antipode_basis(e1, w1), self.basis_elem(e2, w2)
-                ).scale(c)
-                right = right + self.hmul(
-                    self.basis_elem(e1, w1), self.antipode_basis(e2, w2)
-                ).scale(c)
+            for (k1, k2), c in self.coproduct(elems[key]).terms.items():
+                left = left + self.hmul(self.antipode_basis(*k1), elems[k2]).scale(c)
+                right = right + self.hmul(elems[k1], self.antipode_basis(*k2)).scale(c)
             target = self.unit()  # eps(basis) = 1
             return left != target or right != target
 
         def involution_fails(key):
-            h = self.basis_elem(*key)
+            h = elems[key]
             return self.antipode(self.antipode(h)) != h
 
         cases = self._cases(coproducts_translate and self._antipode_translates())

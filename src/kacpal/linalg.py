@@ -1,11 +1,13 @@
-"""Exact linear algebra over the cyclotomic field: reduced row echelon form,
-kernels, determinants, an incremental echelon basis, and small matrices
-whose products touch only their nonzero entries.
+"""Exact linear algebra over the cyclotomic field: reduced row echelon form
+of dense or sparse rows, kernels, and small matrices whose products touch
+only their nonzero entries.
 
 Everything is exact; pivoting picks the first nonzero entry, so results are
 deterministic and canonical (RREF bases are unique for a given row space).
-Elimination runs on sparse {column: nonzero entry} rows, through one step,
-`_subtract`.
+One Gauss–Jordan pass, `_gauss_jordan`, does all elimination, on sparse
+{column: nonzero entry} rows: `kernel_basis` takes dense rows and checks
+their width, and `rref` takes dense rows the same way or sparse rows as
+they are.
 """
 
 from __future__ import annotations
@@ -15,30 +17,14 @@ from operator import add, sub
 from .cyclotomic import CycContext, CycScalar
 
 
-def _subtract(row: dict, f: CycScalar, prow: dict, skip: int) -> None:
-    """row -= f * prow in place, over prow's entries outside column skip;
-    entries that cancel are deleted."""
-    for j, y in prow.items():
-        if j != skip:
-            v = row[j] - f * y if j in row else -(f * y)
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
-
-def _gauss_jordan(rows, ncols: int, ctx: CycContext):
-    """One sparse, exact Gauss–Jordan pass over rows of width ncols (other
-    widths raise ValueError), held as {column: nonzero entry} dicts.  Column
-    c pivots on the first row at or below the current one that holds it; the
-    pivot row is scaled only when its pivot is not one, and c is eliminated
-    only from the rows that hold it.  Returns (nonzero reduced rows, pivot
-    columns, (-1)^swaps times the product of the pivots before scaling)."""
-    if any(len(row) != ncols for row in rows):
-        raise ValueError(f"expected rows of width {ncols}, got {sorted({len(r) for r in rows})}")
-    work = [{c: x for c, x in enumerate(row) if x} for row in rows]
+def _gauss_jordan(work: list[dict], ncols: int, ctx: CycContext):
+    """One sparse, exact Gauss–Jordan pass, in place, over rows held as
+    {column: nonzero entry} dicts with columns below ncols.  Column c pivots
+    on the first row at or below the current one that holds it; the pivot
+    row is scaled only when its pivot is not one, and c is eliminated only
+    from the rows that hold it.  Returns (nonzero reduced rows, pivot
+    columns)."""
     pivots: list[int] = []
-    det = ctx.one
     for c in range(ncols):
         r = len(pivots)
         if r == len(work):
@@ -46,27 +32,43 @@ def _gauss_jordan(rows, ncols: int, ctx: CycContext):
         p = next((i for i in range(r, len(work)) if c in work[i]), None)
         if p is None:
             continue
-        if p != r:
-            work[r], work[p] = work[p], work[r]
-            det = -det
+        work[r], work[p] = work[p], work[r]
         prow = work[r]
         if prow[c] != ctx.one:
-            det = det * prow[c]
             inv = prow[c].inv()
             for j, x in prow.items():
                 prow[j] = x * inv
         for row in work:
             if row is not prow and c in row:
-                _subtract(row, row.pop(c), prow, c)
+                f = row.pop(c)  # row -= f * prow; entries that cancel are deleted
+                for j, y in prow.items():
+                    if j != c:
+                        v = row[j] - f * y if j in row else -(f * y)
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
         pivots.append(c)
-    return work[: len(pivots)], pivots, det
+    return work[: len(pivots)], pivots
 
 
-def rref(rows: list[list[CycScalar]], ctx: CycContext) -> tuple[list[list[CycScalar]], list[int]]:
-    """Reduced row echelon form (nonzero rows, pivot columns); ragged rows
-    raise ValueError."""
+def _sparse_rows(rows, ncols: int) -> list[dict]:
+    """Dense rows of width ncols as {column: nonzero entry} dicts; other
+    widths raise ValueError."""
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"expected rows of width {ncols}, got {sorted({len(r) for r in rows})}")
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def rref(rows: list, ctx: CycContext, ncols: int | None = None) -> tuple[list, list[int]]:
+    """Reduced row echelon form (nonzero rows, pivot columns) of dense rows,
+    where ragged rows raise ValueError.  Given ncols, the rows are sparse
+    {column: nonzero entry} dicts over columns below ncols instead, which
+    the pass reduces in place and returns as dicts."""
+    if ncols is not None:
+        return _gauss_jordan(rows, ncols, ctx)
     ncols = len(rows[0]) if rows else 0
-    red, pivots, _ = _gauss_jordan(rows, ncols, ctx)
+    red, pivots = _gauss_jordan(_sparse_rows(rows, ncols), ncols, ctx)
     return [[row.get(c, ctx.zero) for c in range(ncols)] for row in red], pivots
 
 
@@ -74,7 +76,7 @@ def kernel_basis(rows: list[list[CycScalar]], ncols: int, ctx: CycContext) -> li
     """Canonical basis of the right kernel {v : A v = 0}, one vector per free
     column, derived from the RREF.  A row whose width is not ncols raises
     ValueError."""
-    red, pivots, _ = _gauss_jordan(rows, ncols, ctx)
+    red, pivots = _gauss_jordan(_sparse_rows(rows, ncols), ncols, ctx)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -84,37 +86,6 @@ def kernel_basis(rows: list[list[CycScalar]], ncols: int, ctx: CycContext) -> li
             v[pc] = -red[r].get(fc, ctx.zero)
         basis.append(v)
     return basis
-
-
-def determinant(mat: list[list[CycScalar]], ctx: CycContext) -> CycScalar:
-    """Exact determinant, read off the Gauss–Jordan pass: zero when some
-    column has no pivot.  A non-square matrix raises ValueError."""
-    _, pivots, det = _gauss_jordan(mat, len(mat), ctx)
-    return det if len(pivots) == len(mat) else ctx.zero
-
-
-class Echelon(dict):
-    """Incremental reduced echelon basis of a row space, as a map from each
-    pivot column to its row.  Each row is a sparse {column: entry} dict
-    with entry one at its own pivot and zero at every other pivot, so a new
-    row is reduced by one subtraction per pivot column it holds, and no
-    subtraction brings a pivot column back."""
-
-    def insert(self, row: dict) -> bool:
-        """Reduce row in place against the basis.  When it is not in the
-        span, clear its new pivot from the other rows, add it and return
-        True."""
-        for c in [c for c in row if c in self]:
-            _subtract(row, row.pop(c), self[c], c)
-        if not row:
-            return False
-        c = min(row)
-        inv = row[c].inv()
-        self[c] = row = {j: x * inv for j, x in row.items()}
-        for prow in self.values():
-            if prow is not row and c in prow:
-                _subtract(prow, prow.pop(c), row, c)
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +173,6 @@ class Mat:
 
     def flatten(self) -> list[CycScalar]:
         return [x for row in self.rows for x in row]
-
-    def det(self) -> CycScalar:
-        return determinant(self.rows, self.ctx)
-
-    def is_invertible(self) -> bool:
-        return bool(self.det())
 
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.rows]

@@ -1,7 +1,7 @@
 """The m-dimensional modules V_{a,b}: matrix construction, relation checks,
-simplicity via an incremental multiplicative span closure, isomorphism by
-Hom dimensions, and inner-faithfulness over the base ring (gcd criterion
-plus the brute-force subgroup oracle).
+simplicity and isomorphism by the dimensions of sparse Hom solves, and
+inner-faithfulness over the base ring (gcd criterion plus the brute-force
+subgroup oracle).
 
 Matrices act on coordinate columns, so rho(h1 h2) = rho(h1) rho(h2) for the
 left module structure."""
@@ -18,7 +18,8 @@ from .cyclotomic import CycContext
 from .errors import SizeGuardError
 from .group_ring import exp_add
 from .hopf import AxiomReport, HopfElem
-from .linalg import Echelon, Mat, kernel_basis, rref
+from .linalg import Mat, rref
+from .sparse import accumulate
 from .symmetric import Perm, canonical_word
 
 SUBGROUP_GUARD = 4096
@@ -194,46 +195,41 @@ def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
 
 
 def is_simple(params: RepParams) -> bool:
-    """Multiplicative span closure: the module is simple when the algebra
-    generated by the X_i and Z_k matrices is all of M_m (Burnside).  Each
-    product of an accepted matrix and a generator is reduced once against
-    the echelon basis of the accepted ones, and is accepted when it leaves
-    their span.  The verdict is certified by one rref: the first m^2
-    accepted matrices have rank m^2."""
+    """V is simple, with rho(H) = M_m(K), iff dim End_H(V) = 1.
+
+    If rho(H) = M_m(K), End_H(V) is the centralizer of M_m(K), the scalars.
+    Conversely, H(n, m) is semisimple (see modules_isomorphic), so
+    V = sum a_i S_i over the simple modules S_i and dim End V =
+    sum a_i^2 d_i with d_i = dim End S_i >= 1.  This is 1 only when V is
+    one S_i with End V = K, and then Jacobson density gives rho(H) =
+    End_K(V) = M_m(K), which is Burnside's criterion."""
     rep = Rep(params)
-    m = params.m
-    ctx = rep.ctx
-    gens = rep.xs + rep.zs
-    span = Echelon()
-
-    def accept(mat: Mat) -> bool:
-        return span.insert({c: x for c, x in enumerate(mat.flatten()) if x})
-
-    frontier = [Mat.identity(ctx, m)]
-    accepted = [u for u in frontier if accept(u)]
-    while frontier and len(accepted) < m * m:
-        frontier = [v for u in frontier for v in (u * g for g in gens) if accept(v)]
-        accepted += frontier
-    red, _ = rref([u.flatten() for u in accepted[: m * m]], ctx)
-    return len(red) == m * m
+    return _hom_dim(rep, rep) == 1
 
 
 def _hom_dim(r1: Rep, r2: Rep) -> int:
     """dim Hom_H(V1, V2): the dimension of the space of T with
-    T rho1(g) = rho2(g) T over the generators g, which generate H."""
+    T rho1(g) = rho2(g) T over the generators g, which generate H.
+
+    The unknowns are T[i][j], row-major.  The equation at (i, j) is
+    sum_k T[i][k] A[k][j] - sum_k B[i][k] T[k][j] = 0, built from the
+    nonzero entries of column j of A and row i of B.  Every X_i is
+    diagonal and every Z_k monomial, so each of the (2m - 1) m^2 equations
+    has at most two nonzero entries, and rref takes the sparse rows as they
+    are; the dimension is m^2 minus their rank."""
     m = r1.params.m
-    ctx = r1.ctx
-    # unknowns T[i][j], row-major; equation T A - B T = 0 per generator (A, B)
     rows = []
     for A, B in zip(r1.xs + r1.zs, r2.xs + r2.zs):
-        for i in range(m):
+        cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*A.rows)]
+        for i, brow in enumerate(B.rows):
+            negated = [(k, -y) for k, y in enumerate(brow) if y]
             for j in range(m):
-                row = [ctx.zero] * (m * m)
-                for k in range(m):
-                    row[i * m + k] = row[i * m + k] + A[k, j]
-                    row[k * m + j] = row[k * m + j] - B[i, k]
-                rows.append(row)
-    return len(kernel_basis(rows, m * m, ctx))
+                row = {i * m + k: x for k, x in cols[j]}
+                for k, y in negated:
+                    accumulate(row, k * m + j, y)
+                if row:
+                    rows.append(row)
+    return m * m - len(rref(rows, r1.ctx, m * m)[1])
 
 
 def modules_isomorphic(p1: RepParams, p2: RepParams) -> bool:

@@ -445,8 +445,9 @@ def test_module_algebra_reports_are_byte_identical(tmp_path, argv):
 
 
 # SHA-256 of each rep-check report with its timings removed, recorded before
-# matrix products went sparse and the span closure incremental; 3 5 1 1 is
-# the one module here that is not simple
+# matrix products went sparse and the span closure incremental, and (5 4 2 2,
+# 2 6 0 0) before simplicity moved from the closure to dim End V = 1;
+# 3 5 1 1, 5 4 2 2 and 2 6 0 0 are the modules here that are not simple
 REP_REPORT_DIGESTS = {
     "rep-check 2 2 1 0":
         "e92d88a5326ec28cbf2945a5d3640ab35b2b1a29120100198d0625e8f49f1209",
@@ -460,6 +461,10 @@ REP_REPORT_DIGESTS = {
         "a208095912fac8403d71b5338b6392f70ba7484adb84d997b161d15e7e2ab785",
     "rep-check 2 10 1 0":
         "9e8c3ca62348473c63b81b4efffe98a23a8a431d13ae8d6ffbc4d4426d918a2e",
+    "rep-check 5 4 2 2":
+        "d9304d09c4eb2e74060f44460b53c7b490692e6d797d409cf4565f4824f23813",
+    "rep-check 2 6 0 0":
+        "844d754bea68dda50de027056c3a145c98f706008821fec0a410baab873533a0",
 }
 
 

@@ -63,6 +63,16 @@ SHARED_TERMS = {
         {"left": [SHARED_TERM], "result": [{"x": SHARED_TERM}, SHARED_TERM]},
     ],
 }
+# dicts of one shape whose keys hash equal but print differently, beside a
+# str-keyed dict of the same printed key
+KEY_LOOKALIKES = [{True: [1]}, {1: [1]}, {1.0: [1]}, {"1": [1]}, {1.0: [1]}, {True: [1]}]
+# a list that is not a leaf list, reached three times at depth 1 and three
+# times at depth 2
+SHARED_LIST = [{"a": 1}, [2, "x"]]
+SHARED_TWICE_DEEP = {
+    "p": SHARED_LIST, "q": [SHARED_LIST, SHARED_LIST, SHARED_LIST],
+    "r": SHARED_LIST, "s": SHARED_LIST,
+}
 SHARING = {
     "basis": [SHARED_DICT, SHARED_DICT],
     "rows": [{"left": SHARED_DICT, "right": [SHARED_DICT, {"deep": SHARED_DICT}]}],
@@ -75,6 +85,8 @@ SHARING = {
 @example(LEAF_LOOKALIKES)
 @example(SHARING)
 @example(SHARED_TERMS)
+@example(KEY_LOOKALIKES)
+@example(SHARED_TWICE_DEEP)
 @example([[], {}, (), [[]], {"": {}}])
 def test_writer_matches_json_dumps(obj):
     assert report_text(obj) == oracle(obj)

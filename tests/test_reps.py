@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -20,7 +21,7 @@ from kacpal import (
 )
 from kacpal.cyclotomic import CycContext
 from kacpal.errors import SizeGuardError
-from kacpal.linalg import Echelon, Mat, determinant, rref
+from kacpal.linalg import Mat, kernel_basis, rref
 
 
 def test_matrices_n2_m2():
@@ -183,22 +184,56 @@ def test_is_simple_matches_closure_oracle():
     assert (len(verdicts), sum(verdicts)) == (216, 160)
 
 
-class _AcceptAll(Echelon):
-    def insert(self, row):
-        return True
+class _NoZEquations(Rep):
+    """Leaves the Z_k out of the Hom system: only the X_i equations remain."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.zs = []
 
 
-class _RejectAll(Echelon):
-    def insert(self, row):
-        return False
+def _drop_one_kernel_vector(rows, ctx, ncols):
+    """The elimination pass with one more pivot than it finds: the Hom
+    solve then loses one kernel vector."""
+    red, pivots = rref(rows, ctx, ncols)
+    return red, pivots + [ncols]
 
 
-@pytest.mark.parametrize("reducer", [_AcceptAll, _RejectAll])
-def test_broken_reducer_cannot_certify_simplicity(monkeypatch, reducer):
-    params = RepParams(3, 5, 1, 0)
-    assert is_simple(params)
-    monkeypatch.setattr(reps, "Echelon", reducer)
-    assert not is_simple(params)
+@pytest.mark.parametrize("a,b,attr,broken", [
+    (1, 0, "Rep", _NoZEquations),
+    (1, 1, "rref", _drop_one_kernel_vector),
+], ids=["no-z-equations", "dropped-kernel-vector"])
+def test_broken_hom_solve_disagrees_with_closure_oracle(monkeypatch, a, b, attr, broken):
+    params = RepParams(3, 5, a, b)
+    verdict = closure_oracle(params)
+    assert is_simple(params) == verdict == (a != b)
+    monkeypatch.setattr(reps, attr, broken)
+    assert is_simple(params) != verdict
+
+
+def dense_hom_dim(r1, r2):
+    """dim Hom_H(V1, V2) from the dense system T A - B T = 0 over the
+    generator pairs (A, B), every entry of every equation written out."""
+    m = r1.params.m
+    ctx = r1.ctx
+    rows = []
+    for A, B in zip(r1.xs + r1.zs, r2.xs + r2.zs):
+        for i in range(m):
+            for j in range(m):
+                row = [ctx.zero] * (m * m)
+                for k in range(m):
+                    row[i * m + k] = row[i * m + k] + A[k, j]
+                    row[k * m + j] = row[k * m + j] - B[i, k]
+                rows.append(row)
+    return len(kernel_basis(rows, m * m, ctx))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sparse_hom_dim_matches_dense_system(n):
+    for m in range(2, 6):
+        modules = [Rep(RepParams(n, m, a, b)) for a, b in iproduct(range(n), repeat=2)]
+        for r1, r2 in iproduct(modules, repeat=2):
+            assert reps._hom_dim(r1, r2) == dense_hom_dim(r1, r2), (n, m, r1.params, r2.params)
 
 
 def test_modules_isomorphic_identity_params():
@@ -283,13 +318,29 @@ def test_det_m_formulas():
             assert det_M(3, a, b) == a**3 + 2 * b**3 - 3 * a * b * b
 
 
+def _det_by_permutation_expansion(mat, ctx):
+    n = len(mat)
+    out = ctx.zero
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = ctx.scalar(sign)
+        for i in range(n):
+            term = term * mat[i][perm[i]]
+        out = out + term
+    return out
+
+
 def test_det_m_matches_linalg_determinant():
     ctx = CycContext(2)
     for m in range(2, 7):
         for a in range(-3, 6):
             for b in range(-3, 6):
                 mat = [[ctx.scalar(a if i == j else b) for j in range(m)] for i in range(m)]
-                assert ctx.scalar(det_M(m, a, b)) == determinant(mat, ctx), (m, a, b)
+                assert ctx.scalar(det_M(m, a, b)) == _det_by_permutation_expansion(mat, ctx), (m, a, b)
 
 
 def test_criterion_examples():
