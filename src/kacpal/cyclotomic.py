@@ -138,9 +138,6 @@ class CycContext:
     def q_pow(self, e: int) -> "CycScalar":
         return self._roots[(2 * e) % self.N]
 
-    def p_pow(self, e: int) -> "CycScalar":
-        return self._roots[e % self.N]
-
     @property
     def q(self) -> "CycScalar":
         return self.root(2)

@@ -1,29 +1,31 @@
-"""Exact linear algebra over the cyclotomic field: reduced row echelon form
-of dense or sparse rows, kernels, and small matrices whose products touch
-only their nonzero entries.
+"""Exact linear algebra over the cyclotomic field: reduced row echelon form,
+kernels, and matrices, all in the sparse format of the package.
 
 Everything is exact; pivoting picks the first nonzero entry, so results are
 deterministic and canonical (RREF bases are unique for a given row space).
-One Gauss–Jordan pass, `_gauss_jordan`, does all elimination, on sparse
-{column: nonzero entry} rows: `kernel_basis` takes dense rows and checks
-their width, and `rref` takes dense rows the same way or sparse rows as
-they are.
+Rows and vectors are {column: nonzero entry} dicts over columns below a
+given ncols, and one Gauss–Jordan pass, `_gauss_jordan`, does all
+elimination for `rref` and `kernel_basis`.  A matrix is a `SparseElem`
+{(i, j): nonzero entry} over the context (field, shape).
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from .cyclotomic import CycContext
+from .sparse import SparseElem, accumulate
 
-from .cyclotomic import CycContext, CycScalar
 
-
-def _gauss_jordan(work: list[dict], ncols: int, ctx: CycContext):
+def _gauss_jordan(work: list[dict], ctx: CycContext, ncols: int):
     """One sparse, exact Gauss–Jordan pass, in place, over rows held as
-    {column: nonzero entry} dicts with columns below ncols.  Column c pivots
-    on the first row at or below the current one that holds it; the pivot
-    row is scaled only when its pivot is not one, and c is eliminated only
-    from the rows that hold it.  Returns (nonzero reduced rows, pivot
-    columns)."""
+    {column: nonzero entry} dicts with columns below ncols; another column
+    raises ValueError naming its row.  Column c pivots on the first row at
+    or below the current one that holds it; the pivot row is scaled only
+    when its pivot is not one, and c is eliminated only from the rows that
+    hold it.  Returns (nonzero reduced rows, pivot columns)."""
+    for r, row in enumerate(work):
+        for c in row:
+            if not 0 <= c < ncols:
+                raise ValueError(f"row {r} has column {c}, outside range({ncols})")
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -52,107 +54,73 @@ def _gauss_jordan(work: list[dict], ncols: int, ctx: CycContext):
     return work[: len(pivots)], pivots
 
 
-def _sparse_rows(rows, ncols: int) -> list[dict]:
-    """Dense rows of width ncols as {column: nonzero entry} dicts; other
-    widths raise ValueError."""
-    if any(len(row) != ncols for row in rows):
-        raise ValueError(f"expected rows of width {ncols}, got {sorted({len(r) for r in rows})}")
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+def rref(rows: list[dict], ctx: CycContext, ncols: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form (nonzero rows, pivot columns) of sparse rows
+    over columns below ncols, which the pass reduces in place."""
+    return _gauss_jordan(rows, ctx, ncols)
 
 
-def rref(rows: list, ctx: CycContext, ncols: int | None = None) -> tuple[list, list[int]]:
-    """Reduced row echelon form (nonzero rows, pivot columns) of dense rows,
-    where ragged rows raise ValueError.  Given ncols, the rows are sparse
-    {column: nonzero entry} dicts over columns below ncols instead, which
-    the pass reduces in place and returns as dicts."""
-    if ncols is not None:
-        return _gauss_jordan(rows, ncols, ctx)
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = _gauss_jordan(_sparse_rows(rows, ncols), ncols, ctx)
-    return [[row.get(c, ctx.zero) for c in range(ncols)] for row in red], pivots
-
-
-def kernel_basis(rows: list[list[CycScalar]], ncols: int, ctx: CycContext) -> list[list[CycScalar]]:
-    """Canonical basis of the right kernel {v : A v = 0}, one vector per free
-    column, derived from the RREF.  A row whose width is not ncols raises
-    ValueError."""
-    red, pivots = _gauss_jordan(_sparse_rows(rows, ncols), ncols, ctx)
+def kernel_basis(rows: list[dict], ncols: int, ctx: CycContext) -> list[dict]:
+    """Canonical basis of the right kernel {v : A v = 0} of sparse rows, one
+    sparse vector per free column, derived from the RREF."""
+    red, pivots = _gauss_jordan(rows, ctx, ncols)
     free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ctx.zero] * ncols
-        v[fc] = ctx.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r].get(fc, ctx.zero)
-        basis.append(v)
-    return basis
+    return [
+        {fc: ctx.one, **{pc: -row[fc] for row, pc in zip(red, pivots) if fc in row}}
+        for fc in free
+    ]
 
 
-# ---------------------------------------------------------------------------
-# small matrices over the cyclotomic field
+class Mat(SparseElem):
+    """Matrix with exact entries: a sparse map {(i, j): nonzero entry} over
+    the context (field, shape).  Sums, differences, scaling and equality
+    are the sparse core's; products touch only nonzero entries."""
 
+    __slots__ = ("ctx", "shape", "terms")
+    _mismatch = "shape mismatch"
 
-class Mat:
-    """Immutable matrix with exact entries, stored dense; products skip
-    zero entries."""
-
-    __slots__ = ("ctx", "rows")
-
-    def __init__(self, ctx: CycContext, rows):
+    def __init__(self, ctx: CycContext, shape: tuple[int, int], terms: dict):
         self.ctx = ctx
-        self.rows = tuple(tuple(r) for r in rows)
-        if len({len(r) for r in self.rows}) > 1:
-            raise ValueError(f"ragged rows of widths {sorted({len(r) for r in self.rows})}")
+        self.shape = shape
+        self.terms = terms
+
+    def context(self):
+        return (self.ctx, self.shape)
+
+    def _new(self, terms: dict) -> "Mat":
+        return Mat(self.ctx, self.shape, terms)
+
+    def _field(self):
+        return self.ctx
 
     @staticmethod
     def identity(ctx: CycContext, n: int) -> "Mat":
-        return Mat(ctx, [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)])
+        return Mat(ctx, (n, n), {(i, i): ctx.one for i in range(n)})
 
     @staticmethod
     def zeros(ctx: CycContext, n: int, m: int) -> "Mat":
-        return Mat(ctx, [[ctx.zero] * m for _ in range(n)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0]) if self.rows else 0
+        return Mat(ctx, (n, m), {})
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+        (i, j), (n, m) = ij, self.shape
+        if not (0 <= i < n and 0 <= j < m):
+            raise IndexError(f"entry {ij} outside a {n}x{m} matrix")
+        return self.terms.get(ij, self.ctx.zero)
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            n, k = self.shape
-            k2, m = other.shape
-            if k != k2:
-                raise ValueError(f"shape mismatch: {n}x{k} times {k2}x{m}")
-            nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-            out = []
-            for row in self.rows:
-                acc = {}
-                for a, nz in zip(row, nonzero):
-                    if a:
-                        for j, b in nz:
-                            acc[j] = acc[j] + a * b if j in acc else a * b
-                out.append([acc.get(j, self.ctx.zero) for j in range(m)])
-            return Mat(self.ctx, out)
-        return self.scale(other)
-
-    def __add__(self, other: "Mat"):
-        return self._entrywise(add, other)
-
-    def __sub__(self, other: "Mat"):
-        return self._entrywise(sub, other)
-
-    def _entrywise(self, op, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
-        return Mat(self.ctx, [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> "Mat":
-        if isinstance(c, int):
-            c = self.ctx.scalar(c)
-        return Mat(self.ctx, [[x * c for x in row] for row in self.rows])
+        if not isinstance(other, Mat):
+            return self.scale(other)
+        (n, k), (k2, m) = self.shape, other.shape
+        if k != k2:
+            raise ValueError(f"shape mismatch: {n}x{k} times {k2}x{m}")
+        rows_b: dict = {}
+        for (r, j), b in other.terms.items():
+            rows_b.setdefault(r, []).append((j, b))
+        out: dict = {}
+        for (i, r), a in self.terms.items():
+            for j, b in rows_b.get(r, ()):
+                accumulate(out, (i, j), a * b)
+        return Mat(self.ctx, (n, m), out)
 
     def __pow__(self, e: int) -> "Mat":
         n, m = self.shape
@@ -165,18 +133,6 @@ class Mat:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def flatten(self) -> list[CycScalar]:
-        return [x for row in self.rows for x in row]
-
     def to_json(self) -> list:
-        return [[x.to_json() for x in row] for row in self.rows]
-
-    def __repr__(self):
-        return "Mat[" + "; ".join(", ".join(repr(x) for x in row) for row in self.rows) + "]"
-
+        n, m = self.shape
+        return [[self[i, j].to_json() for j in range(m)] for i in range(n)]

@@ -217,17 +217,15 @@ class QuantumPolyAlgebra:
 
     @memoized
     def action_matrix(self, h: HopfElem, k: int) -> Mat:
-        """The exact operator of h on the degree-k monomial space."""
+        """The exact operator of h on the degree-k monomial space: column j
+        is h . u^{mon_j}."""
         mons = self.monomials(k)
         index = {mon: i for i, mon in enumerate(mons)}
-        cols = []
-        for mon in mons:
-            res = self.act(h, self.monomial(mon))
-            col = [self.ctx.zero] * len(mons)
-            for e, c in res.terms.items():
-                col[index[e]] = c
-            cols.append(col)
-        return Mat(self.ctx, [list(row) for row in zip(*cols)])
+        terms = {}
+        for j, mon in enumerate(mons):
+            for e, c in self.act(h, self.monomial(mon)).terms.items():
+                terms[index[e], j] = c
+        return Mat(self.ctx, (len(mons), len(mons)), terms)
 
     # -- verification -----------------------------------------------------------
 
@@ -339,37 +337,34 @@ class QuantumPolyAlgebra:
         gens = self.subalgebra_generators(subalgebra)
         out: dict[int, list[QpaElem]] = {}
         for k in range(degree + 1):
-            mons = self.monomials(k)
-            dim = len(mons)
+            dim = len(self.monomials(k))
+            ident = Mat.identity(self.ctx, dim)
             rows = []
             for _, g in gens:
-                mat = self.action_matrix(g, k)
-                eps_g = self.hopf.counit(g)
-                for i in range(dim):
-                    row = [
-                        mat[i, j] - eps_g if i == j else mat[i, j] for j in range(dim)
-                    ]
-                    rows.append(row)
+                rows += _lines(self.action_matrix(g, k) - ident.scale(self.hopf.counit(g)), 0)
             kern = kernel_basis(rows, dim, self.ctx)
-            basis_rows = rref(kern, self.ctx)[0] if kern else []
-            out[k] = [
-                QpaElem(self, {mons[j]: v[j] for j in range(dim) if v[j]})
-                for v in basis_rows
-            ]
+            out[k] = self._elems(k, rref(kern, self.ctx, dim)[0])
         return out
 
-    def invariants_oracle(self, subalgebra: str, degree: int) -> dict[int, list[list[CycScalar]]]:
+    def invariants_oracle(self, subalgebra: str, degree: int) -> dict[int, list["QpaElem"] | None]:
         """Independent route: the invariant space is the image of the
         normalized integral projector rho_k(Lambda')/eps(Lambda').  Returns
-        the canonical RREF rows of the column space per degree, or None for
+        the canonical RREF basis of the column space per degree, or None for
         a degree whose projector is not idempotent (it certifies nothing)."""
         lam = self._subalgebra_integral(subalgebra)
         out = {}
         for k in range(degree + 1):
             proj = self.integral_projector(lam, k)
-            cols = [list(col) for col in zip(*proj.rows)]
-            out[k] = rref(cols, self.ctx)[0] if proj * proj == proj else None
+            if proj * proj == proj:
+                out[k] = self._elems(k, rref(_lines(proj, 1), self.ctx, proj.shape[0])[0])
+            else:
+                out[k] = None
         return out
+
+    def _elems(self, k: int, rows: list[dict]) -> list["QpaElem"]:
+        """Sparse vectors over the degree-k monomials as elements."""
+        mons = self.monomials(k)
+        return [QpaElem(self, {mons[j]: c for j, c in row.items()}) for row in rows]
 
     def integral_projector(self, lam: HopfElem, k: int) -> Mat:
         """rho_k(lam)/eps(lam) on the degree-k monomial space."""
@@ -483,6 +478,15 @@ class QuantumPolyAlgebra:
             None,
         )
         return report
+
+
+def _lines(mat: Mat, axis: int) -> list[dict]:
+    """The rows (axis 0) or columns (axis 1) of mat as sparse
+    {index: nonzero entry} dicts."""
+    out = [{} for _ in range(mat.shape[axis])]
+    for ij, c in mat.terms.items():
+        out[ij[axis]][ij[1 - axis]] = c
+    return out
 
 
 def _ij_witness(ij) -> dict:

@@ -70,20 +70,19 @@ class Rep:
         self.params = params
         m = params.m
         self.ctx = ctx = CycContext(params.n)
-        lines = range(1, m + 1)
-        self.xs = []
-        for i in lines:
-            rows = [[ctx.zero] * m for _ in lines]
-            for j in lines:
-                rows[j - 1][j - 1] = ctx.q_pow(params.weight(j)[i - 1])
-            self.xs.append(Mat(ctx, rows))
-        self.zs = []
-        for k in range(1, m):
-            rows = [[ctx.zero] * m for _ in lines]
-            for j in lines:
-                e, j2 = params.z_line(k, j)
-                rows[j2 - 1][j - 1] = ctx.root(e)
-            self.zs.append(Mat(ctx, rows))
+        weights = [params.weight(j) for j in range(1, m + 1)]
+        self.xs = [
+            Mat(ctx, (m, m), {(j, j): ctx.q_pow(psi[i]) for j, psi in enumerate(weights)})
+            for i in range(m)
+        ]
+        self.zs = [
+            Mat(ctx, (m, m), {
+                (j2 - 1, j - 1): ctx.root(e)
+                for j in range(1, m + 1)
+                for e, j2 in [params.z_line(k, j)]
+            })
+            for k in range(1, m)
+        ]
 
     def x(self, i: int) -> Mat:
         return self.xs[i - 1]
@@ -126,7 +125,7 @@ class Rep:
         n, m = self.params.n, self.params.m
         ctx = self.ctx
         inv_n = ctx.scalar(Fraction(1, n))
-        rows = [[ctx.zero] * m for _ in range(m)]
+        diagonal = {}
         for r in range(m):
             d, e = self.xs[k - 1][r, r], self.xs[k][r, r]
             d_pows, e_pows = [ctx.one], [ctx.one]
@@ -137,8 +136,9 @@ class Rep:
             for s in range(n):
                 for t in range(n):
                     acc = acc + ctx.q_pow(-s * t) * d_pows[s] * e_pows[t]
-            rows[r][r] = acc * inv_n
-        return Mat(ctx, rows)
+            if acc:
+                diagonal[r, r] = acc * inv_n
+        return Mat(ctx, (m, m), diagonal)
 
 
 def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
@@ -212,23 +212,23 @@ def _hom_dim(r1: Rep, r2: Rep) -> int:
     T rho1(g) = rho2(g) T over the generators g, which generate H.
 
     The unknowns are T[i][j], row-major.  The equation at (i, j) is
-    sum_k T[i][k] A[k][j] - sum_k B[i][k] T[k][j] = 0, built from the
-    nonzero entries of column j of A and row i of B.  Every X_i is
-    diagonal and every Z_k monomial, so each of the (2m - 1) m^2 equations
-    has at most two nonzero entries, and rref takes the sparse rows as they
-    are; the dimension is m^2 minus their rank."""
+    sum_k T[i][k] A[k][j] - sum_k B[i][k] T[k][j] = 0, so each nonzero
+    entry A[k][j] puts itself on T[i][k] in the equations (i, j) for every
+    i, and each nonzero B[i][k] puts its negative on T[k][j] in the
+    equations (i, j) for every j.  Every X_i is diagonal and every Z_k
+    monomial, so each of the (2m - 1) m^2 equations has at most two
+    nonzero entries; the dimension is m^2 minus their rank."""
     m = r1.params.m
     rows = []
     for A, B in zip(r1.xs + r1.zs, r2.xs + r2.zs):
-        cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*A.rows)]
-        for i, brow in enumerate(B.rows):
-            negated = [(k, -y) for k, y in enumerate(brow) if y]
+        eqs: dict = {}
+        for (k, j), x in A.terms.items():
+            for i in range(m):
+                accumulate(eqs.setdefault((i, j), {}), i * m + k, x)
+        for (i, k), y in B.terms.items():
             for j in range(m):
-                row = {i * m + k: x for k, x in cols[j]}
-                for k, y in negated:
-                    accumulate(row, k * m + j, y)
-                if row:
-                    rows.append(row)
+                accumulate(eqs.setdefault((i, j), {}), k * m + j, -y)
+        rows.extend(row for row in eqs.values() if row)
     return m * m - len(rref(rows, r1.ctx, m * m)[1])
 
 

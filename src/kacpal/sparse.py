@@ -3,10 +3,10 @@
 An element is a map from basis keys to nonzero exact scalars over a fixed
 context: exponent vectors for R = K[Z_n]^(tensor m), k-tuples of them for
 R^(tensor k), (exponents, Perm) pairs for H_{n,m}, pairs of those for
-H (x) H, and normal-ordered monomials for A_{a,b}.  Addition, negation,
-scaling, equality and hashing are the same for all of them and live here;
-each subclass keeps its own product.  The one memo of structure
-constants, ``memoized``, lives here too.
+H (x) H, normal-ordered monomials for A_{a,b}, and (row, column) pairs
+for matrices.  Addition, negation, scaling, equality and hashing are the
+same for all of them and live here; each subclass keeps its own product.
+The one memo of structure constants, ``memoized``, lives here too.
 """
 
 from __future__ import annotations

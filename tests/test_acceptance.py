@@ -30,7 +30,6 @@ from kacpal import (
 )
 from kacpal.group_ring import eps_ring
 from kacpal.hopf import HTensor
-from kacpal.linalg import rref
 
 INSTANCES = [(2, 2), (3, 2), (2, 3), (3, 3)]
 
@@ -225,9 +224,7 @@ def test_criterion_11_invariants():
         ]
         oracle = qpa.invariants_oracle("full", 4)
         for k in range(5):
-            mons = qpa.monomials(k)
-            vecs = [[f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in inv[k]]
-            assert (rref(vecs, qpa.ctx)[0] if vecs else []) == oracle[k]
+            assert inv[k] == oracle[k]
 
         qpa3 = QuantumPolyAlgebra(HopfAlgebra(2, 3), 1, 0)
         inv3 = qpa3.invariants("cyclic", 4)
@@ -240,9 +237,7 @@ def test_criterion_11_invariants():
                     assert all(e % 2 == 0 for e in exps), (k, exps)
         oracle3 = qpa3.invariants_oracle("cyclic", 4)
         for k in range(5):
-            mons = qpa3.monomials(k)
-            vecs = [[f.terms.get(mon, qpa3.ctx.zero) for mon in mons] for f in inv3[k]]
-            assert (rref(vecs, qpa3.ctx)[0] if vecs else []) == oracle3[k]
+            assert inv3[k] == oracle3[k]
 
 
 def test_criterion_12_embedding():

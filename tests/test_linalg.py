@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kacpal import CycContext
 from kacpal.linalg import Mat, kernel_basis, rref
+from dense_matrices import dense, dense_rows, mat, sparse
 
 
 def _rand_scalar(ctx, rng):
@@ -84,11 +85,10 @@ def sparse_matrices(draw):
 def test_sparse_elimination_matches_dense_reference(case):
     ctx, rows = case
     ncols = len(rows[0])
-    red, pivots = rref(rows, ctx)
+    red, pivots = rref(sparse(rows), ctx, ncols)
     ref_red, ref_pivots = reference_rref(rows, ctx)
-    assert (red, pivots) == (ref_red, ref_pivots)
-    assert len(rref(rows, ctx)[0]) == len(ref_red)
-    kern = kernel_basis(rows, ncols, ctx)
+    assert (dense(red, ncols, ctx), pivots) == (ref_red, ref_pivots)
+    kern = dense(kernel_basis(sparse(rows), ncols, ctx), ncols, ctx)
     ref_kern = []
     for fc in (c for c in range(ncols) if c not in ref_pivots):
         v = [ctx.zero] * ncols
@@ -98,39 +98,30 @@ def test_sparse_elimination_matches_dense_reference(case):
         ref_kern.append(v)
     assert kern == ref_kern
     assert all(_dot(ctx, row, v) == ctx.zero for row in rows for v in kern)
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    sparse_red, sparse_pivots = rref(sparse, ctx, ncols)
-    assert sparse_pivots == ref_pivots
-    assert [[row.get(c, ctx.zero) for c in range(ncols)] for row in sparse_red] == ref_red
 
 
 def test_rref_known_system():
     ctx = CycContext(2)
     s = ctx.scalar
     rows = [[s(1), s(2), s(3)], [s(2), s(4), s(6)], [s(0), s(1), s(1)]]
-    red, pivots = rref(rows, ctx)
+    red, pivots = rref(sparse(rows), ctx, 3)
     assert pivots == [0, 1]
-    assert len(rref(rows, ctx)[0]) == 2
-    kern = kernel_basis(rows, 3, ctx)
+    assert len(red) == 2
+    kern = dense(kernel_basis(sparse(rows), 3, ctx), 3, ctx)
     assert len(kern) == 1
-    for row in rows:
-        acc = ctx.zero
-        for a, v in zip(row, kern[0]):
-            acc = acc + a * v
-        assert acc == ctx.zero
+    assert all(_dot(ctx, row, kern[0]) == ctx.zero for row in rows)
 
 
 def test_kernel_of_zero_and_full():
     ctx = CycContext(3)
-    zero_rows = [[ctx.zero] * 3]
-    assert len(kernel_basis(zero_rows, 3, ctx)) == 3
+    assert len(kernel_basis([{}], 3, ctx)) == 3
     eye = Mat.identity(ctx, 3)
-    assert kernel_basis([list(r) for r in eye.rows], 3, ctx) == []
+    assert kernel_basis(sparse(dense_rows(eye)), 3, ctx) == []
 
 
 def test_mat_ops():
     ctx = CycContext(2)
-    a = Mat(ctx, [[ctx.one, ctx.p], [ctx.zero, ctx.one]])
+    a = mat(ctx, [[ctx.one, ctx.p], [ctx.zero, ctx.one]])
     eye = Mat.identity(ctx, 2)
     assert a * eye == a
     assert (a - a) == Mat.zeros(ctx, 2, 2)
@@ -154,21 +145,30 @@ def _random_matrix(ctx, rng, rows, cols, kind):
     """kind: monomial (one nonzero per row), dense, or sparse with a zero
     row and a zero column."""
     if kind == "monomial":
-        mat = [[ctx.zero] * cols for _ in range(rows)]
-        for row in mat:
+        out = [[ctx.zero] * cols for _ in range(rows)]
+        for row in out:
             row[rng.randrange(cols)] = ctx.root(rng.randrange(ctx.N))
-        return mat
-    mat = [[_rand_scalar(ctx, rng) for _ in range(cols)] for _ in range(rows)]
+        return out
+    out = [[_rand_scalar(ctx, rng) for _ in range(cols)] for _ in range(rows)]
     if kind == "holes":
-        mat[rng.randrange(rows)] = [ctx.zero] * cols
+        out[rng.randrange(rows)] = [ctx.zero] * cols
         dead = rng.randrange(cols)
-        for row in mat:
+        for row in out:
             row[dead] = ctx.zero
-    return mat
+    return out
 
 
-def test_sparse_product_matches_dense_reference():
-    rng = random.Random(19)
+def _mismatches(product: Mat, expected) -> list[tuple[int, int]]:
+    """The (i, j) where product differs from the dense expected rows; a
+    stored zero entry counts as a difference."""
+    got = dense_rows(product)
+    wrong = [(i, j) for i, row in enumerate(expected) for j, x in enumerate(row) if got[i][j] != x]
+    return wrong + sorted(ij for ij, x in product.terms.items() if not x)
+
+
+def _random_products(seed):
+    """(ctx, a, b) over n = 2..5: 24 pairs of dense-row matrices each."""
+    rng = random.Random(seed)
     kinds = ("monomial", "dense", "holes")
     for n in (2, 3, 4, 5):
         ctx = CycContext(n)
@@ -178,12 +178,56 @@ def test_sparse_product_matches_dense_reference():
                 rows = inner = cols  # square
             a = _random_matrix(ctx, rng, rows, inner, kinds[trial % 3])
             b = _random_matrix(ctx, rng, inner, cols, kinds[trial // 3 % 3])
-            assert (Mat(ctx, a) * Mat(ctx, b)).rows == tuple(map(tuple, dense_product(a, b, ctx)))
+            yield ctx, a, b
+
+
+def test_sparse_product_matches_dense_reference():
+    for ctx, a, b in _random_products(19):
+        product = mat(ctx, a) * mat(ctx, b)
+        assert product.shape == (len(a), len(b[0]))
+        assert _mismatches(product, dense_product(a, b, ctx)) == []
+
+
+def test_changed_product_entry_is_named():
+    """Negative control: one entry of a product moved by one must compare
+    unequal, and the comparison names its (i, j)."""
+    rng = random.Random(23)
+    for ctx, a, b in _random_products(29):
+        product = mat(ctx, a) * mat(ctx, b)
+        n, m = product.shape
+        ij = (rng.randrange(n), rng.randrange(m))
+        terms = dict(product.terms)
+        terms[ij] = product[ij] + ctx.one
+        if not terms[ij]:
+            del terms[ij]
+        changed = Mat(ctx, product.shape, terms)
+        assert changed != product
+        assert _mismatches(changed, dense_product(a, b, ctx)) == [ij]
+
+
+def test_cancelled_entries_are_not_stored():
+    ctx = CycContext(3)
+    one, q = ctx.one, ctx.q
+    # row (1, q) against the column (q, -1): 1 q + q (-1) = 0
+    a = mat(ctx, [[one, q], [one, one]])
+    b = mat(ctx, [[q, one], [-one, ctx.zero]])
+    product = a * b
+    assert (0, 0) not in product.terms
+    assert dense_rows(product) == dense_product(dense_rows(a), dense_rows(b), ctx)
+    assert all(product.terms.values())
+    assert (a - a).terms == {}
+    assert a - a == Mat.zeros(ctx, 2, 2)
+    assert (a * Mat.zeros(ctx, 2, 3)).terms == {}
+    assert a.scale(0).terms == {}
+    for ctx, a, b in _random_products(31):
+        product = mat(ctx, a) * mat(ctx, b)
+        assert all(product.terms.values())
+        assert product - product == Mat.zeros(ctx, *product.shape)
 
 
 def test_negative_matrix_power_raises():
     ctx = CycContext(2)
-    a = Mat(ctx, [[ctx.one, ctx.p], [ctx.zero, ctx.one]])
+    a = mat(ctx, [[ctx.one, ctx.p], [ctx.zero, ctx.one]])
     assert a**0 == Mat.identity(ctx, 2)
     with pytest.raises(ValueError, match="negative power"):
         a ** -1
@@ -191,17 +235,31 @@ def test_negative_matrix_power_raises():
 
 def test_shape_mismatches_raise():
     ctx = CycContext(2)
-    one, zero = ctx.one, ctx.zero
-    with pytest.raises(ValueError, match="width"):
-        rref([[one, zero], [one]], ctx)
-    with pytest.raises(ValueError, match="width"):
-        kernel_basis([[one, one, one]], 2, ctx)
-    with pytest.raises(ValueError, match="width"):
-        kernel_basis([[one]], 3, ctx)
-    with pytest.raises(ValueError, match="ragged"):
-        Mat(ctx, [[one, zero], [one]])
     a, b = Mat.identity(ctx, 2), Mat.identity(ctx, 3)
     with pytest.raises(ValueError, match="shape mismatch"):
         a + b
     with pytest.raises(ValueError, match="shape mismatch"):
         a - b
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a * b
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.zeros(ctx, 2, 3) + Mat.zeros(ctx, 3, 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.zeros(ctx, 2, 3) * Mat.zeros(ctx, 2, 3)
+    with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+        Mat.zeros(ctx, 2, 3)[2, 0]
+    with pytest.raises(IndexError, match="outside a 2x2 matrix"):
+        a[0, -1]
+
+
+def test_columns_outside_ncols_raise():
+    """A column outside range(ncols) is an error naming its row, not a
+    column the pass skips."""
+    ctx = CycContext(2)
+    one = ctx.one
+    with pytest.raises(ValueError, match=r"row 0 has column 5, outside range\(2\)"):
+        rref([{0: one, 5: one}, {5: one}], ctx, 2)
+    with pytest.raises(ValueError, match="row 1 has column 2"):
+        kernel_basis([{0: one}, {0: one, 1: one, 2: one}], 2, ctx)
+    with pytest.raises(ValueError, match="row 0 has column -1"):
+        rref([{-1: one}], ctx, 2)

@@ -226,7 +226,7 @@ def test_invariant_dimension_is_projector_trace(n, m, a, b, subalgebra, degree):
     lam = qpa._subalgebra_integral(subalgebra)
     for k in range(degree + 1):
         proj = qpa.integral_projector(lam, k)
-        trace = sum((proj[i, i] for i in range(len(proj.rows))), qpa.ctx.zero)
+        trace = sum((proj[i, i] for i in range(proj.shape[0])), qpa.ctx.zero)
         assert trace == qpa.ctx.scalar(len(inv[k])), (subalgebra, k)
 
 
@@ -341,7 +341,7 @@ def test_action_paper_products():
         H = qpa.hopf
         ctx = qpa.ctx
         lhs = qpa.act(H.z(1), qpa.u(1) * qpa.u(3))
-        rhs = (qpa.u(2) * qpa.u(3)).scale(ctx.p_pow(b * b) * ctx.q_pow(a * b + b * b))
+        rhs = (qpa.u(2) * qpa.u(3)).scale(ctx.root(b * b) * ctx.q_pow(a * b + b * b))
         assert lhs == rhs
 
 
@@ -425,11 +425,7 @@ def test_invariants_match_integral_projector_oracle():
         inv = qpa.invariants(subalgebra, 4)
         oracle = qpa.invariants_oracle(subalgebra, 4)
         for k in range(5):
-            mons = qpa.monomials(k)
-            vecs = [[f.terms.get(mon, qpa.ctx.zero) for mon in mons] for f in inv[k]]
-            from kacpal.linalg import rref
-
-            assert (rref(vecs, qpa.ctx)[0] if vecs else []) == oracle[k], (subalgebra, k)
+            assert inv[k] == oracle[k], (subalgebra, k)
 
 
 def test_cyclic_invariants_m3():
