@@ -148,9 +148,7 @@ def _run_twist_check(args, report):
     B = GroupAlgebra(args.n, 1)
     report["context"] = B.cyc.to_json()
     J = canonical_twist(B)
-    checks = _checks(report)
-    for res in twist_suite(J, max_m=args.max_m):
-        checks.add(res.condition, res.condition, res.ok, res.witness)
+    report["checks"].extend(twist_suite(J, max_m=args.max_m).checks)
     if args.search:
         report["data"]["converse-search"] = search_central_converse(
             args.n, args.search, args.seed

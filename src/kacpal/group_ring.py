@@ -263,15 +263,6 @@ class KTensor(SparseElem):
         """(sigma_w (x) ... (x) sigma_w) applied to every leg."""
         return self._relabel(lambda k: tuple([slot_act(w, leg) for leg in k]), self.arity)
 
-    def tensor(self, other: "KTensor") -> "KTensor":
-        if other.ring != self.ring:
-            raise ContextMismatchError("tensor product across contexts")
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                out[ka + kb] = ca * cb
-        return KTensor(self.ring, self.arity + other.arity, out)
-
     def multiply_legs(self) -> RingElem:
         """mu_R applied across all legs: multiply the legs together."""
         n = self.ring.n
@@ -356,6 +347,9 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
 #   modulo Phi_N once (CycContext.from_cyclic).
 #   The inverse runs the same pass with sign -1 over the values chi(a)^{-1},
 #   with denominator lcm(their denominators) * n^live.
+#
+# character_values runs the same pass on every axis, live or not, with no
+# unit check: the full table of values that twists and hopf read.
 
 
 def _character_pass(vecs: list, n: int, sign: int) -> list:
@@ -469,10 +463,15 @@ def tensor_inverse(J: KTensor) -> KTensor:
     return KTensor(J.ring, J.arity, out)
 
 
-def check_tensor_invertible(J: KTensor) -> tuple[list, list]:
-    """Raise NotInvertibleError unless J is a unit: compute the character
-    values without reconstructing the inverse.  Returns them with the live
-    axes of the flat exponent tuple, as the pair (live, values): the value
-    at a character chi of Z_n^(m * arity) is values[live_index(chi, live, n)],
-    since a dead axis does not change it."""
-    return _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)
+def check_tensor_invertible(J: KTensor) -> None:
+    """Raise NotInvertibleError unless J is a unit: compute its character
+    values on the live axes without reconstructing the inverse."""
+    _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)
+
+
+def character_values(ring: GroupAlgebra, terms: dict, width: int) -> list:
+    """The values of the element of K[Z_n^width] with the given terms, keyed
+    by flat exponent tuples of that width, at the n^width characters, in
+    row-major order: one transform over every axis, and no unit check."""
+    items = [(live_index(key, range(width), ring.n), c) for key, c in terms.items()]
+    return _character_values(ring.cyc, items, width, 1)

@@ -49,10 +49,9 @@ from .group_ring import (
     GroupAlgebra,
     KTensor,
     RingElem,
-    _character_values,
+    character_values,
     exp_add,
     exp_neg,
-    live_index,
     ring_inverse,
     slot_act,
     slot_vector,
@@ -100,6 +99,8 @@ class HopfAlgebra:
 
     def basis_elem(self, exps, w: Perm, coeff=None) -> "HopfElem":
         exps = tuple(e % self.n for e in exps)
+        if len(exps) != self.m or w.size != self.m:
+            raise ValueError("exponent vector length or permutation degree is not m")
         c = self.cyc.one if coeff is None else coeff
         if isinstance(c, int):
             c = self.cyc.scalar(c)
@@ -377,8 +378,7 @@ class HopfAlgebra:
         value zeta_2n^e at each, of the element of K[Z_n^width] with the
         given terms; None when a value is not a root of unity."""
         exponent = {self.cyc.root(e): e for e in range(self.cyc.N)}
-        items = [(live_index(key, range(width), self.n), c) for key, c in terms.items()]
-        values = [exponent.get(c) for c in _character_values(self.cyc, items, width, 1)]
+        values = [exponent.get(c) for c in character_values(self.ring, terms, width)]
         return None if None in values else values
 
     @memoized

@@ -27,7 +27,9 @@ from kacpal.cyclotomic import CycScalar
 from kacpal.errors import ContextMismatchError, NotInvertibleError
 from kacpal.group_ring import (
     _character_values,
+    _unit_values,
     antipode_ring,
+    character_values,
     check_tensor_invertible,
     delta_ring,
     eps_ring,
@@ -179,8 +181,8 @@ def test_twist_js_inverse_via_antipode_leg():
 def test_coalgebra_ops():
     R = GroupAlgebra(3, 2)
     x1x2 = R.monomial(slot_vector(R.m, 1)) * R.monomial(slot_vector(R.m, 2))
-    leg = KTensor(R, 1, {(k,): c for k, c in x1x2.terms.items()})
-    assert delta_ring(x1x2) == leg.tensor(leg)
+    leg_pairs = {(ka, kb): ca * cb for ka, ca in x1x2.terms.items() for kb, cb in x1x2.terms.items()}
+    assert delta_ring(x1x2) == KTensor(R, 2, leg_pairs)
     # eps(e_k) = (1/n) sum_i q^{-ik}: geometric sum, 1 iff k = 0
     B = GroupAlgebra(3, 1)
     for k in range(3):
@@ -463,7 +465,9 @@ def test_values_with_dead_axes_and_inverse_round_trip(case):
         with pytest.raises(NotInvertibleError):
             ring_inverse(a)
         return
-    live, values = check_tensor_invertible(J)
+    check_tensor_invertible(J)
+    assert character_values(R, a.terms, width) == want
+    live, values = _unit_values(R, a.terms, width)
     chis = iproduct(range(n), repeat=width)
     assert all(values[live_index(chi, live, n)] == v for chi, v in zip(chis, want))
     assert ring_inverse(a) * a == R.one

@@ -345,6 +345,20 @@ def test_slot_out_of_range():
             make(H.m + 1)
 
 
+def test_basis_elem_rejects_a_short_exponent_vector():
+    # exp_add's zip used to drop the x_2 of the product, leaving x^(1,)
+    H = HopfAlgebra(2, 2)
+    with pytest.raises(ValueError, match="exponent vector length or permutation degree is not m"):
+        H.hmul(H.basis_elem((1,), Perm.identity(2)), H.x(2))
+
+
+def test_basis_elem_rejects_a_permutation_of_another_degree():
+    # accepted before, and its product with z_1 raised IndexError
+    H = HopfAlgebra(2, 2)
+    with pytest.raises(ValueError, match="exponent vector length or permutation degree is not m"):
+        H.hmul(H.basis_elem((1, 0), Perm.identity(3)), H.z(1))
+
+
 def test_integral_h8():
     H = HopfAlgebra(2, 2)
     lam = H.integral()

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from operator import ne
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,16 +22,53 @@ from kacpal.errors import NotInvertibleError
 from kacpal.group_ring import check_tensor_invertible
 from kacpal.sparse import accumulate
 from kacpal.twists import (
-    _counits_hold,
-    _dense_embedded_twist,
-    _dense_superstrong,
-    _strong_holds,
-    _superstrong_holds,
-    _twist_holds,
+    _counit_failure,
+    _strong_failure,
+    _superstrong_failure,
+    _twist_failure,
     character_table,
     search_central_converse,
     unit_tensor,
 )
+
+from dense_twists import dense_embedded_twist, dense_superstrong
+
+
+def _check(report):
+    """The one check of a predicate's report."""
+    (check,) = report.checks
+    return check
+
+
+def _sides(V, condition, characters):
+    """Both sides of the named condition, read as products of V's values
+    at the named characters."""
+    n = len(V)
+    condition = condition.rsplit(":", 1)[-1]
+    if condition.startswith("counit"):
+        a, b = characters
+        assert (a if condition == "counit-left" else b) == 0
+        return V[a][b], V[0][0].ctx.one
+    if condition == "twist-equation":  # (S) at (a, b, b', c')
+        a, b, b2, c2 = characters
+        return V[(a + b) % n][c2] * V[a][b2], V[a][(b2 + c2) % n] * V[b][c2]
+    assert condition == "superstrong"
+    p1, p2, p3, p4 = characters
+    return V[(p1 + p3) % n][(p2 + p4) % n], V[p1][p4] * V[p2][p3] * V[p1][p2] * V[p3][p4]
+
+
+def _assert_table_witness(V, check):
+    """A failing check names characters at which V's two sides differ, and
+    records those sides; a superstrong failure names the first such
+    quadruple."""
+    assert check["status"] == "fail"
+    witness = check["witness"]
+    lhs, rhs = _sides(V, check["name"], witness["characters"])
+    assert lhs != rhs
+    assert (witness["lhs"], witness["rhs"]) == (lhs.to_json(), rhs.to_json())
+    if check["name"] == "superstrong":
+        first = next(p for p in iproduct(range(len(V)), repeat=4) if ne(*_sides(V, "superstrong", p)))
+        assert witness["characters"] == list(first)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -62,9 +101,9 @@ def test_group_like_fails_counit_with_witness():
     xx = KTensor(B, 2, {((1,), (1,)): B.cyc.one})
     res = is_twist(xx)
     assert not res.ok
-    assert res.condition.startswith("counit")
-    assert res.witness is not None
-    assert "lhs" in res.witness and "rhs" in res.witness
+    assert _check(res)["name"].startswith("counit")
+    witness = _check(res)["witness"]
+    assert "key" in witness and "lhs" in witness and "rhs" in witness
 
 
 def test_group_like_fails_superstrong():
@@ -72,8 +111,8 @@ def test_group_like_fails_superstrong():
     xx = KTensor(B, 2, {((1,), (1,)): B.cyc.one})
     res = is_superstrong(xx)
     assert not res.ok
-    # LHS diagonal term x(x)x(x)x(x)x vs RHS 1(x)1(x)1(x)1
-    assert res.witness is not None
+    assert not dense_superstrong(xx)
+    _assert_table_witness(character_table(xx), _check(res))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -249,7 +288,9 @@ def _random_unit(B, rng):
 
 def _oracle_family(n):
     """Random units, coboundaries df with f(0) = 1, the bicharacters q^(ckl),
-    the canonical twist and the unit of B (x) B."""
+    the canonical twist, the unit of B (x) B, an element whose counits fail
+    on the right only, and, for n > 2, q^(k l^2) and q^(k^2 l), which are
+    characters in one argument only, so each fails one bicharacter rule."""
     B = GroupAlgebra(n, 1)
     rng = random.Random(100 + n)
     family = [("random", _random_unit(B, rng)) for _ in range(3)]
@@ -260,18 +301,25 @@ def _oracle_family(n):
         family.append((f"bicharacter-{c}", _from_characters(B, lambda k, l: B.cyc.q_pow(c * k * l))))
     family.append(("canonical", canonical_twist(B)))
     family.append(("unit", unit_tensor(B, 2)))
+    two = B.cyc.scalar(2)
+    family.append(("counit-right", _from_characters(B, lambda k, l: two if l == 0 < k else B.cyc.one)))
+    if n > 2:
+        family.append(("one-sided", _from_characters(B, lambda k, l: B.cyc.q_pow(k * l * l))))
+        family.append(("one-sided-transposed", _from_characters(B, lambda k, l: B.cyc.q_pow(k * k * l))))
     return family
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_character_table_is_the_values_at_character_pairs(n):
-    """The table read from check_tensor_invertible, with a dead axis (or
-    both) broadcast, equals J's values summed term by term."""
+    """The table of one transform over both axes equals J's values summed
+    term by term, for units, elements with a dead axis, and the non-unit
+    e_0 (x) 1."""
     B = GroupAlgebra(n, 1)
     two = B.cyc.scalar(2)
     one_sided = [
         KTensor(B, 2, {((0,), (0,)): two, ((1,), (0,)): B.cyc.one}),
         KTensor(B, 2, {((0,), (0,)): two, ((0,), (n - 1,)): B.cyc.q}),
+        KTensor(B, 2, {((i,), (0,)): B.cyc.scalar(Fraction(1, n)) for i in range(n)}),
     ]
     for J in [J for _, J in _oracle_family(n)] + one_sided:
         v = _values(J)
@@ -280,35 +328,56 @@ def test_character_table_is_the_values_at_character_pairs(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_table_verdicts_match_the_dense_predicates(n):
-    """Every verdict on J's character table equals its dense predicate, and
-    every embedding into B^(x)m, m <= 4, is a twist exactly when J is strong."""
+    """Every verdict on J's character table equals its dense predicate,
+    every embedding into B^(x)m, m <= 4, is a twist exactly when J is strong
+    and fails the dense condition, and every failure names characters at
+    which V's two sides differ."""
     for kind, J in _oracle_family(n):
         V = character_table(J)
         ones = unit_tensor(J.ring, 1)
-        assert _counits_hold(V) == (J.counit_leg(0) == ones and J.counit_leg(1) == ones), kind
-        assert _twist_holds(V) == is_twist(J).ok, kind
-        strong = _dense_embedded_twist(J, 1, 2, 2, "").ok
-        assert _strong_holds(V) == strong, kind
-        assert is_strong_twist(J).ok == strong, kind
-        assert _superstrong_holds(V) == _dense_superstrong(J).ok, kind
-        assert is_superstrong(J).ok == _superstrong_holds(V), kind
+        assert (_counit_failure(V) is None) == (J.counit_leg(0) == ones and J.counit_leg(1) == ones), kind
+        assert (_twist_failure(V) is None) == is_twist(J).ok, kind
+        strong = dense_embedded_twist(J, 1, 2, 2).ok
+        assert (_strong_failure(V) is None) == strong, kind
+        superstrong = dense_superstrong(J)
+        assert (_superstrong_failure(V) is None) == superstrong, kind
+        reports = [(is_strong_twist(J), "strong-twist:", dense_embedded_twist(J, 1, 2, 2))]
         for m in (2, 3, 4):
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
-                    assert _dense_embedded_twist(J, i, j, m, "").ok == strong, (kind, i, j, m)
-                    assert embedded_twist(J, i, j, m).ok == strong, (kind, i, j, m)
+                    dense = dense_embedded_twist(J, i, j, m)
+                    assert dense.ok == strong, (kind, i, j, m)
+                    reports.append((embedded_twist(J, i, j, m), f"embedded-twist({i},{j},{m}):", dense))
+        for report, prefix, dense in reports:
+            assert report.ok == strong, (kind, prefix)
+            assert _check(report)["name"] == prefix + _check(dense)["name"], kind
+            if not strong:
+                _assert_table_witness(V, _check(report))
+        assert is_superstrong(J).ok == superstrong, kind
+        if not superstrong:
+            _assert_table_witness(V, _check(is_superstrong(J)))
 
 
-def test_superstrong_of_a_non_unit_is_dense():
-    # e_0 (x) 1 has no character table here (it is not a unit): the dense
-    # product decides, and it fails
+def test_superstrong_of_a_non_unit_is_decided_on_the_table():
+    """e_0 (x) 1 and 0 are not units: superstrong reads their tables, which
+    have a zero value, and agrees with the dense oracle (the first fails,
+    the second passes), while the strong and embedded predicates refuse
+    them."""
     B = GroupAlgebra(2, 1)
     half = B.cyc.scalar(Fraction(1, 2))
-    J = KTensor(B, 2, {((0,), (0,)): half, ((1,), (0,)): half})
-    with pytest.raises(NotInvertibleError):
-        character_table(J)
-    assert is_superstrong(J) == _dense_superstrong(J)
-    assert not is_superstrong(J).ok
+    e0 = KTensor(B, 2, {((0,), (0,)): half, ((1,), (0,)): half})
+    for J, ok in [(e0, False), (KTensor(B, 2, {}), True)]:
+        V = character_table(J)
+        assert any(v.is_zero() for row in V for v in row)
+        assert dense_superstrong(J) == ok
+        res = is_superstrong(J)
+        assert res.ok == ok
+        if not ok:
+            _assert_table_witness(V, _check(res))
+        with pytest.raises(NotInvertibleError):
+            is_strong_twist(J)
+        with pytest.raises(NotInvertibleError):
+            embedded_twist(J, 1, 3, 3)
 
 
 def _dense_search(n, count, seed):
@@ -331,7 +400,7 @@ def _dense_search(n, count, seed):
         except NotInvertibleError:
             continue
         out["invertible"] += 1
-        strong = _dense_embedded_twist(J, 1, 2, 2, "").ok
+        strong = dense_embedded_twist(J, 1, 2, 2).ok
         if twist_eq and not strong:
             separating.append(J.to_json())
         elif twist_eq:
@@ -351,8 +420,10 @@ def test_converse_search_matches_dense_classification(n, count, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_changed_coefficient_fails_with_the_dense_witness(n):
     """Negative control: one coefficient of the canonical J moved by 2 (it
-    stays a unit, as |q^e| = 1 < 2) makes the table verdicts fail, and each
-    predicate then reports the dense condition and witness."""
+    stays a unit, as |q^e| = 1 < 2) makes strong, every embedding up to
+    m = 3 and superstrong fail, as their dense oracles do; each names the
+    dense oracle's failing condition, and a witness whose two sides differ
+    and are V's at the named characters."""
     B = GroupAlgebra(n, 1)
     J0 = canonical_twist(B)
     assert is_strong_twist(J0).ok and is_superstrong(J0).ok
@@ -360,17 +431,17 @@ def test_changed_coefficient_fails_with_the_dense_witness(n):
     terms[(1,), (1,)] = terms[(1,), (1,)] + 2
     J = KTensor(B, 2, terms)
     V = character_table(J)
-    assert not _strong_holds(V) and not _superstrong_holds(V)
-    pairs = [
-        (is_strong_twist(J), _dense_embedded_twist(J, 1, 2, 2, "strong-twist:")),
-        (is_superstrong(J), _dense_superstrong(J)),
-    ]
+    reports = [(is_strong_twist(J), "strong-twist:", dense_embedded_twist(J, 1, 2, 2))]
     for m in (2, 3):
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 prefix = f"embedded-twist({i},{j},{m}):"
-                pairs.append((embedded_twist(J, i, j, m), _dense_embedded_twist(J, i, j, m, prefix)))
-    for got, dense in pairs:
-        assert not got.ok
-        assert got.witness is not None
-        assert (got.condition, got.witness) == (dense.condition, dense.witness)
+                reports.append((embedded_twist(J, i, j, m), prefix, dense_embedded_twist(J, i, j, m)))
+    for report, prefix, dense in reports:
+        assert not report.ok and not dense.ok
+        assert _check(report)["name"] == prefix + _check(dense)["name"]
+        _assert_table_witness(V, _check(report))
+    assert not dense_superstrong(J)
+    superstrong = is_superstrong(J)
+    assert not superstrong.ok
+    _assert_table_witness(V, _check(superstrong))
