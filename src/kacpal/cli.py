@@ -1,10 +1,15 @@
 """Command-line front end: reproducible verification runs with JSON reports.
 
+Each command's runner guards its size, builds its algebra, fills in the
+report's context and data, and returns the AxiomReports of the library
+calls that decide its checks; no check is decided here.  _run assembles
+them: the report's checks, its ok verdict and its "timings" block.
+
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 usage error,
 3 a size guard refused the computation.  Identical (argv, seed) produce
 byte-identical reports apart from the "timings" block, which holds the
-total and, for verify, the seconds spent on each check.  The engine
-evaluates serially; reports record this as "threads": 1 in their config.
+total and the seconds spent on each check.  The engine evaluates
+serially; reports record this as "threads": 1 in their config.
 """
 
 from __future__ import annotations
@@ -18,20 +23,19 @@ from itertools import product as iproduct
 from math import comb, factorial
 
 from . import __version__
-from .cocycle import reference_cocycle_table_m3
 from .errors import NotInvertibleError, SizeGuardError
 from .group_ring import GroupAlgebra, canonical_twist
 from .hopf import AxiomReport, HopfAlgebra, embedding_check, guard_basis_pairs, label_json
 from .quantum_poly import QuantumPolyAlgebra
 from .reps import (
+    Rep,
     RepParams,
     det_M,
-    inner_faithful_bruteforce,
+    inner_faithful_check,
     inner_faithful_criterion,
     is_simple,
     verify_rep,
 )
-from .symmetric import canonical_word
 from .twists import search_central_converse, twist_suite
 
 SCHEMA_VERSION = 1
@@ -128,31 +132,20 @@ def _run_verify(args, report):
     guard_basis_pairs("axiom verification", args.n, args.m)
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
-    axioms = hopf.verify_axioms()
-    parts = (axioms, hopf.verify_integral(), hopf.cyclic_subalgebra().report)
-    for part in parts:
-        report["checks"].extend(part.checks)
-    report["timings"] = {
-        "checks": {name: round(s, 6) for part in parts for name, s in part.timings.items()}
-    }
     report["data"]["dim"] = hopf.dim
     report["data"]["scope"] = "all"  # kept for the benchmark goldens, as above
-
-
-def _checks(report: dict) -> AxiomReport:
-    """An AxiomReport that records straight into the report's check list."""
-    return AxiomReport(instance=report["command"], checks=report["checks"])
+    return [hopf.verify_axioms(), hopf.verify_integral(), hopf.cyclic_subalgebra().report]
 
 
 def _run_twist_check(args, report):
     B = GroupAlgebra(args.n, 1)
     report["context"] = B.cyc.to_json()
-    J = canonical_twist(B)
-    report["checks"].extend(twist_suite(J, max_m=args.max_m).checks)
+    suite = twist_suite(canonical_twist(B), max_m=args.max_m)
     if args.search:
         report["data"]["converse-search"] = search_central_converse(
             args.n, args.search, args.seed
         )
+    return [suite]
 
 
 # bounds the work of gamma-table, priced as the (m!)^3 n^m cells of
@@ -168,134 +161,36 @@ GAMMA_WORK_GUARD = 4_000_000
 
 
 def _run_gamma_table(args, report):
-    """The (m!)^2 cocycle values gamma(w, v) and three checks on them.
-
-    cocycle-counit and cocycle-identity are decided on the exponent tables
-    g_{w,v} of HopfAlgebra.gamma_exponents, gamma(w, v)(psi) = zeta^g(psi)
-    with zeta = zeta_2n.  R is commutative and n is invertible in K, so an
-    element of R is fixed by its values at the n^m characters psi, and
-    psi(sigma_w(r)) = (w.psi)(r) (HopfAlgebra.character_action).  Hence
-    eps(gamma(w, v)) = 1 iff g_{w,v}(0) = 0, and sigma_w(gamma(v, u))
-    gamma(w, vu) = gamma(w, v) gamma(wv, u) iff, at every psi,
-    g_{v,u}(w.psi) + g_{w,vu}(psi) = g_{w,v}(psi) + g_{wv,u}(psi) mod 2n.
-    Where a table is None, cocycle-identity fails and cocycle-counit falls
-    back to the exact test eps(gamma(w, v)) = 1, since a value that is not
-    a root of unity at another character says nothing of the value at
-    psi = 0.  On this command's algebra no table
-    is None.  Each gamma(w, v) is a product of shifted t_k, sigma_u(t_k),
-    whose value at psi is t_k(u.psi), and t_k(psi) = (1/n) sum_{i,j}
-    q^{-ij} q^{psi_k i + psi_{k+1} j} = q^{psi_k psi_{k+1}}, since the sum
-    over j vanishes unless i = psi_{k+1}; so every value of gamma is a power
-    of q = zeta^2, and every term carries the label wv.
-    associativity-oracle multiplies the labels through hmul."""
+    """The (m!)^2 cocycle values gamma(w, v) and their checks
+    (HopfAlgebra.gamma_table)."""
     work = factorial(args.m) ** 3 * args.n ** (args.m + 1)
     if work > GAMMA_WORK_GUARD:
         raise SizeGuardError(f"gamma table refused for (m!)^3 n^(m+1) = {work} > {GAMMA_WORK_GUARD}")
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
-    perms = hopf.perms
-    gamma = hopf.words.cocycle
-    reference = reference_cocycle_table_m3(hopf.ring) if args.m == 3 else None
-    entries = []
-    mismatches = []
-    for w, v in iproduct(perms, repeat=2):
-        g = gamma(w, v)
-        entry = {"w": list(canonical_word(w)), "v": list(canonical_word(v)), "gamma": g.to_json()}
-        if reference is not None:
-            match = reference[(w, v)] == g
-            entry["matches_reference"] = match
-            if not match:
-                mismatches.append(entry)
-        entries.append(entry)
-    report["data"]["entries"] = entries
-
-    def words(perms):
-        return {key: list(canonical_word(p)) for key, p in zip("wvu", perms)}
-
-    exponents, N = hopf.gamma_exponents, hopf.cyc.N
-
-    def counit_fails(wv):
-        g = exponents(*wv)
-        if g is None:
-            return hopf.counit(hopf.from_ring(gamma(*wv))) != hopf.cyc.one
-        return g[0] != 0
-
-    def cocycle_fails(wvu):
-        w, v, u = wvu
-        tables = exponents(v, u), exponents(w, v * u), exponents(w, v), exponents(w * v, u)
-        if None in tables:
-            return True
-        g_vu, g_w_vu, g_wv, g_wv_u = tables
-        act = hopf.character_action(w)
-        return any(
-            (g_vu[act[a]] + g_w_vu[a] - g_wv[a] - g_wv_u[a]) % N for a in range(len(act))
-        )
-
-    def associativity_fails(wvu):
-        a, b, c = (hopf.basis_elem(hopf.ring.zero_exp, p) for p in wvu)
-        return hopf.hmul(hopf.hmul(a, b), c) != hopf.hmul(a, hopf.hmul(b, c))
-
-    checks = _checks(report)
-    checks.check(
-        "cocycle-counit",
-        "eps(gamma(w,v)) = 1",
-        iproduct(perms, repeat=2),
-        counit_fails,
-        words,
-        checked=len(perms) ** 2,
-    )
-    checks.check(
-        "cocycle-identity",
-        "sigma_w(gamma(v,u)) gamma(w,vu) = gamma(w,v) gamma(wv,u)",
-        iproduct(perms, repeat=3),
-        cocycle_fails,
-        words,
-        checked=len(perms) ** 3,
-    )
-    # associativity over basis labels is the ground-truth oracle for the table
-    checks.check(
-        "associativity-oracle",
-        "(w v) u = w (v u) over basis labels",
-        iproduct(perms, repeat=3),
-        associativity_fails,
-        words,
-        checked=len(perms) ** 3,
-    )
-    if reference is not None:
-        checks.add(
-            "reference-table",
-            "computed gamma matches the m=3 reference table cell by cell",
-            not mismatches,
-            {"mismatches": mismatches} if mismatches else None,
-            checked=len(perms) ** 2,
-        )
+    report["data"]["entries"], checks = hopf.gamma_table()
+    return [checks]
 
 
 def _run_rep_check(args, report):
     params = RepParams(args.n, args.m, args.a, args.b)
-    rep_result = verify_rep(params)
+    checks = verify_rep(Rep(params))
     report["context"] = {"n": args.n, "N": 2 * args.n, "degree": None}
-    report["checks"].extend(rep_result.checks)
     report["data"]["simple"] = is_simple(params)
     report["data"]["params"] = {"a": params.a, "b": params.b}
+    return [checks]
 
 
 def _run_inner_faithful(args, report):
     params = RepParams(args.n, args.m, args.a, args.b)
-    crit = inner_faithful_criterion(params)
     report["data"]["det_M"] = det_M(args.m, params.a, params.b)
-    report["data"]["criterion"] = crit
-    if args.bruteforce:
-        verdict, annihilating = inner_faithful_bruteforce(params)
-        report["data"]["bruteforce"] = verdict
-        report["data"]["annihilating_subgroups"] = annihilating
-        ok = (not crit) or verdict
-        _checks(report).add(
-            "criterion-implies-oracle",
-            "gcd(det M, n) = 1 implies the subgroup oracle verdict",
-            ok,
-            None if ok else {"criterion": crit, "bruteforce": verdict},
-        )
+    report["data"]["criterion"] = inner_faithful_criterion(params)
+    if not args.bruteforce:
+        return []
+    verdict, annihilating, checks = inner_faithful_check(params)
+    report["data"]["bruteforce"] = verdict
+    report["data"]["annihilating_subgroups"] = annihilating
+    return [checks]
 
 
 # bounds dim H = n^m m!, the term count of the integral and of the basis,
@@ -375,24 +270,13 @@ def _run_invariants(args, report):
     if args.m == 2 and subalgebra == "cyclic":
         subalgebra = "full"  # for m = 2 the cyclic subalgebra is all of H
     report["context"] = hopf.cyc.to_json()
-    inv = qpa.invariants(subalgebra, degree)
-    oracle = qpa.invariants_oracle(subalgebra, degree)
+    inv, checks = qpa.invariants_check(subalgebra, degree)
     report["data"]["invariants"] = [
         {"degree": k, "dim": len(inv[k]), "basis": [f.to_json() for f in inv[k]]}
         for k in range(degree + 1)
     ]
     report["data"]["subalgebra"] = subalgebra
-
-    # both sides are RREF bases, and the RREF of a row space is unique
-    _checks(report).check(
-        "integral-projector-oracle",
-        "kernel of (g - eps(g)) equals the image of the normalized integral",
-        range(degree + 1),
-        lambda k: inv[k] != oracle[k],
-        lambda k: {"degree": k},
-        checked=degree + 1,
-    )
-    report["checks"].extend(qpa.containment_check(degree).checks)
+    return [checks, qpa.containment_check(degree)]
 
 
 def _run_module_algebra(args, report):
@@ -402,8 +286,7 @@ def _run_module_algebra(args, report):
     hopf = HopfAlgebra(args.n, args.m)
     qpa = QuantumPolyAlgebra(hopf, args.a, args.b)
     report["context"] = hopf.cyc.to_json()
-    result = qpa.module_algebra_check(degree=degree, seed=args.seed)
-    report["checks"].extend(result.checks)
+    return [qpa.module_algebra_check(degree=degree, seed=args.seed)]
 
 
 def _run_export(args, report):
@@ -428,12 +311,12 @@ def _run_export(args, report):
         ("antipode", hopf.antipode),
     ):
         data[name] = [{"element": label, "result": op(a).to_json()} for a, label in basis]
+    return []
 
 
 def _run_embed_check(args, report):
-    result = embedding_check(args.n, args.m)
     report["context"] = {"n": args.n, "N": 2 * args.n, "degree": None}
-    report["checks"].extend(result.checks)
+    return [embedding_check(args.n, args.m)]
 
 
 _RUNNERS = {
@@ -474,20 +357,26 @@ def main(argv=None) -> int:
 
 
 def _run(args, config) -> tuple[int, dict]:
-    """The exit code and report of one command."""
+    """The exit code and report of one command.  A runner fills in the
+    report's context and data and returns its AxiomReports; their checks,
+    verdict and seconds per check are recorded here, for every command."""
     report = _report_shell(args.command, config)
     start = time.monotonic()
     try:
-        _RUNNERS[args.command](args, report)
+        parts = _RUNNERS[args.command](args, report)
     except SizeGuardError as exc:
         report["error"] = {"type": "size-guard", "message": str(exc)}
         return 3, report
     except NotInvertibleError as exc:
         report["error"] = {"type": "not-invertible", "message": str(exc)}
         return 1, report
-    report["ok"] = not any(c["status"] == "fail" for c in report["checks"])
-    report.setdefault("timings", {})["total_seconds"] = round(time.monotonic() - start, 6)
-    return (0 if report["ok"] else 1), report
+    checks = AxiomReport(args.command, report["checks"]).extend(*parts)
+    report["ok"] = checks.ok
+    report["timings"] = {
+        "checks": {name: round(s, 6) for name, s in checks.timings.items()},
+        "total_seconds": round(time.monotonic() - start, 6),
+    }
+    return (0 if checks.ok else 1), report
 
 
 def _emit(report: dict, out) -> None:

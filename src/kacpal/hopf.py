@@ -27,11 +27,13 @@ laws for coproduct and antipode, once per algebra, to catch a subclass that
 overrides a structure map.  Where its laws hold, a check runs on its label
 cases: associativity's (m!)^3 label triples, comultiplicativity's (m!)^2
 label pairs, decided from exponent tables of J(w) and gamma(w, v) at
-characters (gamma_exponents and j_exponents, one memoized source that
-gamma-table reads too), and the m! labels of the per-basis checks.
-Otherwise it runs on every basis case (see verify_axioms).  export reads its table from the
-same translates (product_table), and embed-check checks the product on the
-(m!)^2 label pairs (embedding_check).
+characters (gamma_exponents and j_exponents, one memoized source), and the
+m! labels of the per-basis checks.  Otherwise it runs on every basis case
+(see verify_axioms).  gamma_table checks the 2-cocycle identity of gamma
+on the same tables and runs associativity's predicate on the label
+triples.  export reads its table from the same translates
+(product_table), and embed-check checks the product on the (m!)^2 label
+pairs (embedding_check).  Every check is recorded in an AxiomReport.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .cocycle import WordCalculus
+from .cocycle import WordCalculus, reference_cocycle_table_m3
 from .cyclotomic import CycScalar
 from .errors import ContextMismatchError, NotInvertibleError, SizeGuardError
 from .group_ring import (
@@ -50,6 +52,7 @@ from .group_ring import (
     KTensor,
     RingElem,
     character_values,
+    eps_ring,
     exp_add,
     exp_neg,
     ring_inverse,
@@ -300,6 +303,24 @@ class HopfAlgebra:
             keys = keys[: len(self.perms)]
         return keys if arity == 1 else iproduct(keys, repeat=arity)
 
+    def _associativity_fails(self, elems: dict):
+        """The predicate (ab)c != a(bc) on triples of keys of elems, which
+        forms each product of two keys once: associativity of verify_axioms
+        on basis keys, associativity-oracle of gamma_table on labels."""
+        products: dict = {}
+
+        def product(ka, kb) -> "HopfElem":
+            out = products.get((ka, kb))
+            if out is None:
+                out = products[ka, kb] = self.hmul(elems[ka], elems[kb])
+            return out
+
+        def fails(keys) -> bool:
+            ka, kb, kc = keys
+            return self.hmul(product(ka, kb), elems[kc]) != self.hmul(elems[ka], product(kb, kc))
+
+        return fails
+
     @memoized
     def _translation_law_holds(self) -> bool:
         """The product law of verify_axioms: G read from _translate(w, v, 0),
@@ -546,23 +567,11 @@ class HopfAlgebra:
         products_translate = self._translation_law_holds()
         coproducts_translate = products_translate and self._coproduct_translates()
         elems = self.basis_elems()
-        products: dict = {}  # shared by the triples: the (m!)^2 label products on the labels
-
-        def product(ka, kb) -> "HopfElem":
-            out = products.get((ka, kb))
-            if out is None:
-                out = products[ka, kb] = self.hmul(elems[ka], elems[kb])
-            return out
-
-        def associativity_fails(keys):
-            ka, kb, kc = keys
-            return self.hmul(product(ka, kb), elems[kc]) != self.hmul(elems[ka], product(kb, kc))
-
         report.check(
             "associativity",
             "(ab)c = a(bc) on basis triples",
             self._cases(products_translate, 3),
-            associativity_fails,
+            self._associativity_fails(elems),
             lambda keys: {"triple": [key_json(k) for k in keys]},
             checked=len(basis) ** 3,
         )
@@ -647,6 +656,92 @@ class HopfAlgebra:
         ):
             report.check(name, identity, cases, fails, _basis_witness, checked=len(basis))
         return report
+
+    def gamma_table(self) -> tuple[list, "AxiomReport"]:
+        """The (m!)^2 cocycle values gamma(w, v), one entry each, and the
+        checks of the table: the crossed product is associative exactly
+        when gamma is a normalized 2-cocycle.
+
+        cocycle-counit is the exact rule eps(gamma(w, v)) = 1.
+        cocycle-identity is decided on the exponent tables g_{w,v} of
+        gamma_exponents, gamma(w, v)(psi) = zeta^g(psi) with zeta = zeta_2n.
+        R is commutative and n is invertible in K, so an element of R is
+        fixed by its values at the n^m characters psi, and psi(sigma_w(r))
+        = (w.psi)(r) (character_action).  Hence sigma_w(gamma(v, u))
+        gamma(w, vu) = gamma(w, v) gamma(wv, u) iff, at every psi,
+        g_{v,u}(w.psi) + g_{w,vu}(psi) = g_{w,v}(psi) + g_{wv,u}(psi) mod 2n;
+        where a table is None the identity is reported failed.  On this
+        algebra no table is None: each gamma(w, v) is a product of shifted
+        t_k, sigma_u(t_k), whose value at psi is t_k(u.psi), and t_k(psi) =
+        (1/n) sum_{i,j} q^{-ij} q^{psi_k i + psi_{k+1} j} = q^{psi_k
+        psi_{k+1}}, since the sum over j vanishes unless i = psi_{k+1}; so
+        every value of gamma is a power of q = zeta^2, and every term
+        carries the label wv.  associativity-oracle runs the predicate of
+        verify_axioms' associativity on the (m!)^3 label triples, the
+        ground truth for the table.  At m = 3, reference-table compares
+        each value with reference_cocycle_table_m3."""
+        perms, gamma, N = self.perms, self.words.cocycle, self.cyc.N
+        exponents = self.gamma_exponents
+        report = AxiomReport(instance=f"H({self.n},{self.m})")
+        reference = reference_cocycle_table_m3(self.ring) if self.m == 3 else None
+        entries, mismatches = [], []
+        for w, v in iproduct(perms, repeat=2):
+            g = gamma(w, v)
+            entry = {"w": list(canonical_word(w)), "v": list(canonical_word(v)), "gamma": g.to_json()}
+            if reference is not None:
+                entry["matches_reference"] = match = reference[w, v] == g
+                if not match:
+                    mismatches.append(entry)
+            entries.append(entry)
+
+        def words(labels):
+            return {key: list(canonical_word(p)) for key, p in zip("wvu", labels)}
+
+        def cocycle_fails(wvu):
+            w, v, u = wvu
+            tables = exponents(v, u), exponents(w, v * u), exponents(w, v), exponents(w * v, u)
+            if None in tables:
+                return True
+            g_vu, g_w_vu, g_wv, g_wv_u = tables
+            act = self.character_action(w)
+            return any(
+                (g_vu[act[a]] + g_w_vu[a] - g_wv[a] - g_wv_u[a]) % N for a in range(len(act))
+            )
+
+        report.check(
+            "cocycle-counit",
+            "eps(gamma(w,v)) = 1",
+            iproduct(perms, repeat=2),
+            lambda wv: eps_ring(gamma(*wv)) != self.cyc.one,
+            words,
+            checked=len(perms) ** 2,
+        )
+        report.check(
+            "cocycle-identity",
+            "sigma_w(gamma(v,u)) gamma(w,vu) = gamma(w,v) gamma(wv,u)",
+            iproduct(perms, repeat=3),
+            cocycle_fails,
+            words,
+            checked=len(perms) ** 3,
+        )
+        labels = {w: self.basis_elem(self.ring.zero_exp, w) for w in perms}
+        report.check(
+            "associativity-oracle",
+            "(w v) u = w (v u) over basis labels",
+            iproduct(perms, repeat=3),
+            self._associativity_fails(labels),
+            words,
+            checked=len(perms) ** 3,
+        )
+        if reference is not None:
+            report.add(
+                "reference-table",
+                "computed gamma matches the m=3 reference table cell by cell",
+                not mismatches,
+                {"mismatches": mismatches} if mismatches else None,
+                checked=len(perms) ** 2,
+            )
+        return entries, report
 
     # -- the cyclic Hopf subalgebra R #_gamma <s> -----------------------------------
 
@@ -917,6 +1012,15 @@ class AxiomReport:
                 return False
         self.add(name, identity, True, None, checked)
         return True
+
+    def extend(self, *parts: "AxiomReport") -> "AxiomReport":
+        """Append the checks of each part, in order, and add its seconds per
+        check to this report's; returns this report."""
+        for part in parts:
+            self.checks.extend(part.checks)
+            for name, s in part.timings.items():
+                self.timings[name] = self.timings.get(name, 0.0) + s
+        return self
 
     def add_skipped(self, name: str, identity: str, reason: str):
         self._record(name, identity, "skipped", {"reason": reason}, None)

@@ -4,8 +4,8 @@ kernels, and matrices, all in the sparse format of the package.
 Everything is exact; pivoting picks the first nonzero entry, so results are
 deterministic and canonical (RREF bases are unique for a given row space).
 Rows and vectors are {column: nonzero entry} dicts over columns below a
-given ncols, and one Gauss–Jordan pass, `_gauss_jordan`, does all
-elimination for `rref` and `kernel_basis`.  A matrix is a `SparseElem`
+given ncols, and one Gauss–Jordan pass, `rref`, does all elimination;
+`kernel_basis` reads its kernel from the RREF.  A matrix is a `SparseElem`
 {(i, j): nonzero entry} over the context (field, shape).
 """
 
@@ -15,32 +15,32 @@ from .cyclotomic import CycContext
 from .sparse import SparseElem, accumulate
 
 
-def _gauss_jordan(work: list[dict], ctx: CycContext, ncols: int):
-    """One sparse, exact Gauss–Jordan pass, in place, over rows held as
-    {column: nonzero entry} dicts with columns below ncols; another column
-    raises ValueError naming its row.  Column c pivots on the first row at
-    or below the current one that holds it; the pivot row is scaled only
-    when its pivot is not one, and c is eliminated only from the rows that
-    hold it.  Returns (nonzero reduced rows, pivot columns)."""
-    for r, row in enumerate(work):
+def rref(rows: list[dict], ctx: CycContext, ncols: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form (nonzero rows, pivot columns) of sparse rows
+    over columns below ncols, by one sparse, exact Gauss–Jordan pass that
+    reduces the rows in place; another column raises ValueError naming its
+    row.  Column c pivots on the first row at or below the current one that
+    holds it; the pivot row is scaled only when its pivot is not one, and c
+    is eliminated only from the rows that hold it."""
+    for r, row in enumerate(rows):
         for c in row:
             if not 0 <= c < ncols:
                 raise ValueError(f"row {r} has column {c}, outside range({ncols})")
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        if r == len(work):
+        if r == len(rows):
             break
-        p = next((i for i in range(r, len(work)) if c in work[i]), None)
+        p = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if p is None:
             continue
-        work[r], work[p] = work[p], work[r]
-        prow = work[r]
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
         if prow[c] != ctx.one:
             inv = prow[c].inv()
             for j, x in prow.items():
                 prow[j] = x * inv
-        for row in work:
+        for row in rows:
             if row is not prow and c in row:
                 f = row.pop(c)  # row -= f * prow; entries that cancel are deleted
                 for j, y in prow.items():
@@ -51,19 +51,13 @@ def _gauss_jordan(work: list[dict], ctx: CycContext, ncols: int):
                         else:
                             del row[j]
         pivots.append(c)
-    return work[: len(pivots)], pivots
-
-
-def rref(rows: list[dict], ctx: CycContext, ncols: int) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form (nonzero rows, pivot columns) of sparse rows
-    over columns below ncols, which the pass reduces in place."""
-    return _gauss_jordan(rows, ctx, ncols)
+    return rows[: len(pivots)], pivots
 
 
 def kernel_basis(rows: list[dict], ncols: int, ctx: CycContext) -> list[dict]:
     """Canonical basis of the right kernel {v : A v = 0} of sparse rows, one
     sparse vector per free column, derived from the RREF."""
-    red, pivots = _gauss_jordan(rows, ctx, ncols)
+    red, pivots = rref(rows, ctx, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     return [
         {fc: ctx.one, **{pc: -row[fc] for row, pc in zip(red, pivots) if fc in row}}

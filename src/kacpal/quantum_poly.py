@@ -229,18 +229,13 @@ class QuantumPolyAlgebra:
 
     # -- verification -----------------------------------------------------------
 
-    def module_algebra_check(self, degree: int, seed: int = 0, delta_terms=None) -> AxiomReport:
+    def module_algebra_check(self, degree: int, seed: int = 0) -> AxiomReport:
         """Verify h.(fg) = sum (h_(1).f)(h_(2).g) for h over the algebra
         generators plus a seeded sample of three basis elements, and f, g
         over all monomial pairs with deg f + deg g <= degree; also
         h.1 = eps(h)1.  Each h . u^mon comes from act once per run, for the
-        acting elements and for the legs of their coproducts.
-
-        delta_terms overrides the coproduct expansion of the acting element
-        (an iterable of ((key1, key2), coeff)); used by negative controls."""
+        acting elements and for the legs of their coproducts."""
         hopf = self.hopf
-        if delta_terms is None:
-            delta_terms = lambda h: hopf.coproduct(h).terms.items()  # noqa: E731
         report = AxiomReport(instance=f"A({self.a},{self.b}) over H({self.n},{self.m})")
         hs = self.subalgebra_generators("full")
         rng = random.Random(seed)
@@ -278,7 +273,7 @@ class QuantumPolyAlgebra:
 
         def cases():
             for name, h in hs:
-                dterms = list(delta_terms(h))
+                dterms = list(hopf.coproduct(h).terms.items())
                 for mf, mg in pairs:
                     yield name, dterms, mf, mg
 
@@ -345,6 +340,23 @@ class QuantumPolyAlgebra:
             kern = kernel_basis(rows, dim, self.ctx)
             out[k] = self._elems(k, rref(kern, self.ctx, dim)[0])
         return out
+
+    def invariants_check(self, subalgebra: str, degree: int) -> tuple[dict, AxiomReport]:
+        """The invariants of each degree k <= degree, and the check that they
+        equal invariants_oracle's: both are RREF bases, and the RREF of a
+        row space is unique."""
+        report = AxiomReport(instance=f"A({self.a},{self.b}) over H({self.n},{self.m})")
+        inv = self.invariants(subalgebra, degree)
+        oracle = self.invariants_oracle(subalgebra, degree)
+        report.check(
+            "integral-projector-oracle",
+            "kernel of (g - eps(g)) equals the image of the normalized integral",
+            range(degree + 1),
+            lambda k: inv[k] != oracle[k],
+            lambda k: {"degree": k},
+            checked=degree + 1,
+        )
+        return inv, report
 
     def invariants_oracle(self, subalgebra: str, degree: int) -> dict[int, list["QpaElem"] | None]:
         """Independent route: the invariant space is the image of the
@@ -431,7 +443,7 @@ class QuantumPolyAlgebra:
             )
         return report
 
-    def cyclic_inner_faithful_check(self, theta_matrix: Mat | None = None) -> AxiomReport:
+    def cyclic_inner_faithful_check(self) -> AxiomReport:
         """The cyclic subalgebra acts inner-faithfully: the degree-one matrix
         of theta permutes the coordinate lines through a single m-cycle (so
         sums over theta powers split), and the base ring acts faithfully by
@@ -439,7 +451,7 @@ class QuantumPolyAlgebra:
         hopf = self.hopf
         report = AxiomReport(instance=f"A({self.a},{self.b}) over H({self.n},{self.m})")
         theta = hopf.basis_elem(hopf.ring.zero_exp, cycle_perm(self.m))
-        mat = theta_matrix if theta_matrix is not None else self.action_matrix(theta, 1)
+        mat = self.action_matrix(theta, 1)
         line_map = {}
         ok = True
         for j in range(self.m):

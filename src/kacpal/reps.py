@@ -141,9 +141,9 @@ class Rep:
         return Mat(ctx, (m, m), diagonal)
 
 
-def verify_rep(params: RepParams, rep: Rep | None = None) -> AxiomReport:
+def verify_rep(rep: Rep) -> AxiomReport:
     """All defining relations of H_{n,m} hold for the matrices."""
-    rep = rep or Rep(params)
+    params = rep.params
     n, m = params.n, params.m
     ident = Mat.identity(rep.ctx, m)
     report = AxiomReport(instance=f"V({params.a},{params.b}) over H({n},{m})")
@@ -335,3 +335,19 @@ def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[list[i
     annihilating = _subgroups_within(kernel, n, m)
     verdict = len(annihilating) == 1  # only the trivial subgroup
     return verdict, [[list(v) for v in sorted(H)] for H in annihilating]
+
+
+def inner_faithful_check(params: RepParams) -> tuple[bool, list, AxiomReport]:
+    """The verdict and annihilating subgroups of inner_faithful_bruteforce,
+    and the check that the gcd criterion implies that verdict."""
+    report = AxiomReport(instance=f"V({params.a},{params.b}) over H({params.n},{params.m})")
+    verdict, annihilating = inner_faithful_bruteforce(params)
+    crit = inner_faithful_criterion(params)
+    ok = not crit or verdict
+    report.add(
+        "criterion-implies-oracle",
+        "gcd(det M, n) = 1 implies the subgroup oracle verdict",
+        ok,
+        None if ok else {"criterion": crit, "bruteforce": verdict},
+    )
+    return verdict, annihilating, report

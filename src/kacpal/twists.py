@@ -255,11 +255,7 @@ def twist_suite(J: KTensor, max_m: int = 3) -> AxiomReport:
     parts = [is_twist(J), is_strong_twist(J), is_superstrong(J), antipode_conditions(J)]
     for m in range(2, max_m + 1):
         parts += [embedded_twist(J, i, j, m) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    suite = AxiomReport(instance=f"J over {J.ring!r}")
-    for part in parts:
-        suite.checks.extend(part.checks)
-        suite.timings.update(part.timings)
-    return suite
+    return AxiomReport(instance=f"J over {J.ring!r}").extend(*parts)
 
 
 def search_central_converse(n: int, count: int, seed: int) -> dict:

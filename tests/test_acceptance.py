@@ -162,9 +162,9 @@ def test_criterion_08_representations():
         for n, m in INSTANCES:
             for a, b in [(1, 0), (2 % n, 1)]:
                 params = RepParams(n, m, a, b)
-                report = verify_rep(params)
-                assert report.ok, (n, m, a, b)
                 rep = Rep(params)
+                report = verify_rep(rep)
+                assert report.ok, (n, m, a, b)
                 for k in range(1, m):
                     assert rep.z(k) ** 2 == rep.rho_t(k)
             for a in range(n):
@@ -194,6 +194,14 @@ def test_criterion_09_inner_faithfulness():
             assert len(annihilating) > 1
 
 
+class _NaiveCoproductHopf(HopfAlgebra):
+    """Delta(x^e w-bar) = x^e w-bar (x) x^e w-bar: the coproduct without its
+    twist J(w)."""
+
+    def coproduct(self, h):
+        return HTensor(self, {((e, w), (e, w)): c for (e, w), c in h.terms.items()})
+
+
 def test_criterion_10_module_algebra():
     with _Criterion(10, "module algebra"):
         for n, m in [(2, 2), (2, 3), (3, 2)]:
@@ -201,12 +209,7 @@ def test_criterion_10_module_algebra():
             report = qpa.module_algebra_check(degree=4, seed=0)
             assert report.ok, (n, m, [c for c in report.checks if c["status"] != "pass"])
         # negative control: dropping the twist from the coproduct must fail
-        qpa = QuantumPolyAlgebra(HopfAlgebra(2, 2), 1, 0)
-
-        def naive(h):
-            return [(((e, w), (e, w)), c) for (e, w), c in h.terms.items()]
-
-        bad = qpa.module_algebra_check(degree=2, delta_terms=naive)
+        bad = QuantumPolyAlgebra(_NaiveCoproductHopf(2, 2), 1, 0).module_algebra_check(degree=2)
         assert not bad.ok
         failed = next(c for c in bad.checks if c["status"] == "fail")
         assert failed["witness"] is not None

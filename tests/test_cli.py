@@ -392,7 +392,8 @@ def test_out_file(tmp_path, capsys):
     assert report["ok"] is True
 
 
-@pytest.mark.parametrize("argv", [
+# one run of every command, and one that a size guard refuses
+REPORT_ARGVS = [
     "verify 2 2",
     "twist-check 2 --search 10 --seed 3",
     "gamma-table 2 3",
@@ -403,13 +404,45 @@ def test_out_file(tmp_path, capsys):
     "export 2 2",
     "embed-check 2 2",
     "export 3 4",
-])
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS)
 def test_report_is_json_dumps_text(tmp_path, argv):
     """Every report is byte for byte json.dumps(indent=2, sort_keys=True)."""
     path = tmp_path / "report.json"
     main(["--out", str(path)] + argv.split())
     text = path.read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [a for a in REPORT_ARGVS if a != "export 3 4"])
+def test_every_command_times_each_check(capsys, argv):
+    """Every command's timings.checks holds the seconds of exactly its
+    checks; a refused run, such as export 3 4, has neither."""
+    code, report = _run(capsys, argv.split())
+    assert code == 0, argv
+    seconds = report["timings"]["checks"]
+    assert set(seconds) == {c["name"] for c in report["checks"]}, argv
+    assert all(s >= 0 for s in seconds.values()), argv
+
+
+def test_python_O_reports_match(capsys):
+    """python -O strips assert statements; every report it writes equals
+    the in-process one apart from timings, exit code included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kacpal.__file__).parents[1]))
+    for argv in ("verify 2 2", "gamma-table 2 3"):
+        code, report = _run(capsys, argv.split())
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "kacpal.cli"] + argv.split(),
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.stderr == "", argv
+        assert proc.returncode == code == 0, argv
+        optimized = json.loads(proc.stdout)
+        report.pop("timings")
+        optimized.pop("timings")
+        assert optimized == report, argv
 
 
 # the report text minus its top-level "timings" member, which is the one
@@ -582,6 +615,35 @@ def test_gamma_table_counit_reads_only_the_trivial_character(capsys, monkeypatch
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["cocycle-counit"]["status"] == "pass"
     assert checks["cocycle-identity"]["status"] == "fail"
+
+
+def test_gamma_table_doubled_value_fails_cocycle_counit(capsys, monkeypatch):
+    # eps(2 gamma(s_1, s_1)) = 2; (s_1, s_1) is the one pair changed
+    s1 = Perm.transposition(3, 1)
+    _mutate_cocycle(monkeypatch, s1, s1, lambda g: g.scale(2))
+    code, report = _run(capsys, ["gamma-table", "2", "3"])
+    assert code == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cocycle-counit"]["status"] == "fail"
+    assert checks["cocycle-counit"]["witness"] == {"w": [1], "v": [1]}
+
+
+def test_verify_and_gamma_table_name_the_same_first_label_triple(capsys, monkeypatch):
+    # under the character-unit mutation both associativity checks run the
+    # one label-triple predicate in the same order
+    s1 = Perm.transposition(3, 1)
+    _mutate_cocycle(monkeypatch, s1, s1, lambda g: g * _character_unit(g.ring, (1, 0, 0), 1))
+    code, verify = _run(capsys, ["verify", "2", "3"])
+    assert code == 1
+    code, table = _run(capsys, ["gamma-table", "2", "3"])
+    assert code == 1
+    assoc = next(c for c in verify["checks"] if c["name"] == "associativity")
+    oracle = next(c for c in table["checks"] if c["name"] == "associativity-oracle")
+    assert assoc["status"] == oracle["status"] == "fail"
+    triple = assoc["witness"]["triple"]
+    assert all(not any(key["exponents"]) for key in triple)
+    words = [list(canonical_word(Perm(i - 1 for i in key["perm"]))) for key in triple]
+    assert oracle["witness"] == dict(zip("wvu", words))
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from kacpal import (
     RepParams,
     monomials_of_degree,
 )
+from kacpal.hopf import HTensor
 from kacpal.quantum_poly import QpaElem
 from kacpal.sparse import accumulate
 from kacpal.symmetric import Perm
@@ -394,13 +395,17 @@ def test_group_likes_multiplicative_on_all_pairs():
                         assert qpa.act(x, f * g) == qpa.act(x, f) * qpa.act(x, g)
 
 
+class _NaiveCoproductHopf(HopfAlgebra):
+    """Negative control: Delta(x^e w-bar) = x^e w-bar (x) x^e w-bar, the
+    coproduct without its twist J(w)."""
+
+    def coproduct(self, h):
+        return HTensor(self, {((e, w), (e, w)): c for (e, w), c in h.terms.items()})
+
+
 def test_negative_control_naive_coproduct_fails():
-    qpa = _qpa(2, 2, 1, 0)
-
-    def naive(h):
-        return [(((e, w), (e, w)), c) for (e, w), c in h.terms.items()]
-
-    report = qpa.module_algebra_check(degree=2, delta_terms=naive)
+    qpa = QuantumPolyAlgebra(_NaiveCoproductHopf(2, 2), 1, 0)
+    report = qpa.module_algebra_check(degree=2)
     assert not report.ok
     failed = next(c for c in report.checks if c["status"] == "fail")
     assert failed["witness"] is not None
@@ -582,12 +587,13 @@ def test_cyclic_inner_faithful(n, m):
     assert report.ok, [c for c in report.checks if c["status"] != "pass"]
 
 
-def test_cyclic_inner_faithful_negative_control():
+def test_cyclic_inner_faithful_negative_control(monkeypatch):
     from kacpal.linalg import Mat
 
     qpa = _qpa(2, 3, 1, 0)
     identity = Mat.identity(qpa.ctx, 3)
-    report = qpa.cyclic_inner_faithful_check(theta_matrix=identity)
+    monkeypatch.setattr(qpa, "action_matrix", lambda h, k: identity)
+    report = qpa.cyclic_inner_faithful_check()
     assert not report.ok
     failed = {c["name"] for c in report.checks if c["status"] == "fail"}
     assert "theta-line-structure" in failed

@@ -80,7 +80,7 @@ def test_moved_z_line_exponent_fails_literal_and_z_square(monkeypatch, n, m, a, 
     xs, zs = literal_matrices(n, m, a, b)
     assert rep.xs == xs
     assert rep.zs != zs
-    failed = {c["name"]: c["witness"] for c in verify_rep(params).checks if c["status"] == "fail"}
+    failed = {c["name"]: c["witness"] for c in verify_rep(rep).checks if c["status"] == "fail"}
     assert failed.get("z-square") == {"k": 1}
 
 
@@ -120,7 +120,7 @@ def test_z_square_diagonal_structure():
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (3, 12)])
 def test_verify_rep_instances(n, m):
     for a, b in [(1, 0), (2 % n, 1), (1, 1), (0, 0)]:
-        report = verify_rep(RepParams(n, m, a, b))
+        report = verify_rep(Rep(RepParams(n, m, a, b)))
         assert report.ok, (n, m, a, b, [c for c in report.checks if c["status"] != "pass"])
 
 
@@ -131,7 +131,7 @@ def test_mutated_block_fails_z_square():
     terms = dict(rep.z(1).terms)
     terms[1, 0] = terms[1, 0] * ctx.q  # q^{ab} -> q^{ab+1}
     rep.zs[0] = Mat(ctx, (3, 3), terms)
-    report = verify_rep(params, rep)
+    report = verify_rep(rep)
     assert not report.ok
     failed = {c["name"] for c in report.checks if c["status"] == "fail"}
     assert "z-square" in failed
@@ -303,7 +303,7 @@ def test_negated_z_is_not_isomorphic(monkeypatch, n, m, a, b, hom, ends):
     # dimensions show that it is not invertible
     plain, negated = RepParams(n, m, a, b), _NegatedParams(n, m, a, b)
     r1, r2 = _rep_or_negated(negated), _rep_or_negated(plain)
-    assert verify_rep(negated, r1).ok
+    assert verify_rep(r1).ok
     assert reps._hom_dim(r1, r2) == hom
     assert (reps._hom_dim(r1, r1), reps._hom_dim(r2, r2)) == ends
     assert character(r1) != character(r2)
@@ -472,6 +472,19 @@ def test_criterion_implies_bruteforce(n, m):
                 assert ok, (n, m, a, b)
 
 
+def test_inner_faithful_check_fails_when_the_oracle_contradicts_the_criterion(monkeypatch):
+    params = RepParams(2, 2, 1, 0)
+    verdict, annihilating, report = reps.inner_faithful_check(params)
+    assert (verdict, annihilating) == inner_faithful_bruteforce(params)
+    assert report.ok
+    # negative control: an oracle that finds a nontrivial annihilating subgroup
+    monkeypatch.setattr(reps, "inner_faithful_bruteforce", lambda p: (False, []))
+    _, _, report = reps.inner_faithful_check(params)
+    (check,) = report.checks
+    assert (check["name"], check["status"]) == ("criterion-implies-oracle", "fail")
+    assert check["witness"] == {"criterion": True, "bruteforce": False}
+
+
 def test_rho_is_multiplicative():
     rng = random.Random(6)
     H = HopfAlgebra(3, 2)
@@ -528,8 +541,8 @@ class _MovedRhoT(Rep):
 @pytest.mark.parametrize("n,m,bad", [(2, 3, 2), (3, 4, 1), (3, 5, 4), (5, 3, 2)])
 def test_moved_rho_t_exponent_fails_z_square_naming_k(n, m, bad):
     params = RepParams(n, m, 1, 0)
-    assert verify_rep(params, Rep(params)).ok
-    report = verify_rep(params, _MovedRhoT(params, bad))
+    assert verify_rep(Rep(params)).ok
+    report = verify_rep(_MovedRhoT(params, bad))
     failed = [c for c in report.checks if c["status"] == "fail"]
     assert [(c["name"], c["witness"]) for c in failed] == [("z-square", {"k": bad})]
 
