@@ -40,7 +40,6 @@ from .reps import (
     inner_faithful_criterion,
     is_simple,
     modules_isomorphic,
-    subgroups_of_znm,
     verify_rep,
 )
 from .quantum_poly import QpaElem, QuantumPolyAlgebra, monomials_of_degree
@@ -91,7 +90,6 @@ __all__ = [
     "det_M",
     "inner_faithful_criterion",
     "inner_faithful_bruteforce",
-    "subgroups_of_znm",
     "QuantumPolyAlgebra",
     "QpaElem",
     "monomials_of_degree",

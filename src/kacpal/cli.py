@@ -137,14 +137,39 @@ def _run_verify(args, report):
     return [hopf.verify_axioms(), hopf.verify_integral(), hopf.cyclic_subalgebra().report]
 
 
+def _guard(work: int, bound: int, refusal: str) -> None:
+    """Refuse work above bound: raise SizeGuardError("<refusal> > <bound>")."""
+    if work > bound:
+        raise SizeGuardError(f"{refusal} > {bound}")
+
+
+# bound the three costs of twist-check, each checked before any field is
+# built.  On a 2-core host with Python 3.11, whole process, one run each:
+# the n^4 term pairs of the dense twist equation, 16 (65,536) 2.6 s,
+# 20 (160,000) 6.3 s, 23 (279,841) 17 s, 25 (390,625) 19 s, 28 31 s and
+# 32 63 s; the C(M + 1, 3) embedded checks up to --max-m M, 3 --max-m 62
+# (39,711) 0.7 s and --max-m 84 (98,770) 2.2 s for a 25 MB report; and
+# --search S at S n^2 units, 3 --search 27777 (249,993) 2.1 s, 3 --search
+# 100000 (900,000) 9.2 s, and 25 --search 400 (250,000) 27 s with the 19 s
+# of 25 itself
+TWIST_TERM_PAIRS_GUARD = 400_000
+TWIST_EMBEDDINGS_GUARD = 40_000
+TWIST_SEARCH_GUARD = 250_000
+
+
 def _run_twist_check(args, report):
-    B = GroupAlgebra(args.n, 1)
+    n = args.n
+    _guard(n**4, TWIST_TERM_PAIRS_GUARD, f"twist check refused for n^4 = {n**4} term pairs")
+    embeddings = comb(args.max_m + 1, 3)
+    _guard(embeddings, TWIST_EMBEDDINGS_GUARD,
+           f"twist check refused for {embeddings} embedded checks up to m = {args.max_m}")
+    work = args.search * n * n
+    _guard(work, TWIST_SEARCH_GUARD, f"twist check refused for search work {work} (samples times n^2)")
+    B = GroupAlgebra(n, 1)
     report["context"] = B.cyc.to_json()
     suite = twist_suite(canonical_twist(B), max_m=args.max_m)
     if args.search:
-        report["data"]["converse-search"] = search_central_converse(
-            args.n, args.search, args.seed
-        )
+        report["data"]["converse-search"] = search_central_converse(n, args.search, args.seed)
     return [suite]
 
 
@@ -164,16 +189,34 @@ def _run_gamma_table(args, report):
     """The (m!)^2 cocycle values gamma(w, v) and their checks
     (HopfAlgebra.gamma_table)."""
     work = factorial(args.m) ** 3 * args.n ** (args.m + 1)
-    if work > GAMMA_WORK_GUARD:
-        raise SizeGuardError(f"gamma table refused for (m!)^3 n^(m+1) = {work} > {GAMMA_WORK_GUARD}")
+    _guard(work, GAMMA_WORK_GUARD, f"gamma table refused for (m!)^3 n^(m+1) = {work}")
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
     report["data"]["entries"], checks = hopf.gamma_table()
     return [checks]
 
 
+# bound the two costs of rep-check, checked before the field is built: the
+# (2m - 1) m^2 equations of the Hom solve of is_simple, and the m (m - 1) n^2
+# scalar terms of the rho(t_k) that z-square compares, which cost more as
+# the field degree grows with n.  On a 2-core host with Python 3.11, whole
+# process, one run each: 2 40 1 0 (126,400 equations) 2.1 s, 2 50 1 0
+# (247,500) 3.7 s, 2 50 1 1 9.9 s, 6 50 1 1 (and 88,200 terms) 15 s and
+# 2 60 1 1 (428,400) 23 s; 100 2 1 0 (20,000 terms) 0.7 s, 200 2 1 0
+# (80,000) 4.2 s, 223 2 1 0 (99,458) 8.4 s, 316 2 1 0 (199,712) 21 s and
+# 500 2 1 0 60 s, while 20 20 1 0 (152,000) takes 1.3 s
+REP_EQUATIONS_GUARD = 250_000
+REP_T_TERMS_GUARD = 100_000
+
+
 def _run_rep_check(args, report):
-    params = RepParams(args.n, args.m, args.a, args.b)
+    n, m = args.n, args.m
+    equations = (2 * m - 1) * m * m
+    _guard(equations, REP_EQUATIONS_GUARD,
+           f"rep check refused for (2m - 1) m^2 = {equations} Hom equations")
+    terms = m * (m - 1) * n * n
+    _guard(terms, REP_T_TERMS_GUARD, f"rep check refused for m (m - 1) n^2 = {terms} rho(t_k) terms")
+    params = RepParams(n, m, args.a, args.b)
     checks = verify_rep(Rep(params))
     report["context"] = {"n": args.n, "N": 2 * args.n, "degree": None}
     report["data"]["simple"] = is_simple(params)
@@ -187,9 +230,9 @@ def _run_inner_faithful(args, report):
     report["data"]["criterion"] = inner_faithful_criterion(params)
     if not args.bruteforce:
         return []
-    verdict, annihilating, checks = inner_faithful_check(params)
+    verdict, kernel, checks = inner_faithful_check(params)
     report["data"]["bruteforce"] = verdict
-    report["data"]["annihilating_subgroups"] = annihilating
+    report["data"]["kernel"] = kernel
     return [checks]
 
 
@@ -204,8 +247,7 @@ DIMENSION_GUARD = 4000
 
 def _guard_dimension(what: str, n: int, m: int) -> None:
     dim = n**m * factorial(m)
-    if dim > DIMENSION_GUARD:
-        raise SizeGuardError(f"{what} refused for dim H = {dim} > {DIMENSION_GUARD}")
+    _guard(dim, DIMENSION_GUARD, f"{what} refused for dim H = {dim}")
 
 
 # bounds the degree work of invariants, comb(K + m, m) monomials of degree
@@ -228,17 +270,11 @@ LINEAR_ALGEBRA_GUARD = 4_000_000
 
 def _guard_degree_work(n: int, m: int, degree: int) -> None:
     work = comb(degree + m, m) * n**m * factorial(m)
-    if work > DEGREE_WORK_GUARD:
-        raise SizeGuardError(
-            f"invariants refused for degree work {work} (monomials of degree <= {degree}"
-            f" times dim H) > {DEGREE_WORK_GUARD}"
-        )
+    _guard(work, DEGREE_WORK_GUARD, f"invariants refused for degree work {work}"
+           f" (monomials of degree <= {degree} times dim H)")
     cubes = sum(comb(k + m - 1, m - 1) ** 3 for k in range(degree + 1))
-    if cubes > LINEAR_ALGEBRA_GUARD:
-        raise SizeGuardError(
-            f"invariants refused for linear algebra {cubes} (the sum of d_k^3 over the"
-            f" monomial counts d_k of degrees k <= {degree}) > {LINEAR_ALGEBRA_GUARD}"
-        )
+    _guard(cubes, LINEAR_ALGEBRA_GUARD, f"invariants refused for linear algebra {cubes}"
+           f" (the sum of d_k^3 over the monomial counts d_k of degrees k <= {degree})")
 
 
 # bounds the monomial-pair work of module-algebra-check: its 2m + 2 acting
@@ -249,15 +285,6 @@ def _guard_degree_work(n: int, m: int, degree: int) -> None:
 # --degree 6 (199,584) 2.7 s, 2 5 1 0 (384,384) 2.6 s, 3 4 1 0 (400,950)
 # 2.6 s and, with the guard lifted, 8 3 1 0 (860,160) 23 s
 MODULE_WORK_GUARD = 500_000
-
-
-def _guard_module_work(n: int, m: int, degree: int) -> None:
-    work = (2 * m + 2) * comb(degree + 2 * m, 2 * m) * n**m
-    if work > MODULE_WORK_GUARD:
-        raise SizeGuardError(
-            f"module algebra check refused for work {work} (elements times monomial"
-            f" pairs of degree <= {degree} times n^m) > {MODULE_WORK_GUARD}"
-        )
 
 
 def _run_invariants(args, report):
@@ -282,7 +309,9 @@ def _run_invariants(args, report):
 def _run_module_algebra(args, report):
     _guard_dimension("module algebra check", args.n, args.m)
     degree = args.degree if args.degree is not None else min(4, 2 * args.n)
-    _guard_module_work(args.n, args.m, degree)
+    work = (2 * args.m + 2) * comb(degree + 2 * args.m, 2 * args.m) * args.n**args.m
+    _guard(work, MODULE_WORK_GUARD, f"module algebra check refused for work {work} (elements"
+           f" times monomial pairs of degree <= {degree} times n^m)")
     hopf = HopfAlgebra(args.n, args.m)
     qpa = QuantumPolyAlgebra(hopf, args.a, args.b)
     report["context"] = hopf.cyc.to_json()
@@ -359,24 +388,27 @@ def main(argv=None) -> int:
 def _run(args, config) -> tuple[int, dict]:
     """The exit code and report of one command.  A runner fills in the
     report's context and data and returns its AxiomReports; their checks,
-    verdict and seconds per check are recorded here, for every command."""
+    verdict and seconds per check are recorded here, for every command.  A
+    refused run records its error in place of a verdict, and its timings
+    like any other run."""
     report = _report_shell(args.command, config)
     start = time.monotonic()
+    code, parts = None, []
     try:
         parts = _RUNNERS[args.command](args, report)
     except SizeGuardError as exc:
-        report["error"] = {"type": "size-guard", "message": str(exc)}
-        return 3, report
+        code, report["error"] = 3, {"type": "size-guard", "message": str(exc)}
     except NotInvertibleError as exc:
-        report["error"] = {"type": "not-invertible", "message": str(exc)}
-        return 1, report
+        code, report["error"] = 1, {"type": "not-invertible", "message": str(exc)}
     checks = AxiomReport(args.command, report["checks"]).extend(*parts)
-    report["ok"] = checks.ok
+    if code is None:
+        report["ok"] = checks.ok
+        code = 0 if checks.ok else 1
     report["timings"] = {
         "checks": {name: round(s, 6) for name, s in checks.timings.items()},
         "total_seconds": round(time.monotonic() - start, 6),
     }
-    return (0 if checks.ok else 1), report
+    return code, report
 
 
 def _emit(report: dict, out) -> None:

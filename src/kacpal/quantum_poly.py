@@ -446,8 +446,8 @@ class QuantumPolyAlgebra:
     def cyclic_inner_faithful_check(self) -> AxiomReport:
         """The cyclic subalgebra acts inner-faithfully: the degree-one matrix
         of theta permutes the coordinate lines through a single m-cycle (so
-        sums over theta powers split), and the base ring acts faithfully by
-        the brute-force subgroup oracle."""
+        sums over theta powers split), and the base ring acts faithfully:
+        the kernel K of inner_faithful_bruteforce is {0}."""
         hopf = self.hopf
         report = AxiomReport(instance=f"A({self.a},{self.b}) over H({self.n},{self.m})")
         theta = hopf.basis_elem(hopf.ring.zero_exp, cycle_perm(self.m))
@@ -476,12 +476,12 @@ class QuantumPolyAlgebra:
             ok,
             None if ok else {"matrix": mat.to_json()},
         )
-        ring_ok, annihilating = inner_faithful_bruteforce(self.params)
+        ring_ok, kernel = inner_faithful_bruteforce(self.params)
         report.add(
             "ring-faithful",
-            "only the trivial subgroup of Z_n^m acts trivially",
+            "x^alpha acts as the identity only for alpha = 0",
             ring_ok,
-            None if ring_ok else {"annihilating": annihilating},
+            None if ring_ok else {"kernel": kernel},
         )
         report.add(
             "inner-faithful",

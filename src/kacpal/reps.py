@@ -1,7 +1,7 @@
 """The m-dimensional modules V_{a,b}: matrix construction, relation checks,
 simplicity and isomorphism by the dimensions of sparse Hom solves, and
-inner-faithfulness over the base ring (gcd criterion plus the brute-force
-subgroup oracle).
+inner-faithfulness over the base ring (the gcd criterion, checked both
+ways against the kernel K of R's action, found by search).
 
 Matrices act on coordinate columns, so rho(h1 h2) = rho(h1) rho(h2) for the
 left module structure."""
@@ -16,19 +16,13 @@ from math import gcd
 
 from .cyclotomic import CycContext
 from .errors import SizeGuardError
-from .group_ring import exp_add
 from .hopf import AxiomReport, HopfElem
 from .linalg import Mat, rref
 from .sparse import accumulate
 from .symmetric import Perm, canonical_word
 
-SUBGROUP_GUARD = 4096
-# bounds the kernel K of inner_faithful_bruteforce, whose subgroups it
-# enumerates.  On a 2-core host with Python 3.11, whole process, one run
-# each: inner-faithful 6 4 0 2 --bruteforce (|K| = 48, Z_6 x Z_2^3) takes
-# 0.3 s; with the guard lifted, |K| = 64 takes 0.3 s for Z_4^3 (4 3 0 0)
-# and 1.6 s for Z_2^6 (2 6 0 0, 2 7 1 1), and |K| = 512 (8 3 0 0) 6.3 s
-KERNEL_GUARD = 63
+# bounds the n^m elements of Z_n^m that inner_faithful_bruteforce tests
+KERNEL_SEARCH_GUARD = 4096
 
 
 @dataclass
@@ -266,88 +260,56 @@ def det_M(m: int, a: int, b: int) -> int:
 
 
 def inner_faithful_criterion(params: RepParams) -> bool:
-    """gcd(det(M_{m,a,b}), n) = 1 certifies inner-faithfulness over R."""
+    """gcd(det(M_{m,a,b}), n) = 1: V_{a,b} is inner-faithful over R (see
+    inner_faithful_check)."""
     return gcd(det_M(params.m, params.a, params.b), params.n) == 1
 
 
-def _elements_of_znm(n: int, m: int) -> list[tuple]:
-    """Z_n^m as exponent tuples; refuses n^m > SUBGROUP_GUARD."""
-    if n**m > SUBGROUP_GUARD:
-        raise SizeGuardError(f"subgroup enumeration refused for n^m = {n**m} > {SUBGROUP_GUARD}")
-    return list(iproduct(range(n), repeat=m))
+def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[int]]]:
+    """V_{a,b} is inner-faithful over R iff the kernel K = {alpha :
+    rho(x^alpha) = I} is {0}.
 
-
-def subgroups_of_znm(n: int, m: int) -> list[frozenset]:
-    """All subgroups of Z_n^m."""
-    return _subgroups_within(_elements_of_znm(n, m), n, m)
-
-
-def _subgroups_within(elems: list, n: int, m: int) -> list[frozenset]:
-    """All subgroups of Z_n^m generated by elements of elems, by adding one
-    generator at a time; sorted by size, then elements.  The group is
-    abelian, so H and g generate H + <g>, which depends only on the coset
-    g + H: one g per coset is closed."""
-
-    def close(H: frozenset, g: tuple) -> frozenset:
-        multiples = [g]  # g, 2g, ..., 0: the cyclic group <g>
-        while any(multiples[-1]):
-            multiples.append(exp_add(multiples[-1], g, n))
-        return frozenset(exp_add(h, c, n) for h in H for c in multiples)
-
-    trivial = frozenset({(0,) * m})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            covered = set(H)
-            for g in elems:
-                if g not in covered:
-                    covered.update(exp_add(g, h, n) for h in H)
-                    K = close(H, g)
-                    if K not in found:
-                        found.add(K)
-                        nxt.append(K)
-        frontier = nxt
-    return sorted(found, key=lambda H: (len(H), sorted(H)))
-
-
-def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[list[int]]]]:
-    """V_{a,b} is inner-faithful over R iff the only subgroup of Z_n^m that
-    acts as the identity is the trivial one.  rho is multiplicative on the
-    group-likes, so the alpha with rho(x^alpha) = I form a subgroup K, whose
-    subgroups are the annihilating ones.  rho(x^alpha) is diagonal with
-    entries q^{psi_j . alpha}, psi_j = RepParams.weight(j) the rows of
-    M_{m,a,b}, and q has order n, so K is the alpha with psi_j . alpha = 0
-    mod n for every j.  Returns (verdict, annihilating subgroups as element
-    lists); refuses n^m > SUBGROUP_GUARD, |K| > KERNEL_GUARD."""
+    R is the group algebra of Z_n^m, commutative, so its Hopf ideals are the
+    ideals generated by the x^l - 1 with l in a subgroup L of Z_n^m, and
+    such an ideal annihilates V exactly when L lies in K.  rho is
+    multiplicative on the group-likes, so K is a subgroup, and a nonzero
+    annihilating Hopf ideal exists iff K != {0}; the x^l - 1 with l in K
+    generate the largest one.  rho(x^alpha) is diagonal with entries
+    q^{psi_j . alpha}, psi_j = RepParams.weight(j) the rows of M_{m,a,b},
+    and q has order n, so K is the alpha with psi_j . alpha = 0 mod n for
+    every j, searched over all of Z_n^m.  Returns (verdict, the elements of
+    K in sorted order); refuses n^m > KERNEL_SEARCH_GUARD."""
     n, m = params.n, params.m
+    if n**m > KERNEL_SEARCH_GUARD:
+        raise SizeGuardError(f"kernel search refused for n^m = {n**m} > {KERNEL_SEARCH_GUARD}")
     weights = [params.weight(j) for j in range(1, m + 1)]
     kernel = [
-        alpha
-        for alpha in _elements_of_znm(n, m)
+        list(alpha)
+        for alpha in iproduct(range(n), repeat=m)
         if not any(sum(map(operator.mul, psi, alpha)) % n for psi in weights)
     ]
-    if len(kernel) > KERNEL_GUARD:
-        raise SizeGuardError(
-            f"subgroup enumeration refused for |K| = {len(kernel)} > {KERNEL_GUARD}"
-        )
-    annihilating = _subgroups_within(kernel, n, m)
-    verdict = len(annihilating) == 1  # only the trivial subgroup
-    return verdict, [[list(v) for v in sorted(H)] for H in annihilating]
+    return len(kernel) == 1, kernel
 
 
 def inner_faithful_check(params: RepParams) -> tuple[bool, list, AxiomReport]:
-    """The verdict and annihilating subgroups of inner_faithful_bruteforce,
-    and the check that the gcd criterion implies that verdict."""
+    """The verdict and kernel K of inner_faithful_bruteforce, and the check
+    that the gcd criterion decides the same verdict.
+
+    K is the kernel of alpha -> M alpha on the finite group Z_n^m, with
+    M = M_{m,a,b}.  An endomorphism of a finite group is injective iff it
+    is bijective, and M is bijective iff an integer matrix N has MN = I
+    mod n, since every endomorphism of Z_n^m, an inverse included, is a
+    matrix.  Such an N exists iff det M is a unit mod n: then
+    N = (det M)^{-1} adj M, and conversely det M det N = 1 mod n.  So
+    K = {0} iff gcd(det M, n) = 1, and the two sides must agree both ways."""
     report = AxiomReport(instance=f"V({params.a},{params.b}) over H({params.n},{params.m})")
-    verdict, annihilating = inner_faithful_bruteforce(params)
+    verdict, kernel = inner_faithful_bruteforce(params)
     crit = inner_faithful_criterion(params)
-    ok = not crit or verdict
+    ok = crit == verdict
     report.add(
-        "criterion-implies-oracle",
-        "gcd(det M, n) = 1 implies the subgroup oracle verdict",
+        "criterion-matches-oracle",
+        "gcd(det M, n) = 1 iff K = {0}",
         ok,
         None if ok else {"criterion": crit, "bruteforce": verdict},
     )
-    return verdict, annihilating, report
+    return verdict, kernel, report

@@ -186,12 +186,11 @@ def test_criterion_09_inner_faithfulness():
                 for b in range(n):
                     params = RepParams(n, m, a, b)
                     oracle, _ = inner_faithful_bruteforce(params)
-                    if inner_faithful_criterion(params):
-                        assert oracle, (n, m, a, b)
+                    assert oracle == inner_faithful_criterion(params), (n, m, a, b)
         for m in (2, 3):
-            verdict, annihilating = inner_faithful_bruteforce(RepParams(2, m, 1, 1))
+            verdict, kernel = inner_faithful_bruteforce(RepParams(2, m, 1, 1))
             assert not verdict
-            assert len(annihilating) > 1
+            assert len(kernel) > 1
 
 
 class _NaiveCoproductHopf(HopfAlgebra):

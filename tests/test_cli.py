@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import product as iproduct
 from math import factorial
 from pathlib import Path
@@ -149,14 +150,20 @@ def test_inner_faithful(capsys):
     assert report["data"]["criterion"] is True
     assert report["data"]["bruteforce"] is True
     code, report = _run(capsys, ["inner-faithful", "2", "2", "1", "1", "--bruteforce"])
-    assert code == 0  # the implication check passes; the verdicts are data
+    assert code == 0  # the two sides agree; the verdicts are data
     assert report["data"]["criterion"] is False
     assert report["data"]["bruteforce"] is False
     assert report["data"]["det_M"] == 0
-    # the oracle enumerates the subgroups of the kernel K, not of Z_2^6
+    assert report["data"]["kernel"] == [[0, 0], [1, 1]]
     code, report = _run(capsys, ["inner-faithful", "2", "6", "1", "0", "--bruteforce"])
     assert code == 0
     assert report["data"]["bruteforce"] is True
+    assert report["data"]["kernel"] == [[0] * 6]
+    # K = Z_2^6, all 64 elements: the report lists K, not its subgroups
+    code, report = _run(capsys, ["inner-faithful", "2", "6", "0", "0", "--bruteforce"])
+    assert code == 0
+    assert report["data"]["bruteforce"] is False
+    assert len(report["data"]["kernel"]) == 64
 
 
 def test_invariants(capsys):
@@ -307,8 +314,10 @@ def test_size_guard_exit_3(capsys):
         "embed-check 3 4",
         "embed-check 5 3",
         "embed-check 2 6",
-        # a = b = 0 makes the kernel K all of Z_2^6: |K| = 64
-        "inner-faithful 2 6 0 0 --bruteforce",
+        # the kernel search tests every element of Z_n^m: 3^8 = 6561 and
+        # 9^5 exceed 4096
+        "inner-faithful 3 8 1 0 --bruteforce",
+        "inner-faithful 9 5 1 0 --bruteforce",
         # dim H = 46080 (H(2,6)), 6144 (H(4,4)) and 4374 (H(9,3)) exceed
         # 4000; H(2,5) (3840) and H(3,4) (1944) do not
         "invariants 2 6 1 0",
@@ -330,8 +339,27 @@ def test_size_guard_exit_3(capsys):
         # monomial-pair work over 500,000: 3,258,024 and 1,729,728
         "module-algebra-check 2 2 1 0 --degree 40",
         "module-algebra-check 3 3 1 0 --degree 10",
+        # twist-check: n^4 term pairs over 400,000 (26^4 = 456,976), the
+        # C(M + 1, 3) embedded checks up to --max-m M over 40,000 (41,664
+        # at M = 63), and --search S at S n^2 over 250,000
+        "twist-check 26",
+        "twist-check 60",
+        "twist-check 100000",
+        "twist-check 3 --max-m 63",
+        "twist-check 3 --max-m 100000",
+        "twist-check 3 --search 27778",
+        "twist-check 3 --search 1000000000",
+        # rep-check: (2m - 1) m^2 Hom equations over 250,000 (262,701 at
+        # m = 51), and m (m - 1) n^2 rho(t_k) terms over 100,000 (100,352
+        # for 224 2), both before the field of n is built
+        "rep-check 2 51 1 0",
+        "rep-check 2 100000 1 0",
+        "rep-check 224 2 1 0",
+        "rep-check 100000 2 1 0",
     ):
+        start = time.perf_counter()
         code, report = _run(capsys, argv.split())
+        assert time.perf_counter() - start < 1.0, argv
         assert code == 3, argv
         assert report["error"]["type"] == "size-guard", argv
         assert report["checks"] == [], argv
@@ -384,6 +412,29 @@ def test_non_idempotent_projector_fails_oracle_check(capsys, monkeypatch):
     assert check["witness"] == {"degree": 0}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines():
+    """The ``kacpal ...`` lines of README's "Command line" block, comments
+    dropped."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("kacpal ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    """Every documented example runs and exits 0; --out files land in
+    tmp_path."""
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["--out", str(path), "rep-check", "2", "2", "1", "0"])
@@ -416,15 +467,34 @@ def test_report_is_json_dumps_text(tmp_path, argv):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("argv", [a for a in REPORT_ARGVS if a != "export 3 4"])
+@pytest.mark.parametrize("argv", REPORT_ARGVS)
 def test_every_command_times_each_check(capsys, argv):
     """Every command's timings.checks holds the seconds of exactly its
-    checks; a refused run, such as export 3 4, has neither."""
+    checks, and timings.total_seconds those of the run; a refused run, such
+    as export 3 4, has no checks and times the run all the same."""
     code, report = _run(capsys, argv.split())
-    assert code == 0, argv
+    assert code == (3 if argv == "export 3 4" else 0), argv
     seconds = report["timings"]["checks"]
     assert set(seconds) == {c["name"] for c in report["checks"]}, argv
     assert all(s >= 0 for s in seconds.values()), argv
+    assert report["timings"]["total_seconds"] >= 0, argv
+
+
+def test_not_invertible_run_is_timed(capsys, monkeypatch):
+    """A run ended by NotInvertibleError exits 1 with its error, no
+    verdict, and one timings block."""
+    from kacpal import cli
+    from kacpal.errors import NotInvertibleError
+
+    def refuse(args, report):
+        raise NotInvertibleError("J is not a unit")
+
+    monkeypatch.setitem(cli._RUNNERS, "twist-check", refuse)
+    code, report = _run(capsys, ["twist-check", "2"])
+    assert code == 1
+    assert report["error"] == {"type": "not-invertible", "message": "J is not a unit"}
+    assert "ok" not in report
+    assert report["timings"]["checks"] == {}
 
 
 def test_python_O_reports_match(capsys):

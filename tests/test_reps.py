@@ -15,7 +15,6 @@ from kacpal import (
     inner_faithful_criterion,
     is_simple,
     modules_isomorphic,
-    subgroups_of_znm,
     t_of,
     verify_rep,
 )
@@ -351,100 +350,35 @@ def test_criterion_examples():
             assert inner_faithful_criterion(RepParams(n, m, 1, 0))
 
 
-def test_subgroup_enumeration():
-    assert len(subgroups_of_znm(2, 2)) == 5
-    assert len(subgroups_of_znm(2, 3)) == 16   # subspace count of F_2^3
-    assert len(subgroups_of_znm(3, 2)) == 6    # 1 + 4 lines + full
-    with pytest.raises(SizeGuardError):
-        subgroups_of_znm(9, 5)
-
-
-def _pairwise_closure_lattice(elems, n, m):
-    """The reference enumeration: close H u {g} by adding every pair of
-    elements until nothing new appears."""
-
-    def close(gens):
-        seen = {(0,) * m} | set(gens)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in list(seen):
-                    s = tuple((a + b) % n for a, b in zip(u, g))
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(seen)
-
-    trivial = frozenset({(0,) * m})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for g in elems:
-                if g not in H:
-                    K = close(H | {g})
-                    if K not in found:
-                        found.add(K)
-                        nxt.append(K)
-        frontier = nxt
-    return sorted(found, key=lambda H: (len(H), sorted(H)))
-
-
-_GROUPS_UP_TO_64 = [(n, m) for m in range(1, 7) for n in range(2, 65) if n**m <= 64]
-
-
-@pytest.mark.parametrize("n,m", [(n, m) for n, m in _GROUPS_UP_TO_64 if n**m <= 32])
-def test_subgroups_match_pairwise_closure(n, m):
-    """H + <g> gives the lattice, in the same order, that the pairwise
-    closure gives."""
-    elems = list(iproduct(range(n), repeat=m))
-    assert subgroups_of_znm(n, m) == _pairwise_closure_lattice(elems, n, m)
-
-
-def test_subgroup_counts_up_to_64():
-    """Above 32 elements the pairwise closure takes seconds to minutes per
-    group, so the lattices are checked by their counts: d(n) subgroups of
-    Z_n, the Gaussian binomials of F_2^6, Z_6^2 = Z_2^2 x Z_3^2 with 5 * 6,
-    and for Z_7^2, Z_8^2 and Z_4^3 the counts of the pairwise closure."""
-    counts = {(2, 6): 1 + 63 + 651 + 1395 + 651 + 63 + 1, (6, 2): 30, (7, 2): 10, (8, 2): 37, (4, 3): 129}
-    for n, m in _GROUPS_UP_TO_64:
-        if n**m <= 32:
-            continue
-        lattice = subgroups_of_znm(n, m)
-        expected = counts.get((n, m), sum(1 for d in range(1, n + 1) if n % d == 0))
-        assert len(lattice) == len(set(lattice)) == expected, (n, m)
-        for H in lattice:
-            assert all(tuple((a + b) % n for a, b in zip(u, v)) in H for u in H for v in H)
-
-
 def test_bruteforce_examples():
-    ok, ann = inner_faithful_bruteforce(RepParams(2, 2, 1, 0))
+    ok, kernel = inner_faithful_bruteforce(RepParams(2, 2, 1, 0))
     assert ok
-    assert ann == [[[0, 0]]]
-    ok, ann = inner_faithful_bruteforce(RepParams(2, 2, 1, 1))
+    assert kernel == [[0, 0]]
+    ok, kernel = inner_faithful_bruteforce(RepParams(2, 2, 1, 1))
     assert not ok
-    assert [[0, 0], [1, 1]] in ann  # the diagonal subgroup acts trivially
+    assert kernel == [[0, 0], [1, 1]]  # the diagonal subgroup acts trivially
+    with pytest.raises(SizeGuardError):
+        inner_faithful_bruteforce(RepParams(9, 5, 1, 0))
+
+
+def _kernel_of_rho(params):
+    """The alpha with rho(x^alpha) = I, read from the matrices and not from M."""
+    rep = Rep(params)
+    ident = Mat.identity(rep.ctx, params.m)
+    return [list(alpha) for alpha in iproduct(range(params.n), repeat=params.m)
+            if rep.rho_ring_monomial(alpha) == ident]
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)])
-def test_bruteforce_matches_full_subgroup_lattice(n, m):
-    """The subgroups of the kernel K are the annihilating subgroups that a
-    filter over every subgroup of Z_n^m finds."""
-    lattice = subgroups_of_znm(n, m)
+def test_bruteforce_kernel_is_where_rho_is_the_identity(n, m):
+    """On every (a, b), trivial K included, K is the set of alpha with
+    rho(x^alpha) = I, and the gcd criterion holds exactly when K = {0}."""
     for a in range(n):
         for b in range(n):
-            rep = Rep(RepParams(n, m, a, b))
-            ident = Mat.identity(rep.ctx, m)
-            annihilating = [
-                [list(v) for v in sorted(H)]
-                for H in lattice
-                if all(rep.rho_ring_monomial(alpha) == ident for alpha in H)
-            ]
-            expected = (len(annihilating) == 1, annihilating)
-            assert inner_faithful_bruteforce(RepParams(n, m, a, b)) == expected, (a, b)
+            params = RepParams(n, m, a, b)
+            kernel = _kernel_of_rho(params)
+            assert inner_faithful_bruteforce(params) == (kernel == [[0] * m], kernel), (a, b)
+            assert inner_faithful_criterion(params) == (kernel == [[0] * m]), (a, b)
 
 
 @pytest.mark.parametrize(
@@ -452,14 +386,12 @@ def test_bruteforce_matches_full_subgroup_lattice(n, m):
 )
 def test_bruteforce_kernel_matches_rho(n, m, a, b):
     """The kernel K, read from M alpha = 0 mod n, is the set of alpha with
-    rho(x^alpha) = I; K is the largest annihilating subgroup."""
-    rep = Rep(RepParams(n, m, a, b))
-    ident = Mat.identity(rep.ctx, m)
-    kernel = [list(alpha) for alpha in iproduct(range(n), repeat=m)
-              if rep.rho_ring_monomial(alpha) == ident]
+    rho(x^alpha) = I."""
+    params = RepParams(n, m, a, b)
+    kernel = _kernel_of_rho(params)
     assert len(kernel) > 1
-    _, annihilating = inner_faithful_bruteforce(RepParams(n, m, a, b))
-    assert annihilating[-1] == kernel
+    _, found = inner_faithful_bruteforce(params)
+    assert found == kernel
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
@@ -473,16 +405,22 @@ def test_criterion_implies_bruteforce(n, m):
 
 
 def test_inner_faithful_check_fails_when_the_oracle_contradicts_the_criterion(monkeypatch):
-    params = RepParams(2, 2, 1, 0)
-    verdict, annihilating, report = reps.inner_faithful_check(params)
-    assert (verdict, annihilating) == inner_faithful_bruteforce(params)
-    assert report.ok
-    # negative control: an oracle that finds a nontrivial annihilating subgroup
-    monkeypatch.setattr(reps, "inner_faithful_bruteforce", lambda p: (False, []))
-    _, _, report = reps.inner_faithful_check(params)
-    (check,) = report.checks
-    assert (check["name"], check["status"]) == ("criterion-implies-oracle", "fail")
-    assert check["witness"] == {"criterion": True, "bruteforce": False}
+    """criterion-matches-oracle fails in both directions: an oracle with a
+    nontrivial K where gcd(det M, n) = 1, and one with K = {0} where the
+    gcd is not 1 (which the one-way implication let pass)."""
+    for params in (RepParams(2, 2, 1, 0), RepParams(2, 2, 1, 1)):
+        verdict, kernel, report = reps.inner_faithful_check(params)
+        assert (verdict, kernel) == inner_faithful_bruteforce(params)
+        assert report.ok
+    for params, oracle in (
+        (RepParams(2, 2, 1, 0), (False, [[0, 0], [1, 1]])),
+        (RepParams(2, 2, 1, 1), (True, [[0, 0]])),
+    ):
+        monkeypatch.setattr(reps, "inner_faithful_bruteforce", lambda p: oracle)
+        _, _, report = reps.inner_faithful_check(params)
+        (check,) = report.checks
+        assert (check["name"], check["status"]) == ("criterion-matches-oracle", "fail")
+        assert check["witness"] == {"criterion": not oracle[0], "bruteforce": oracle[0]}
 
 
 def test_rho_is_multiplicative():
