@@ -20,10 +20,10 @@ import os
 import sys
 import time
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb
 
 from . import __version__
-from .errors import NotInvertibleError, SizeGuardError
+from .errors import NotInvertibleError, SizeGuardError, binomial_factors, size_guard
 from .group_ring import GroupAlgebra, canonical_twist
 from .hopf import AxiomReport, HopfAlgebra, embedding_check, guard_basis_pairs, label_json
 from .quantum_poly import QuantumPolyAlgebra
@@ -137,12 +137,6 @@ def _run_verify(args, report):
     return [hopf.verify_axioms(), hopf.verify_integral(), hopf.cyclic_subalgebra().report]
 
 
-def _guard(work: int, bound: int, refusal: str) -> None:
-    """Refuse work above bound: raise SizeGuardError("<refusal> > <bound>")."""
-    if work > bound:
-        raise SizeGuardError(f"{refusal} > {bound}")
-
-
 # bound the three costs of twist-check, each checked before any field is
 # built.  On a 2-core host with Python 3.11, whole process, one run each:
 # the n^4 term pairs of the dense twist equation, 16 (65,536) 2.6 s,
@@ -159,12 +153,12 @@ TWIST_SEARCH_GUARD = 250_000
 
 def _run_twist_check(args, report):
     n = args.n
-    _guard(n**4, TWIST_TERM_PAIRS_GUARD, f"twist check refused for n^4 = {n**4} term pairs")
-    embeddings = comb(args.max_m + 1, 3)
-    _guard(embeddings, TWIST_EMBEDDINGS_GUARD,
-           f"twist check refused for {embeddings} embedded checks up to m = {args.max_m}")
-    work = args.search * n * n
-    _guard(work, TWIST_SEARCH_GUARD, f"twist check refused for search work {work} (samples times n^2)")
+    size_guard((n, n, n, n), TWIST_TERM_PAIRS_GUARD,
+               lambda pairs: f"twist check refused for n^4 = {pairs} term pairs")
+    size_guard(binomial_factors(args.max_m + 1, 3), TWIST_EMBEDDINGS_GUARD,
+               lambda checks: f"twist check refused for {checks} embedded checks up to m = {args.max_m}")
+    size_guard((args.search, n, n), TWIST_SEARCH_GUARD,
+               lambda work: f"twist check refused for search work {work} (samples times n^2)")
     B = GroupAlgebra(n, 1)
     report["context"] = B.cyc.to_json()
     suite = twist_suite(canonical_twist(B), max_m=args.max_m)
@@ -188,8 +182,9 @@ GAMMA_WORK_GUARD = 4_000_000
 def _run_gamma_table(args, report):
     """The (m!)^2 cocycle values gamma(w, v) and their checks
     (HopfAlgebra.gamma_table)."""
-    work = factorial(args.m) ** 3 * args.n ** (args.m + 1)
-    _guard(work, GAMMA_WORK_GUARD, f"gamma table refused for (m!)^3 n^(m+1) = {work}")
+    n = args.n  # (m!)^3 n^(m+1) as n, then n i^3 for i = 1..m
+    size_guard((n * i**3 if i else n for i in range(args.m + 1)), GAMMA_WORK_GUARD,
+               lambda work: f"gamma table refused for (m!)^3 n^(m+1) = {work}")
     hopf = HopfAlgebra(args.n, args.m)
     report["context"] = hopf.cyc.to_json()
     report["data"]["entries"], checks = hopf.gamma_table()
@@ -211,11 +206,10 @@ REP_T_TERMS_GUARD = 100_000
 
 def _run_rep_check(args, report):
     n, m = args.n, args.m
-    equations = (2 * m - 1) * m * m
-    _guard(equations, REP_EQUATIONS_GUARD,
-           f"rep check refused for (2m - 1) m^2 = {equations} Hom equations")
-    terms = m * (m - 1) * n * n
-    _guard(terms, REP_T_TERMS_GUARD, f"rep check refused for m (m - 1) n^2 = {terms} rho(t_k) terms")
+    size_guard((2 * m - 1, m, m), REP_EQUATIONS_GUARD,
+               lambda equations: f"rep check refused for (2m - 1) m^2 = {equations} Hom equations")
+    size_guard((m, m - 1, n, n), REP_T_TERMS_GUARD,
+               lambda terms: f"rep check refused for m (m - 1) n^2 = {terms} rho(t_k) terms")
     params = RepParams(n, m, args.a, args.b)
     checks = verify_rep(Rep(params))
     report["context"] = {"n": args.n, "N": 2 * args.n, "degree": None}
@@ -224,7 +218,16 @@ def _run_rep_check(args, report):
     return [checks]
 
 
+# bounds m (b + 1), b the bit length of n: with a and b reduced mod n,
+# |det M_{m,a,b}| = |a - b|^(m-1) |a + (m-1) b| < m n^m, so det M has at
+# most m (b + 1) bits, and 14,000 bits (about 4,214 digits) keep every
+# admitted det M under the 4,300 digits that Python converts to str
+DET_M_BITS_GUARD = 14_000
+
+
 def _run_inner_faithful(args, report):
+    size_guard((args.m, args.n.bit_length() + 1), DET_M_BITS_GUARD,
+               lambda bits: f"inner faithful refused for m (bit length of n + 1) = {bits} bits of det M")
     params = RepParams(args.n, args.m, args.a, args.b)
     report["data"]["det_M"] = det_M(args.m, params.a, params.b)
     report["data"]["criterion"] = inner_faithful_criterion(params)
@@ -246,8 +249,8 @@ DIMENSION_GUARD = 4000
 
 
 def _guard_dimension(what: str, n: int, m: int) -> None:
-    dim = n**m * factorial(m)
-    _guard(dim, DIMENSION_GUARD, f"{what} refused for dim H = {dim}")
+    size_guard((n * i for i in range(1, m + 1)), DIMENSION_GUARD,
+               lambda dim: f"{what} refused for dim H = {dim}")
 
 
 # bounds the degree work of invariants, comb(K + m, m) monomials of degree
@@ -269,12 +272,13 @@ LINEAR_ALGEBRA_GUARD = 4_000_000
 
 
 def _guard_degree_work(n: int, m: int, degree: int) -> None:
-    work = comb(degree + m, m) * n**m * factorial(m)
-    _guard(work, DEGREE_WORK_GUARD, f"invariants refused for degree work {work}"
-           f" (monomials of degree <= {degree} times dim H)")
+    # comb(degree + m, m) m! n^m, the product of n (degree + i), i = 1..m
+    size_guard((n * (degree + i) for i in range(1, m + 1)), DEGREE_WORK_GUARD,
+               lambda work: f"invariants refused for degree work {work}"
+               f" (monomials of degree <= {degree} times dim H)")
     cubes = sum(comb(k + m - 1, m - 1) ** 3 for k in range(degree + 1))
-    _guard(cubes, LINEAR_ALGEBRA_GUARD, f"invariants refused for linear algebra {cubes}"
-           f" (the sum of d_k^3 over the monomial counts d_k of degrees k <= {degree})")
+    size_guard((cubes,), LINEAR_ALGEBRA_GUARD, lambda work: f"invariants refused for linear algebra {work}"
+               f" (the sum of d_k^3 over the monomial counts d_k of degrees k <= {degree})")
 
 
 # bounds the monomial-pair work of module-algebra-check: its 2m + 2 acting
@@ -309,9 +313,10 @@ def _run_invariants(args, report):
 def _run_module_algebra(args, report):
     _guard_dimension("module algebra check", args.n, args.m)
     degree = args.degree if args.degree is not None else min(4, 2 * args.n)
-    work = (2 * args.m + 2) * comb(degree + 2 * args.m, 2 * args.m) * args.n**args.m
-    _guard(work, MODULE_WORK_GUARD, f"module algebra check refused for work {work} (elements"
-           f" times monomial pairs of degree <= {degree} times n^m)")
+    m = args.m
+    size_guard((2 * m + 2, args.n**m, *binomial_factors(degree + 2 * m, 2 * m)), MODULE_WORK_GUARD,
+               lambda work: f"module algebra check refused for work {work} (elements"
+               f" times monomial pairs of degree <= {degree} times n^m)")
     hopf = HopfAlgebra(args.n, args.m)
     qpa = QuantumPolyAlgebra(hopf, args.a, args.b)
     report["context"] = hopf.cyc.to_json()

@@ -333,23 +333,14 @@ def t_inv_of(R: GroupAlgebra, k: int) -> RingElem:
 # a = sum_beta c_beta x^beta in K[Z_n^width] is a unit iff no character value
 # chi(a) = sum_beta c_beta q^{chi.beta} is zero, and then
 # a^{-1} = n^{-width} sum_beta (sum_chi chi(a)^{-1} q^{-chi.beta}) x^beta.
-# Both directions run one exact transform, reduced twice:
-#
-# * Live axes.  Only the axes on which some key is nonzero are transformed.
-#   a lies in the subalgebra K[Z_n^live], whose characters give the same set
-#   of values, and its inverse lies there too; the inverse's keys are
-#   re-embedded with 0 on the dead axes, in the same lexicographic order.
-# * A separable integer pass.  Over a common denominator D each coefficient
-#   is an integer vector in Z[x]/(x^N - 1), N = 2n, where multiplying by
-#   q^e = zeta_N^{2e} is a cyclic rotation by 2e.  One n-point pass per live
-#   axis costs at most live * n^(live+1) * N integer adds in all, one per
-#   nonzero coefficient moved, and each of the n^live results is folded
-#   modulo Phi_N once (CycContext.from_cyclic).
-#   The inverse runs the same pass with sign -1 over the values chi(a)^{-1},
-#   with denominator lcm(their denominators) * n^live.
-#
-# character_values runs the same pass on every axis, live or not, with no
-# unit check: the full table of values that twists and hopf read.
+# Both directions run one exact, separable integer pass over all width axes.
+# Over a common denominator D each coefficient is an integer vector in
+# Z[x]/(x^N - 1), N = 2n, where multiplying by q^e = zeta_N^{2e} is a cyclic
+# rotation by 2e.  One n-point pass per axis costs at most
+# width * n^(width+1) * N integer adds in all, one per nonzero coefficient
+# moved, and each of the n^width results is folded modulo Phi_N once
+# (CycContext.from_cyclic).  The inverse runs the same pass with sign -1 over
+# the values chi(a)^{-1}, with denominator lcm(their denominators) * n^width.
 
 
 def _character_pass(vecs: list, n: int, sign: int) -> list:
@@ -386,62 +377,45 @@ def _character_pass(vecs: list, n: int, sign: int) -> list:
     return vecs
 
 
-def _character_values(cyc: CycContext, items, live: int, sign: int, scale: int = 1) -> list:
-    """[sum_i c_i q^{sign chi.beta_i} / scale for chi in Z_n^live], row-major,
-    from pairs (row-major index of beta_i in Z_n^live, c_i)."""
+def _character_values(cyc: CycContext, items, width: int, sign: int, scale: int = 1) -> list:
+    """[sum_i c_i q^{sign chi.beta_i} / scale for chi in Z_n^width], row-major,
+    from pairs (row-major index of beta_i in Z_n^width, c_i)."""
     den = 1
     for _, c in items:
         den = lcm(den, c.den)
     pad = [0] * (cyc.N - cyc.degree)
-    vecs = [[0] * cyc.N] * cyc.n**live
+    vecs = [[0] * cyc.N] * cyc.n**width
     for idx, c in items:
         f = den // c.den
         vecs[idx] = [x * f for x in c.nums] + pad
     return [cyc.from_cyclic(v, den * scale) for v in _character_pass(vecs, cyc.n, sign)]
 
 
-def live_index(coords, live: list, n: int) -> int:
-    """The row-major index in Z_n^live of the coordinates coords[i], i in live."""
-    idx = 0
-    for i in live:
-        idx = idx * n + coords[i]
-    return idx
-
-
-def _unit_values(ring: GroupAlgebra, terms: dict, width: int) -> tuple[list, list]:
-    """The live axes of the element with the given sparse terms, keyed by
-    flat exponent tuples of that width, and its character values over
-    Z_n^live.  Raises NotInvertibleError if one of them is zero."""
+def character_values(ring: GroupAlgebra, terms: dict, width: int) -> list:
+    """The values of the element of K[Z_n^width] with the given terms, keyed
+    by flat exponent tuples of that width, at the n^width characters, in
+    row-major order: one transform over every axis, and no unit check."""
     n = ring.n
-    live = [i for i in range(width) if any(key[i] for key in terms)]
-    items = [(live_index(key, live, n), c) for key, c in terms.items()]
-    values = _character_values(ring.cyc, items, len(live), 1)
-    if any(v.is_zero() for v in values):
+    items = [(reduce(lambda idx, e: idx * n + e, key, 0), c) for key, c in terms.items()]
+    return _character_values(ring.cyc, items, width, 1)
+
+
+def _unit_values(ring: GroupAlgebra, terms: dict, width: int) -> list:
+    """character_values, raising NotInvertibleError if one of them is zero."""
+    values = character_values(ring, terms, width)
+    if not all(values):
         raise NotInvertibleError("element is not a unit of the group algebra")
-    return live, values
-
-
-def _embed_live(coords, live: list, width: int) -> tuple:
-    """The exponent tuple of the given width with coords on the live axes."""
-    key = [0] * width
-    for i, e in zip(live, coords):
-        key[i] = e
-    return tuple(key)
+    return values
 
 
 def _fourier_inverse_terms(ring: GroupAlgebra, terms: dict, width: int) -> dict:
     """Invert an element of the group algebra of Z_n^width given sparse terms
-    keyed by flat exponent tuples of that length."""
+    keyed by flat exponent tuples of that length; the inverse's keys come
+    in row-major order."""
     n = ring.n
-    live, values = _unit_values(ring, terms, width)
-    inverse = _character_values(
-        ring.cyc, list(enumerate(v.inv() for v in values)), len(live), -1, n ** len(live)
-    )
-    out = {}
-    for coords, c in zip(iproduct(range(n), repeat=len(live)), inverse):
-        if c:
-            out[_embed_live(coords, live, width)] = c
-    return out
+    values = _unit_values(ring, terms, width)
+    inverse = _character_values(ring.cyc, list(enumerate(v.inv() for v in values)), width, -1, n**width)
+    return {key: c for key, c in zip(iproduct(range(n), repeat=width), inverse) if c}
 
 
 def _flat_terms(J: KTensor) -> dict:
@@ -465,13 +439,5 @@ def tensor_inverse(J: KTensor) -> KTensor:
 
 def check_tensor_invertible(J: KTensor) -> None:
     """Raise NotInvertibleError unless J is a unit: compute its character
-    values on the live axes without reconstructing the inverse."""
+    values without reconstructing the inverse."""
     _unit_values(J.ring, _flat_terms(J), J.ring.m * J.arity)
-
-
-def character_values(ring: GroupAlgebra, terms: dict, width: int) -> list:
-    """The values of the element of K[Z_n^width] with the given terms, keyed
-    by flat exponent tuples of that width, at the n^width characters, in
-    row-major order: one transform over every axis, and no unit check."""
-    items = [(live_index(key, range(width), ring.n), c) for key, c in terms.items()]
-    return _character_values(ring.cyc, items, width, 1)

@@ -46,7 +46,7 @@ from math import factorial
 
 from .cocycle import WordCalculus, reference_cocycle_table_m3
 from .cyclotomic import CycScalar
-from .errors import ContextMismatchError, NotInvertibleError, SizeGuardError
+from .errors import ContextMismatchError, NotInvertibleError, size_guard
 from .group_ring import (
     GroupAlgebra,
     KTensor,
@@ -774,13 +774,10 @@ class HopfAlgebra:
         ok = powers[self.m] == self.from_ring(t)
         report.add("theta-order", "theta^m = t in R", ok, None if ok else {"t": t.to_json()})
 
-        def inverse(a: RingElem) -> RingElem | None:
-            try:
-                return ring_inverse(a)
-            except NotInvertibleError:
-                return None
-
-        t_inv = inverse(t)
+        try:
+            t_inv = ring_inverse(t)
+        except NotInvertibleError:
+            t_inv = None
         report.add("t-invertible", "t is a unit of R", t_inv is not None, None)
 
         labels = cycle_powers(self.m)
@@ -825,11 +822,12 @@ class HopfAlgebra:
         )
 
         # theta^k = c_k (s^k)-bar with c_k a unit of R spans R (s^k)-bar, of
-        # dim n^m; m distinct labels s^k make the sum over k < m direct
+        # dim n^m; m distinct labels s^k make the sum over k < m direct.  c_k
+        # is a unit exactly when none of its character values is zero
         labels_of = [{w for _, w in powers[k].terms} for k in range(self.m)]
         ok = all(len(ls) == 1 for ls in labels_of) and len(set().union(*labels_of)) == self.m
         ok = ok and all(
-            inverse(RingElem(self.ring, {e: c for (e, _), c in powers[k].terms.items()})) is not None
+            all(character_values(self.ring, {e: c for (e, _), c in powers[k].terms.items()}, self.m))
             for k in range(self.m)
         )
         report.add("subalgebra-dimension", "dim H' = m n^m", ok, None)
@@ -1060,11 +1058,10 @@ def _embed_key(key, m: int) -> tuple:
 
 
 def guard_basis_pairs(what: str, n: int, m: int) -> None:
-    """Refuse a sweep over all basis pairs of H_{n,m} when |B|^2 exceeds
-    BASIS_PAIRS_GUARD."""
-    pairs = (n**m * factorial(m)) ** 2
-    if pairs > BASIS_PAIRS_GUARD:
-        raise SizeGuardError(f"{what} refused for {pairs} basis pairs > {BASIS_PAIRS_GUARD}")
+    """Refuse a sweep over all basis pairs of H_{n,m} when |B|^2 =
+    (n^m m!)^2 exceeds BASIS_PAIRS_GUARD."""
+    size_guard((f for i in range(1, m + 1) for f in (n * i, n * i)), BASIS_PAIRS_GUARD,
+               lambda pairs: f"{what} refused for {pairs} basis pairs")
 
 
 def embedding_check(n: int, m: int) -> AxiomReport:

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from math import gcd
 
 from .cyclotomic import CycContext
-from .errors import SizeGuardError
+from .errors import size_guard
 from .hopf import AxiomReport, HopfElem
 from .linalg import Mat, rref
 from .sparse import accumulate
@@ -280,8 +280,8 @@ def inner_faithful_bruteforce(params: RepParams) -> tuple[bool, list[list[int]]]
     every j, searched over all of Z_n^m.  Returns (verdict, the elements of
     K in sorted order); refuses n^m > KERNEL_SEARCH_GUARD."""
     n, m = params.n, params.m
-    if n**m > KERNEL_SEARCH_GUARD:
-        raise SizeGuardError(f"kernel search refused for n^m = {n**m} > {KERNEL_SEARCH_GUARD}")
+    size_guard((n for _ in range(m)), KERNEL_SEARCH_GUARD,
+               lambda size: f"kernel search refused for n^m = {size}")
     weights = [params.weight(j) for j in range(1, m + 1)]
     kernel = [
         list(alpha)

@@ -2,13 +2,18 @@
 predicates read J's character table: the same identities as products of
 tensors over B^(x)m."""
 
-from kacpal.group_ring import GroupAlgebra, KTensor, embed_pair
-from kacpal.twists import is_twist
+from kacpal.group_ring import GroupAlgebra, KTensor, check_tensor_invertible, embed_pair
+from kacpal.twists import _dense_twist_report
 
 
 def dense_embedded_twist(J, i, j, m):
-    """The report of is_twist on (e_i^m (x) e_j^m)(J) over B^(x)m."""
-    return is_twist(embed_pair(J, i, j, GroupAlgebra(J.ring.n, m)))
+    """The report of is_twist on (e_i^m (x) e_j^m)(J) over B^(x)m, with its
+    unit test run on J over B: the embedding is an algebra map with a left
+    inverse, the projection x^alpha (x) x^beta -> x^alpha_i (x) x^beta_j,
+    so it is a unit exactly when J is.  The transform of J takes n^2
+    characters; that of the embedding would take all n^(2m) of B^(x)m."""
+    check_tensor_invertible(J)
+    return _dense_twist_report(embed_pair(J, i, j, GroupAlgebra(J.ring.n, m)))
 
 
 def dense_superstrong(J) -> bool:

@@ -356,6 +356,26 @@ def test_size_guard_exit_3(capsys):
         "rep-check 2 100000 1 0",
         "rep-check 224 2 1 0",
         "rep-check 100000 2 1 0",
+        # works of thousands of digits, which a refusal names "over 10^30":
+        # Python converts no int of more than 4300 digits to str
+        "verify 2 779",
+        "export 2 779",
+        "embed-check 2 779",
+        "verify 2 1000000",
+        "gamma-table 2 588",
+        "invariants 2 1424 1 0",
+        "module-algebra-check 2 1424 1 0",
+        f"twist-check {10**1100}",
+        f"twist-check 3 --max-m {10**1500}",
+        f"rep-check 2 {10**1500} 1 0",
+        f"invariants 2 2 1 0 --degree {10**2200}",
+        f"module-algebra-check 2 2 1 0 --degree {10**2200}",
+        # det M has at most m (bit length of n + 1) bits; over 14,000 bits
+        # it is refused before it is computed
+        "inner-faithful 7 14272 3 1",
+        "inner-faithful 7 3501 3 1",
+        "inner-faithful 2 20000 1 0 --bruteforce",
+        f"inner-faithful {10**4000} 2 1 0",
     ):
         start = time.perf_counter()
         code, report = _run(capsys, argv.split())
@@ -363,6 +383,15 @@ def test_size_guard_exit_3(capsys):
         assert code == 3, argv
         assert report["error"]["type"] == "size-guard", argv
         assert report["checks"] == [], argv
+        assert "total_seconds" in report["timings"], argv
+
+
+def test_det_m_guard_admits_every_det_m_it_prints(capsys):
+    """inner-faithful 7 3500 3 1, the largest m the guard admits at n = 7,
+    writes det M = 2^3499 * 3502 exactly."""
+    code, report = _run(capsys, "inner-faithful 7 3500 3 1".split())
+    assert code == 0
+    assert report["data"]["det_M"] == 2**3499 * 3502
 
 
 @pytest.mark.parametrize("n, m, degree", [(2, 2, 5), (3, 3, 12), (2, 4, 6), (2, 5, 4), (3, 4, 6), (18, 2, 36)])

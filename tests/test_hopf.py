@@ -18,7 +18,7 @@ from kacpal import (
     t_of,
     twist_Js,
 )
-from kacpal.errors import ContextMismatchError
+from kacpal.errors import ContextMismatchError, NotInvertibleError
 from kacpal.group_ring import KTensor, check_tensor_invertible, eps_ring, slot_vector
 from kacpal.hopf import HopfElem, HTensor, key_json
 from kacpal.symmetric import canonical_word, cycle_perm
@@ -836,14 +836,19 @@ def test_integral_report_does_not_depend_on_verify_axioms():
         assert H.verify_integral().to_json() == before
 
 
-def test_cyclic_subalgebra_dimension_needs_unit_coefficients():
+def _make_gamma_ss_a_non_unit(H):
     """Make gamma(s, s) the non-unit 1 - x_1, which vanishes at the trivial
-    character: theta^2 then spans less than R (s^2)-bar."""
-    H = HopfAlgebra(2, 3)
-    s = cycle_perm(3)
+    character."""
+    s = cycle_perm(H.m)
     cocycle = H.words.cocycle
     non_unit = H.ring.one - H.ring.monomial(slot_vector(H.m, 1))
     H.words.cocycle = lambda w, v: non_unit if (w, v) == (s, s) else cocycle(w, v)
+
+
+def test_cyclic_subalgebra_dimension_needs_unit_coefficients():
+    """With gamma(s, s) a non-unit, theta^2 spans less than R (s^2)-bar."""
+    H = HopfAlgebra(2, 3)
+    _make_gamma_ss_a_non_unit(H)
     report = H.cyclic_subalgebra().report
     assert _check(report, "theta-powers")["status"] == "pass"
     assert _check(report, "subalgebra-dimension")["status"] == "fail"
@@ -855,6 +860,28 @@ def test_cyclic_subalgebra_dimension_needs_unit_coefficients():
         "witness": None,
         "checked": None,
     }
+
+
+@pytest.mark.parametrize(
+    "n, m, non_unit", [(2, 2, False), (3, 2, False), (2, 3, False), (4, 2, False), (2, 3, True)]
+)
+def test_subalgebra_dimension_matches_inversion(n, m, non_unit):
+    """subalgebra-dimension decides the units among the theta^k
+    coefficients from their character values alone; its slow path inverts
+    each coefficient with ring_inverse."""
+    H = HopfAlgebra(n, m)
+    if non_unit:
+        _make_gamma_ss_a_non_unit(H)
+    theta, power, inverted = H.basis_elem(H.ring.zero_exp, cycle_perm(m)), H.unit(), True
+    for _ in range(m):
+        try:
+            ring_inverse(H.ring.from_terms({e: c for (e, _), c in power.terms.items()}))
+        except NotInvertibleError:
+            inverted = False
+        power = power * theta
+    assert inverted is not non_unit
+    passed = _check(H.cyclic_subalgebra().report, "subalgebra-dimension")["status"] == "pass"
+    assert passed is inverted
 
 
 def presentation_product(H, ka, kb):

@@ -359,6 +359,9 @@ def test_bruteforce_examples():
     assert kernel == [[0, 0], [1, 1]]  # the diagonal subgroup acts trivially
     with pytest.raises(SizeGuardError):
         inner_faithful_bruteforce(RepParams(9, 5, 1, 0))
+    # 2^20000 has 6,021 digits: the refusal names it without writing it
+    with pytest.raises(SizeGuardError, match=r"n\^m = over 10\^30 > 4096"):
+        inner_faithful_bruteforce(RepParams(2, 20000, 1, 0))
 
 
 def _kernel_of_rho(params):
