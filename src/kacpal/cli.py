@@ -5,16 +5,18 @@ report's context and data, and returns the AxiomReports of the library
 calls that decide its checks; no check is decided here.  _run assembles
 them: the report's checks, its ok verdict and its "timings" block.
 
-Exit codes: 0 all selected checks pass, 1 a check failed, 2 usage error,
-3 a size guard refused the computation.  Identical (argv, seed) produce
-byte-identical reports apart from the "timings" block, which holds the
-total and the seconds spent on each check.  The engine evaluates
-serially; reports record this as "threads": 1 in their config.
+Exit codes: 0 all selected checks pass, 1 a check failed, 2 usage error
+or a report that cannot be written, 3 a size guard refused the
+computation.  Identical (argv, seed) produce byte-identical reports apart
+from the "timings" block, which holds the total and the seconds spent on
+each check.  The engine evaluates serially; reports record this as
+"threads": 1 in their config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -378,16 +380,19 @@ def main(argv=None) -> int:
     try:
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
-        print(f"kacpal: error: cannot write the report to {args.out}: {exc.strerror}",
-              file=sys.stderr)
-        return 2
+        return _cannot_write(args.out, exc)
     try:
         code, report = _run(args, config)
-        _emit(report, out)
+        code = _emit(report, out, code, args.out or "stdout")
     finally:
         if out is not sys.stdout:
             out.close()
     return code
+
+
+def _cannot_write(target: str, exc: OSError) -> int:
+    print(f"kacpal: error: cannot write the report to {target}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _run(args, config) -> tuple[int, dict]:
@@ -416,19 +421,26 @@ def _run(args, config) -> tuple[int, dict]:
     return code, report
 
 
-def _emit(report: dict, out) -> None:
-    """Write the report and a newline.  A reader that closes stdout early
-    (``kacpal export 2 3 | head``) ends the output quietly."""
-    text = report_text(report)
+def _emit(report: dict, out, code: int, target: str) -> int:
+    """Write the report and a newline to out, close it unless it is stdout,
+    and return the run's exit code.  A reader that closes stdout early
+    (``kacpal export 2 3 | head``) ends the output quietly; any other
+    OSError, such as a full disk, prints one error line and returns 2."""
     try:
-        out.write(text)
+        out.write(report_text(report))
         out.write("\n")
         out.flush()
-    except BrokenPipeError:
-        # Python flushes stdout again at exit; pointing it at devnull keeps
-        # that flush from raising (Python docs, "Note on SIGPIPE")
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
+        if out is not sys.stdout:
+            out.close()
+    except OSError as exc:
+        # Python flushes stdout again at exit, and a file when it is closed;
+        # pointing it at devnull keeps that flush from raising (Python docs,
+        # "Note on SIGPIPE")
+        with contextlib.suppress(ValueError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), out.fileno())  # ValueError: no descriptor, or closed
+        if not isinstance(exc, BrokenPipeError):
+            code = _cannot_write(target, exc)
+    return code
 
 
 # -- the report writer ---------------------------------------------------------

@@ -4,7 +4,10 @@ Multiplication is the crossed product
 
     (x^alpha # w)(x^beta # v) = x^alpha sigma_w(x^beta) gamma(w, v) # w*v,
 
-with gamma the operational 2-cocycle from kacpal.cocycle.  The coproduct of
+with gamma the operational 2-cocycle from kacpal.cocycle, read only through
+self.words.cocycle (WordCalculus.cocycle): hmul, product_table,
+gamma_exponents, gamma_table and cyclic_subalgebra all see one gamma, and a
+change made there reaches every one of them.  The coproduct of
 a basis element is Delta(x^alpha # w) = (x^alpha (x) x^alpha) J(w) (w (x) w)
 where J(w) is defined by the recursion J(id) = 1 (x) 1 and
 J(s_i v) = J_i (sigma_i (x) sigma_i)(J(v)) over the canonical word of w.
@@ -26,12 +29,13 @@ construction; exhaustive verification still checks it, and the matching
 laws for coproduct and antipode, once per algebra, to catch a subclass that
 overrides a structure map.  Where its laws hold, a check runs on its label
 cases: associativity's (m!)^3 label triples, comultiplicativity's (m!)^2
-label pairs, decided from exponent tables of J(w) and gamma(w, v) at
-characters (gamma_exponents and j_exponents, one memoized source), and the
-m! labels of the per-basis checks.  Otherwise it runs on every basis case
-(see verify_axioms).  gamma_table checks the 2-cocycle identity of gamma
-on the same tables and runs associativity's predicate on the label
-triples.  export reads its table from the same translates
+label pairs, each with one memoized verdict from the exponent tables of
+J(w) and gamma(w, v) at characters (_comultiplicative_by_table, reading
+gamma_exponents and j_exponents) or, where a table is None, through the
+HTensor product, and the m! labels of the per-basis checks.  Otherwise it
+runs on every basis case (see verify_axioms).  gamma_table checks the
+2-cocycle identity of gamma on the same tables and runs associativity's
+predicate on the label triples.  export reads its table from the same translates
 (product_table), and embed-check checks the product on the (m!)^2 label
 pairs (embedding_check).  Every check is recorded in an AxiomReport.
 """
@@ -139,19 +143,16 @@ class HopfAlgebra:
 
     # -- structure constants ----------------------------------------------------
 
-    def _single_product(self, w: Perm, v: Perm):
-        """The label product w-bar v-bar = gamma(w, v) (wv)-bar: its label and
-        the terms of gamma(w, v)."""
-        return w * v, list(self.words.cocycle(w, v).terms.items())
-
     @memoized
     def _translate(self, w: Perm, v: Perm, delta: tuple) -> dict:
         """The terms of T_delta(w-bar v-bar) = x^delta gamma(w, v) (wv)-bar,
-        shifted from those at delta = 0, whose label object they share."""
+        shifted from those at delta = 0, whose label object they share.
+        gamma(w, v) is read from the word calculus, the one source of gamma
+        in this algebra."""
         if any(delta):
             return _translated(self._translate(w, v, self.ring.zero_exp), delta, self.n)
-        wv, gamma_terms = self._single_product(w, v)
-        return {(e, wv): c for e, c in gamma_terms}
+        wv = w * v
+        return {(e, wv): c for e, c in self.words.cocycle(w, v).terms.items()}
 
     def hmul(self, a: "HopfElem", b: "HopfElem") -> "HopfElem":
         """ab = sum ca cb T_delta(wa-bar wb-bar), delta = ea + wa.eb, over the
@@ -405,10 +406,11 @@ class HopfAlgebra:
     @memoized
     def gamma_exponents(self, w: Perm, v: Perm) -> list | None:
         """g_{w,v}, with gamma(w, v)(psi) = zeta_2n^g[a] at the character
-        psi of index a, read from _translate(w, v, 0); that is hmul(w-bar,
+        psi of index a, read from _translate(w, v, 0), which holds
+        self.words.cocycle(w, v) on the label wv: the gamma that hmul
+        multiplies with, and that gamma_table reports.  That is hmul(w-bar,
         v-bar) wherever P1 holds, which is where verify_axioms reads these
-        tables; every term carries the label wv.  None when a value is not
-        a root of unity."""
+        tables.  None when a value is not a root of unity."""
         terms = self._translate(w, v, self.ring.zero_exp)
         return self._exponents({e: c for (e, _), c in terms.items()}, self.m)
 
@@ -423,26 +425,22 @@ class HopfAlgebra:
             return None
         return self._exponents({d1 + d2: c for ((d1, _), (d2, _)), c in terms.items()}, 2 * self.m)
 
-    def _comultiplicative_by_tables(self) -> set:
-        """The permutation pairs (w, v) at which the exponent identity of
-        verify_axioms holds on gamma_exponents and j_exponents; a pair with
-        a None table is left out."""
+    @memoized
+    def _comultiplicative_by_table(self, w: Perm, v: Perm) -> bool | None:
+        """Whether the exponent identity of verify_axioms holds at the label
+        pair (w, v) on gamma_exponents and j_exponents; None when one of
+        g_{w,v}, f_w, f_v and f_wv is None."""
+        g, fw, fv, fwv = self.gamma_exponents(w, v), *map(self.j_exponents, (w, v, w * v))
+        if None in (g, fw, fv, fwv):
+            return None
         N, size, plus = self.cyc.N, self.n**self.m, self.character_sum()
-        proved = set()
-        for w, v in iproduct(self.perms, repeat=2):
-            g = self.gamma_exponents(w, v)
-            fw, fv, fwv = (self.j_exponents(u) for u in (w, v, w * v))
-            if g is None or fw is None or fv is None or fwv is None:
-                continue
-            aw = self.character_action(w)
-            if not any(
-                (g[plus[a][b]] + fwv[a * size + b] - fw[a * size + b]
-                 - fv[aw[a] * size + aw[b]] - g[a] - g[b]) % N
-                for a in range(size)
-                for b in range(size)
-            ):
-                proved.add((w, v))
-        return proved
+        aw = self.character_action(w)
+        return not any(
+            (g[plus[a][b]] + fwv[a * size + b] - fw[a * size + b]
+             - fv[aw[a] * size + aw[b]] - g[a] - g[b]) % N
+            for a in range(size)
+            for b in range(size)
+        )
 
     def verify_axioms(self) -> "AxiomReport":
         """Exact verification of the Hopf axioms on every basis element.
@@ -494,12 +492,13 @@ class HopfAlgebra:
         T_{w.phi_j}(w-bar q_j-bar) = T_delta(w-bar (v-bar u-bar)), since P1
         gives w-bar (x^phi_j q_j-bar) = T_{w.phi_j}(w-bar q_j-bar).
 
-        Comultiplicativity.  The label cases are the (m!)^2 pairs, decided
-        by Delta(w-bar v-bar) == Delta(w-bar)Delta(v-bar) through hmul,
-        coproduct and the HTensor product, which multiplies legs with hmul,
-        or by the exponent tables below; comultiplicativity-direct reads the
-        same verdicts.  For a = x^alpha w-bar, b = x^beta v-bar, let T_{d,d}
-        shift both legs by d and put delta = alpha + w.beta.  By D1,
+        Comultiplicativity.  The label cases are the (m!)^2 pairs, each with
+        one verdict, which comultiplicativity-direct reads too: from the
+        exponent tables below, or Delta(w-bar v-bar) ==
+        Delta(w-bar)Delta(v-bar) through hmul, coproduct and the HTensor
+        product, which multiplies legs with hmul.  For a = x^alpha w-bar,
+        b = x^beta v-bar, let T_{d,d} shift both legs by d and put delta =
+        alpha + w.beta.  By D1,
         Delta(x^alpha w-bar) = T_{alpha,alpha} Delta(w-bar), so Delta(ab) =
         T_{delta,delta} Delta(w-bar v-bar) by P1.  A pair of legs of
         Delta(a)Delta(b) is (x^{alpha+d} w-bar)(x^{beta+e} v-bar) =
@@ -507,24 +506,26 @@ class HopfAlgebra:
         action, so Delta(a)Delta(b) = T_{delta,delta}
         (Delta(w-bar)Delta(v-bar)).
 
-        Exponent tables.  When the literal predicate passes on the generator
-        pairs (x_i, z_k) and (z_k, x_i), which run the HTensor product, a
-        label pair may be decided from integer tables instead.  A character
-        psi of Z_n^m sends x^beta to q^{psi.beta}.  Read Delta(w-bar) =
-        J(w)(w-bar (x) w-bar) through coproduct (j_exponents) and w-bar
-        v-bar = gamma(w, v)(wv)-bar from _translate(w, v, 0)
-        (gamma_exponents), which is hmul(w-bar, v-bar) because the product
-        law, P1 included, holds wherever the tables are read; the character
-        transform gives J(w)(psi, psi') = zeta^{f_w(psi, psi')} and
-        gamma(w, v)(psi) = zeta^{g(psi)}, zeta = zeta_2n, where every value
-        is a root of unity.
-        The pair passes when, at every pair of characters, with
-        (w.psi)_j = psi_{w^-1(j)},
+        Exponent tables.  The generator pairs (x_i, z_k) and (z_k, x_i) are
+        checked first, through the HTensor product.  When they pass, the
+        integer tables decide each label pair, pass and fail alike
+        (_comultiplicative_by_table); a pair with a None table gets the
+        HTensor verdict, and so does every pair when a generator pair
+        fails.  A character psi of Z_n^m sends x^beta to q^{psi.beta}.
+        Read Delta(w-bar) = J(w)(w-bar (x) w-bar) through coproduct
+        (j_exponents) and w-bar v-bar = gamma(w, v)(wv)-bar from
+        _translate(w, v, 0) (gamma_exponents), which is hmul(w-bar, v-bar)
+        because the product law, P1 included, holds wherever the tables are
+        read; the character transform gives J(w)(psi, psi') =
+        zeta^{f_w(psi, psi')} and gamma(w, v)(psi) = zeta^{g(psi)}, zeta =
+        zeta_2n, where every value is a root of unity.  The table passes the pair exactly when, at every pair of
+        characters, with (w.psi)_j = psi_{w^-1(j)},
 
           g(psi + psi') + f_wv(psi, psi')
             = f_w(psi, psi') + f_v(w.psi, w.psi') + g(psi) + g(psi') mod 2n.
 
-        Proof that Delta(w-bar v-bar) = Delta(w-bar)Delta(v-bar) then holds.
+        Proof that the identity holds exactly when Delta(w-bar v-bar) =
+        Delta(w-bar)Delta(v-bar).
         By D1 and the linearity of coproduct, Delta(w-bar v-bar) = sum_g c_g
         T_{g,g} Delta((wv)-bar) = Delta_R(gamma(w, v)) J(wv) ((wv)-bar (x)
         (wv)-bar), with Delta_R(x^g) = x^g (x) x^g.  The HTensor product
@@ -534,10 +535,10 @@ class HopfAlgebra:
         sigma_w(x^e) = x^{w.e} on each leg and psi(x^{w.e}) = (w.psi)(x^e).
         Both coefficients lie in the commutative algebra R (x) R, where an
         element is fixed by its values at the character pairs, and their
-        values are zeta to the two sides of the identity.  A pair whose
-        identity fails, or whose tables hold a value that is not a root of
-        unity, gets the HTensor verdict; so does every pair when a
-        generator pair fails.
+        values are zeta to the two sides of the identity.  zeta has order
+        2n, so the coefficients agree exactly when the identity holds at
+        every character pair, and the two sides, which carry the one label
+        pair ((wv)-bar, (wv)-bar), agree exactly when their coefficients do.
 
         Per-basis checks.  The label cases of coassociativity, counit,
         antipode and S^2 = id are the m! labels w-bar.  hmul and antipode
@@ -576,13 +577,14 @@ class HopfAlgebra:
             checked=len(basis) ** 3,
         )
 
-        proved: set = set()  # the label pairs (w, v) the exponent tables decide
+        tables = False  # whether the exponent tables decide the label pairs
         verdicts: dict = {}  # one HTensor verdict per pair, shared by both checks
 
         def delta_fails(keys):
             ka, kb = keys
-            if (ka[1], kb[1]) in proved:
-                return False
+            verdict = self._comultiplicative_by_table(ka[1], kb[1]) if tables else None
+            if verdict is not None:
+                return not verdict
             out = verdicts.get(keys)
             if out is None:
                 a, b = elems[ka], elems[kb]
@@ -591,11 +593,9 @@ class HopfAlgebra:
                 )
             return out
 
-        if coproducts_translate:
-            gens = [next(iter(g.terms)) for g in self.generators()]
-            xs, zs = gens[: self.m], gens[self.m :]
-            if not any(delta_fails(p) for x in xs for z in zs for p in ((x, z), (z, x))):
-                proved.update(self._comultiplicative_by_tables())
+        gens = [next(iter(g.terms)) for g in self.generators()]
+        pairs = [p for x in gens[: self.m] for z in gens[self.m :] for p in ((x, z), (z, x))]
+        tables = coproducts_translate and not any(map(delta_fails, pairs))
 
         report.check(
             "comultiplicativity",

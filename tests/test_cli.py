@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -727,6 +729,29 @@ def test_gamma_table_doubled_value_fails_cocycle_counit(capsys, monkeypatch):
     assert checks["cocycle-counit"]["witness"] == {"w": [1], "v": [1]}
 
 
+def test_gamma_table_reports_the_gamma_its_algebra_multiplies_with(capsys, monkeypatch):
+    # gamma(s_1, s_1) := 1 in the word calculus, the one source of gamma:
+    # the table shows the value hmul multiplies with, and the reference
+    # table, the cocycle identity and both associativity checks refute it
+    s1 = Perm.transposition(3, 1)
+    _mutate_cocycle(monkeypatch, s1, s1, lambda g: g.ring.one)
+    H = HopfAlgebra(2, 3)
+    assert H.z(1) * H.z(1) == H.unit()
+    code, report = _run(capsys, ["gamma-table", "2", "3"])
+    assert code == 1
+    entry = next(e for e in report["data"]["entries"] if e["w"] == e["v"] == [1])
+    assert entry["gamma"] == [{"exponents": [0, 0, 0], "coeff": ["1/1", "0/1"]}]
+    assert entry["matches_reference"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["reference-table"]["status"] == "fail"
+    assert checks["reference-table"]["witness"] == {"mismatches": [entry]}
+    assert checks["cocycle-identity"]["status"] == "fail"
+    assert checks["associativity-oracle"]["status"] == "fail"
+    code, verify = _run(capsys, ["verify", "2", "3"])
+    assert code == 1
+    assert next(c for c in verify["checks"] if c["name"] == "associativity")["status"] == "fail"
+
+
 def test_verify_and_gamma_table_name_the_same_first_label_triple(capsys, monkeypatch):
     # under the character-unit mutation both associativity checks run the
     # one label-triple predicate in the same order
@@ -777,6 +802,40 @@ def test_closed_stdout_ends_quietly(argv, code):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == code
+
+
+class _FullStream(io.TextIOWrapper):
+    """A text stream on devnull whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_stdout_is_an_error_line_and_exit_2(capsys, monkeypatch):
+    with _FullStream(open(os.devnull, "wb")) as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        code = main(["verify", "2", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"kacpal: error: cannot write the report to stdout: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", ["--out /dev/full verify 2 2", "verify 2 2"])
+def test_a_full_device_ends_with_one_error_line(argv):
+    """``--out /dev/full`` and ``> /dev/full``: every check passes but the
+    report cannot be written, so the run exits 2 with one line and no
+    traceback, also from the flush at interpreter exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kacpal.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kacpal.cli"] + argv.split(),
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    target = "/dev/full" if "--out" in argv else "stdout"
+    assert proc.stderr == f"kacpal: error: cannot write the report to {target}: {os.strerror(errno.ENOSPC)}\n"
+    assert proc.returncode == 2
 
 
 def test_no_assert_statements_in_library():

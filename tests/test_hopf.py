@@ -18,6 +18,7 @@ from kacpal import (
     t_of,
     twist_Js,
 )
+from kacpal.cocycle import WordCalculus
 from kacpal.errors import ContextMismatchError, NotInvertibleError
 from kacpal.group_ring import KTensor, check_tensor_invertible, eps_ring, slot_vector
 from kacpal.hopf import HopfElem, HTensor, key_json
@@ -129,18 +130,23 @@ def test_verify_axioms_h8_all_pairs():
     assert report.ok, [c for c in report.checks if c["status"] != "pass"]
 
 
+def _mutate_gamma(H, pair, change):
+    """Replace gamma(w, v) by change(gamma(w, v)) at one label pair in the
+    word calculus of H, the one source of gamma that H reads."""
+    cocycle = H.words.cocycle
+    H.words.cocycle = lambda w, v: change(cocycle(w, v)) if (w, v) == pair else cocycle(w, v)
+
+
 class _GammaDroppedHopf(HopfAlgebra):
     """Negative control: drop the cocycle value at one generator pair.
 
     Removing gamma(s_1, s_1) = t_1 while keeping every other value breaks the
     2-cocycle identity, so the product stops being associative."""
 
-    def _single_product(self, w, v):
-        wv, terms = super()._single_product(w, v)
-        s1 = Perm.transposition(self.m, 1)
-        if w == v == s1:
-            return wv, [(self.ring.zero_exp, self.cyc.one)]
-        return wv, terms
+    def __init__(self, n, m):
+        super().__init__(n, m)
+        s1 = Perm.transposition(m, 1)
+        _mutate_gamma(self, (s1, s1), lambda g: g.ring.one)
 
 
 def _first_nonassociative_triple(H):
@@ -180,11 +186,7 @@ class _OneGammaTermDroppedHopf(HopfAlgebra):
 
     def __init__(self, n, m, pair):
         super().__init__(n, m)
-        self.pair = pair
-
-    def _single_product(self, w, v):
-        wv, terms = super()._single_product(w, v)
-        return (wv, terms[:-1]) if (w, v) == self.pair else (wv, terms)
+        _mutate_gamma(self, pair, lambda g: g.ring.from_terms(dict(list(g.terms.items())[:-1])))
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
@@ -197,7 +199,7 @@ def test_product_table_follows_a_mutated_label_product(n, m):
     pair = next(
         (w, v)
         for w, v in iproduct(plain.perms, repeat=2)
-        if ident not in (w, v) and len(plain._single_product(w, v)[1]) > 1
+        if ident not in (w, v) and len(plain.words.cocycle(w, v).terms) > 1
     )
     mutated = _OneGammaTermDroppedHopf(n, m, pair)
     pairs = list(iproduct(plain.basis_keys(), repeat=2))
@@ -406,11 +408,11 @@ def reference_htensor_mul(t1, t2):
             c = c1 * c2
             sl = tuple((kl1[0][i] + kl2[0][kl1[1].images[i]]) % n for i in range(m))
             sr = tuple((kr1[0][i] + kr2[0][kr1[1].images[i]]) % n for i in range(m))
-            wl, gl = alg._single_product(kl1[1], kl2[1])
-            wr, gr = alg._single_product(kr1[1], kr2[1])
-            for dgl, cgl in gl:
+            wl, gl = kl1[1] * kl2[1], alg.words.cocycle(kl1[1], kl2[1]).terms
+            wr, gr = kr1[1] * kr2[1], alg.words.cocycle(kr1[1], kr2[1]).terms
+            for dgl, cgl in gl.items():
                 left = (tuple((sl[i] + dgl[i]) % n for i in range(m)), wl)
-                for dgr, cgr in gr:
+                for dgr, cgr in gr.items():
                     right = (tuple((sr[i] + dgr[i]) % n for i in range(m)), wr)
                     key = (left, right)
                     out[key] = out.get(key, alg.cyc.zero) + c * cgl * cgr
@@ -516,15 +518,14 @@ def test_embedding_product_matches_literal_sweep(n, m):
 def test_negative_control_target_gamma_dropped_breaks_embedding_product(n, m, monkeypatch):
     """Drop gamma(s_1, s_1) in H_{n,m+1} only: phi(z_1 z_1) != z_1 z_1 there,
     and the label check names the literal sweep's first witness."""
-    original = HopfAlgebra._single_product
+    original = WordCalculus.cocycle
 
     def dropped(self, w, v):
-        wv, terms = original(self, w, v)
         if self.m == m + 1 and w == v == Perm.transposition(self.m, 1):
-            return wv, [(self.ring.zero_exp, self.cyc.one)]
-        return wv, terms
+            return self.ring.one
+        return original(self, w, v)
 
-    monkeypatch.setattr(HopfAlgebra, "_single_product", dropped)
+    monkeypatch.setattr(WordCalculus, "cocycle", dropped)
     product = _check(embedding_check(n, m), "embedding-product")
     s1 = ((0,) * m, Perm.transposition(m, 1))
     assert product["status"] == "fail"
@@ -575,8 +576,8 @@ class _LiteralCoalgebraHopf(HopfAlgebra):
     every permutation pair gets the HTensor verdict and every per-basis
     check sweeps the whole basis."""
 
-    def _comultiplicative_by_tables(self):
-        return set()
+    def _comultiplicative_by_table(self, w, v):
+        return None
 
     def _cases(self, reduced, arity=1):
         return super()._cases(reduced and arity != 1, arity)
@@ -609,11 +610,18 @@ def _htensor_verdicts(H):
     ],
 )
 def test_table_verdicts_match_htensor(cls, n, m):
+    """Every non-None table verdict is the HTensor verdict, pass and fail."""
     H = cls(n, m)
-    proved = H._comultiplicative_by_tables()
-    assert proved == _htensor_verdicts(H)
-    if cls is HopfAlgebra:
-        assert len(proved) == len(H.perms) ** 2
+    passing = _htensor_verdicts(H)
+    verdicts = {pair: H._comultiplicative_by_table(*pair) for pair in iproduct(H.perms, repeat=2)}
+    for pair, verdict in verdicts.items():
+        if verdict is not None:
+            assert verdict == (pair in passing), pair
+    # every table is read, and only the dropped gamma(s_1, s_1) is refuted
+    s1 = Perm.transposition(m, 1)
+    refuted = {pair for pair, verdict in verdicts.items() if verdict is False}
+    assert None not in verdicts.values()
+    assert refuted == ({(s1, s1)} if cls is _GammaDroppedHopf else set())
 
 
 @pytest.mark.parametrize(
@@ -681,10 +689,12 @@ def test_negative_control_twist_mutation_fails_with_literal_witness(cls):
     H = cls(2, 2)
     s1 = Perm.transposition(2, 1)
     assert H._translation_law_holds() and H._coproduct_translates()
-    assert (s1, s1) not in H._comultiplicative_by_tables()
-    if cls is _SignFlippedTwistHopf:
-        # no value of f_{s_1} is a root of unity, so no pair with s_1 is proved
-        assert all(s1 not in pair for pair in H._comultiplicative_by_tables())
+    if cls is _ShiftedTwistHopf:
+        assert H._comultiplicative_by_table(s1, s1) is False
+    else:
+        # no value of f_{s_1} is a root of unity, so no pair with s_1 has a verdict
+        assert all(H._comultiplicative_by_table(w, v) is None
+                   for w, v in iproduct(H.perms, repeat=2) if s1 in (w, v))
     report = H.verify_axioms()
     comult = _check(report, "comultiplicativity")
     assert comult["status"] == "fail"
@@ -740,10 +750,12 @@ def test_j_exponents_are_none_off_the_roots_or_labels():
     assert H.j_exponents(Perm.identity(2)) == [0] * 16
 
 
-@pytest.mark.parametrize("cls, products", [(_ShiftedTwistHopf, 5), (_SignFlippedTwistHopf, 7)])
+@pytest.mark.parametrize("cls, products", [(_ShiftedTwistHopf, 4), (_SignFlippedTwistHopf, 7)])
 def test_each_pair_gets_one_htensor_verdict(cls, products, monkeypatch):
-    # the label pairs the tables leave unproved are decided once and the
-    # verdict shared by comultiplicativity and comultiplicativity-direct
+    # the 4 generator pairs run the HTensor product; the table decides
+    # (s_1, s_1) of _ShiftedTwistHopf, and the 3 label pairs whose tables
+    # are None are decided once and the verdict shared by
+    # comultiplicativity and comultiplicativity-direct
     calls = []
     original = HTensor.__mul__
 
@@ -840,9 +852,8 @@ def _make_gamma_ss_a_non_unit(H):
     """Make gamma(s, s) the non-unit 1 - x_1, which vanishes at the trivial
     character."""
     s = cycle_perm(H.m)
-    cocycle = H.words.cocycle
     non_unit = H.ring.one - H.ring.monomial(slot_vector(H.m, 1))
-    H.words.cocycle = lambda w, v: non_unit if (w, v) == (s, s) else cocycle(w, v)
+    _mutate_gamma(H, (s, s), lambda g: non_unit)
 
 
 def test_cyclic_subalgebra_dimension_needs_unit_coefficients():
